@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Interaction
-from .encoder import SparseVector, _Counter, encode_row
+from .encoder import FAMILY_TABLE, SparseVector, _Counter, row_builder
 from .errors import ConfigError
 from .fm import FMFit, fm_score, probit
 from .glm import LinearParams, sigmoid
@@ -129,11 +128,17 @@ def slope_report(models, layouts, pair_mode="adjacent"):
 def recall_probability(model, history, skills, query_time, item=None,
                        qmatrix=None):
     """Probability of answering correctly a virtual item over `skills` at
-    `query_time`, given the student's prior history.
+    `query_time`, given one student's prior history.
 
-    History events strictly after `query_time` are ignored. When `item` is
-    None, the item bias is proxied by the mean fitted bias over the items
-    tagged with the queried skills (all items if no q-matrix is supplied).
+    The row is built by the family's table entry, as in batch encoding, with
+    counters fed from each history row's `skills`. History events strictly
+    after `query_time` are ignored; a history of several students is an
+    error. When `item` is None, the item bias is proxied by the mean fitted
+    bias over the items tagged with the queried skills (all items if no
+    q-matrix is supplied). An FM model answers with the probit of its
+    posterior-mean score, whereas cross-validation scores held-out rows by
+    the probit probabilities averaged over the kept chain; the two differ
+    when the posterior is spread out.
     """
     skills = sorted(set(skills))
     if not skills:
@@ -142,17 +147,17 @@ def recall_probability(model, history, skills, query_time, item=None,
     unknown = [k for k in skills if k not in layout.skills]
     if unknown:
         raise ConfigError(f"skills not in model: {unknown}")
+    students = sorted({r.student for r in history})
+    if len(students) > 1:
+        raise ConfigError(f"history spans several students: {students}")
 
+    family = FAMILY_TABLE[spec.family]
     prior = sorted((r for r in history if r.timestamp <= query_time),
                    key=lambda r: r.timestamp)
     student = prior[0].student if prior else None
     counters = {}
     for r in prior:
-        if spec.family == "dash_items":
-            keys = [("item", r.student, r.item)]
-        else:
-            keys = [("skill", r.student, k) for k in (r.skills or ())]
-        for key in keys:
+        for key in family.history_keys(r.item, r.skills or ()):
             counters.setdefault(key, _Counter()).push(r.timestamp, r.correct)
 
     user_idx = (layout.students.index(student)
@@ -166,24 +171,25 @@ def recall_probability(model, history, skills, query_time, item=None,
         item_idx = None
         off, size = layout.blocks["items"]
         if qmatrix is not None:
+            wanted = set(skills)
             pool = [i for i, it in enumerate(layout.items)
-                    if qmatrix.skills_of(it) & set(skills)]
+                    if qmatrix.skills_of(it) & wanted]
         else:
             pool = list(range(size))
-        if isinstance(params, LinearParams):
-            proxy = float(np.mean(params.weights[off + np.asarray(pool)])) if pool else 0.0
-        else:
-            fp = params.posterior_mean if isinstance(params, FMFit) else params
-            proxy = float(np.mean(fp.linear_weights[off + np.asarray(pool)])) if pool else 0.0
+        weights = (params.weights if isinstance(params, LinearParams)
+                   else _fm_point(params).linear_weights)
+        proxy = float(np.mean(weights[off + np.asarray(pool)])) if pool else 0.0
 
-    skill_idx = {k: i for i, k in enumerate(layout.skills)}
-    virtual = Interaction(student or "?", item or "?", query_time, 0,
-                          tuple(skills))
-    idx, val = encode_row(virtual, skills, layout, spec, counters,
-                          user_idx, item_idx, skill_idx)
-    row = SparseVector(indices=idx, values=val)
+    idx, val = row_builder(spec, layout)(counters, query_time, user_idx,
+                                         item_idx, item, skills)
+    idx, val = np.asarray(idx, dtype=np.int64), np.asarray(val)
     if isinstance(params, LinearParams):
         z = float(params.weights[idx] @ val) + params.intercept + proxy
         return float(sigmoid(z))
-    fp = params.posterior_mean if isinstance(params, FMFit) else params
-    return float(probit(fm_score(fp, row) + proxy))
+    row = SparseVector(indices=idx, values=val)
+    return float(probit(fm_score(_fm_point(params), row) + proxy))
+
+
+def _fm_point(params):
+    """The FMParams an FM recall scores with: the posterior mean of a fit."""
+    return params.posterior_mean if isinstance(params, FMFit) else params

@@ -24,28 +24,18 @@ from . import evaluation, glm, scheduler, synth
 from . import fm as fm_mod
 from .corpus import (dataset_stats, load_interactions, load_prepared,
                      load_qmatrix_triplets, preprocess, save_dataset)
-from .encoder import (ModelSpec, WindowSet, encode_dataset, load_design,
-                      save_design)
+from .encoder import (FAMILIES, ModelSpec, WindowSet, encode_dataset,
+                      load_design, save_design)
 from .errors import SkillmemError
 from .modelio import ModelFile, atomic_write_text, load_model, save_model
 
-log = logging.getLogger("skillmem")
-
-_FAMILY_ALIASES = {
-    "irt": "irt", "mirtb": "mirtb", "afm": "afm", "pfa": "pfa",
-    "dash-items": "dash_items", "dash_items": "dash_items",
-    "dash-kc": "dash_kc", "dash_kc": "dash_kc",
-    "das3h": "das3h", "das3h-1p": "das3h_1p", "das3h_1p": "das3h_1p",
-    "das3h-plaincounts": "das3h_plaincounts",
-    "das3h_plaincounts": "das3h_plaincounts",
-}
-
 
 def _family(name):
-    key = name.strip().lower()
-    if key not in _FAMILY_ALIASES:
+    """A family name as typed (any case, `-` for `_`) -> its table name."""
+    key = name.strip().lower().replace("-", "_")
+    if key not in FAMILIES:
         raise click.UsageError(f"unknown model family {name!r}")
-    return _FAMILY_ALIASES[key]
+    return key
 
 
 def _windows(text):
@@ -159,10 +149,8 @@ def train(encoded, l2, dim, iters, seed, out_path):
     dm = load_design(encoded)
     d = dm.spec.dim if dim is None else dim
     if d == 0:
-        cfg = glm.FitConfig(l2_strength=l2, seed=seed)
-        params = glm.fit_logistic(dm.X, dm.y, cfg)
-        training_config = {"l2": l2, "seed": seed,
-                           "converged": params.converged}
+        params = glm.fit_logistic(dm.X, dm.y, glm.FitConfig(l2_strength=l2))
+        training_config = {"l2": l2, "converged": params.converged}
     else:
         cfg = fm_mod.GibbsConfig(iterations=iters, seed=seed)
         params = fm_mod.fit_fm_gibbs(dm.X, dm.y, d, cfg,
@@ -210,7 +198,7 @@ def cv(in_path, models, dims, folds, seed, l2, iters, out_dir):
 
     table = evaluation.cross_validate(
         ds, specs, k=folds, seed=seed,
-        glm_config=glm.FitConfig(l2_strength=l2, seed=seed),
+        glm_config=glm.FitConfig(l2_strength=l2),
         gibbs_config=fm_mod.GibbsConfig(iterations=iters, seed=seed),
         model_sink=sink)
     atomic_write_text(os.path.join(out_dir, "metrics.json"), table.to_json())
@@ -235,7 +223,7 @@ def ablate(in_path, seed, folds, l2, out_dir):
     ds = load_prepared(in_path)
     report = evaluation.ablation_suite(
         ds, seed=seed, k=folds,
-        glm_config=glm.FitConfig(l2_strength=l2, seed=seed))
+        glm_config=glm.FitConfig(l2_strength=l2))
     os.makedirs(out_dir, exist_ok=True)
     report.write_csv(os.path.join(out_dir, "ablation_folds.csv"))
     atomic_write_text(os.path.join(out_dir, "ablation_deltas.json"),

@@ -1,10 +1,15 @@
 """Sparse feature encoding with strictly-prior time-window practice counters.
 
-Each interaction becomes one sparse row. Depending on the model family the
-row holds one-hot user/item/skill indicators plus practice-history features:
-raw attempt/win/fail counts (afm, pfa, das3h_plaincounts) or log(1+count)
-per nested time window (dash_*, das3h, das3h_1p). Counters always reflect
-strictly prior interactions of the same student: a row is emitted before the
+Every model family is a choice of sparse feature blocks over the same
+per-student practice counters, and `FAMILY_TABLE` is the single definition
+of each one: its one-hot indicator blocks (users, items, skills), what its
+history counters are keyed by (the row's skills or its item), the statistic
+(log(1+count) per nested time window, or raw all-time totals), whether
+history weights are per key or shared across keys, and its history blocks
+in order. The layout sizes, the family names and the one row builder
+(`row_builder`) all come from that table; the batch encoder and online
+recall queries both build rows through it. Counters always reflect strictly
+prior interactions of the same student: a row is emitted before the
 counters are updated with its outcome.
 """
 
@@ -22,14 +27,65 @@ from .errors import ConfigError, EncodingError
 
 DEFAULT_WINDOWS = (1 / 24, 1.0, 7.0, 30.0, math.inf)
 
-FAMILIES = (
-    "irt", "mirtb", "afm", "pfa",
-    "dash_items", "dash_kc",
-    "das3h", "das3h_1p", "das3h_plaincounts",
-)
+# Per-window statistic of a counter's (attempts, wins), by history block.
+_STATISTICS = {
+    "wins": lambda a, c: c,
+    "attempts": lambda a, c: a,
+    "fails": lambda a, c: a - c,
+}
 
-# Families whose history features are per-window log counts.
-_WINDOWED = {"dash_items", "dash_kc", "das3h", "das3h_1p"}
+
+@dataclass(frozen=True)
+class Family:
+    """One model family as a choice of feature blocks.
+
+    `indicators` are one-hot blocks from ("users", "items", "skills") and
+    `history` blocks from `_STATISTICS`, each in layout order. History
+    counters are keyed by the row's skills or by its item (`key` is
+    "skills" or "items"). A windowed family holds log(1+count) per window
+    of the spec, the others the raw all-time total. With `per_key` every
+    key has its own weights; otherwise one weight per window is shared and
+    the values of the keys are summed, in sorted key order.
+    """
+
+    indicators: tuple[str, ...]
+    history: tuple[str, ...] = ()
+    key: str = "skills"
+    windowed: bool = False
+    per_key: bool = False
+
+    def blocks(self, dims, n_windows):
+        """(name, size) of every block in layout order, for dims (S, J, K)."""
+        S, J, K = dims
+        sizes = {"users": S, "items": J, "skills": K}
+        per = sizes[self.key] if self.per_key else 1
+        width = per * (n_windows if self.windowed else 1)
+        return ([(name, sizes[name]) for name in self.indicators]
+                + [(name, width) for name in self.history])
+
+    def history_keys(self, item, skills):
+        """Counter keys a row of `item` over `skills` reads and updates."""
+        return (item,) if self.key == "items" else skills
+
+
+_UI = ("users", "items")
+_UIS = ("users", "items", "skills")
+_WA = ("wins", "attempts")
+_WF = ("wins", "fails")
+
+FAMILY_TABLE = {
+    "irt": Family(_UI),
+    "mirtb": Family(_UI),
+    "afm": Family(("skills",), ("attempts",), per_key=True),
+    "pfa": Family(("skills",), _WF, per_key=True),
+    "dash_items": Family(_UI, _WA, key="items", windowed=True),
+    "dash_kc": Family(_UI, _WA, windowed=True),
+    "das3h": Family(_UIS, _WA, windowed=True, per_key=True),
+    "das3h_1p": Family(_UIS, _WA, windowed=True),
+    "das3h_plaincounts": Family(_UIS, _WF, per_key=True),
+}
+
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 @dataclass(frozen=True)
@@ -68,24 +124,6 @@ class ModelSpec:
     @property
     def label(self):
         return f"{self.family}(d={self.dim})"
-
-
-# Block plans: (name, size expression) in fixed order users, items, skills,
-# wins, attempts/fails. S, J, K are dataset dims, W the window count.
-_BLOCK_PLANS = {
-    "irt": (("users", "S"), ("items", "J")),
-    "mirtb": (("users", "S"), ("items", "J")),
-    "afm": (("skills", "K"), ("attempts", "K")),
-    "pfa": (("skills", "K"), ("wins", "K"), ("fails", "K")),
-    "dash_items": (("users", "S"), ("items", "J"), ("wins", "W"), ("attempts", "W")),
-    "dash_kc": (("users", "S"), ("items", "J"), ("wins", "W"), ("attempts", "W")),
-    "das3h": (("users", "S"), ("items", "J"), ("skills", "K"),
-              ("wins", "K*W"), ("attempts", "K*W")),
-    "das3h_1p": (("users", "S"), ("items", "J"), ("skills", "K"),
-                 ("wins", "W"), ("attempts", "W")),
-    "das3h_plaincounts": (("users", "S"), ("items", "J"), ("skills", "K"),
-                          ("wins", "K"), ("fails", "K")),
-}
 
 
 @dataclass
@@ -139,12 +177,9 @@ class LayoutDescriptor:
 
 def feature_layout(spec, dims):
     """Block layout for dataset dims (S, J, K); no id maps attached."""
-    S, J, K = dims
-    env = {"S": S, "J": J, "K": K, "W": len(spec.windows)}
     blocks = {}
     off = 0
-    for name, expr in _BLOCK_PLANS[spec.family]:
-        size = eval(expr, {}, env)
+    for name, size in FAMILY_TABLE[spec.family].blocks(dims, len(spec.windows)):
         if size <= 0:
             raise ConfigError(f"zero-sized block {name} for dims {dims}")
         blocks[name] = (off, size)
@@ -256,139 +291,108 @@ class SparseVector:
     timestamp: float | None = None
 
 
-def encode_row(interaction, skills, layout, spec, counters, user_idx, item_idx,
-               skill_idx):
-    """Build one sparse row from the current counter state (not yet updated).
+def row_builder(spec, layout):
+    """The row function of `spec`'s family over `layout`.
 
+    It returns `build(counters, query_time, user_idx, item_idx, item,
+    skills)` -> (indices, values) sorted by index, from the counter state
+    before the row's own outcome. `counters` maps the family's history keys
+    to `_Counter`s of one student; `skills` is the row's sorted skill list.
     `user_idx` / `item_idx` may be None (virtual queries for students or
-    items outside the layout); the corresponding indicator is then omitted.
+    items outside the layout); the indicator is then omitted. Zero values
+    are dropped.
     """
-    family = spec.family
-    windows = spec.windows
-    W = len(windows)
-    idx, val = [], []
+    family = FAMILY_TABLE[spec.family]
+    if family.windowed:
+        n_windows, transform = len(spec.windows), math.log1p
 
-    def put(block, local, v=1.0):
-        if local is not None and v != 0.0:
-            idx.append(layout.offset(block) + local)
-            val.append(v)
+        def stats(counter, query_time):
+            return counter.counts(query_time, spec.windows)
+    else:
+        n_windows, transform = 1, float
 
-    if family in ("irt", "mirtb"):
-        put("users", user_idx)
-        put("items", item_idx)
-    elif family == "afm":
-        for k in skills:
-            put("skills", skill_idx[k])
-            a, _ = counters[("skill", interaction.student, k)].totals() \
-                if ("skill", interaction.student, k) in counters else (0, 0)
-            put("attempts", skill_idx[k], float(a))
-    elif family == "pfa":
-        for k in skills:
-            put("skills", skill_idx[k])
-            key = ("skill", interaction.student, k)
-            a, c = counters[key].totals() if key in counters else (0, 0)
-            put("wins", skill_idx[k], float(c))
-            put("fails", skill_idx[k], float(a - c))
-    elif family == "dash_items":
-        put("users", user_idx)
-        put("items", item_idx)
-        key = ("item", interaction.student, interaction.item)
-        if key in counters:
-            a, c = counters[key].counts(interaction.timestamp, windows)
+        def stats(counter, query_time):
+            a, c = counter.totals()
+            return [a], [c]
+
+    empty = _Counter()
+    windows = range(n_windows)
+    skill_pos = {k: i for i, k in enumerate(layout.skills)}
+    indicators = [(name, layout.offset(name)) for name in family.indicators]
+    history = [(layout.offset(name), _STATISTICS[name])
+               for name in family.history]
+
+    def build(counters, query_time, user_idx, item_idx, item, skills):
+        pos = {"users": (user_idx,), "items": (item_idx,),
+               "skills": [skill_pos[k] for k in skills]}
+        idx, val = [], []
+        for name, off in indicators:
+            for p in pos[name]:
+                if p is not None:
+                    idx.append(off + p)
+                    val.append(1.0)
+        counts = [stats(counters.get(key, empty), query_time)
+                  for key in family.history_keys(item, skills)]
+        if family.per_key:
+            for off, stat in history:
+                for p, (a, c) in zip(pos[family.key], counts):
+                    base = off + p * n_windows
+                    for w in windows:
+                        v = transform(stat(a[w], c[w]))
+                        if v != 0.0:
+                            idx.append(base + w)
+                            val.append(v)
         else:
-            a, c = [0] * W, [0] * W
-        for w in range(W):
-            put("wins", w, math.log1p(c[w]))
-            put("attempts", w, math.log1p(a[w]))
-    elif family in ("dash_kc", "das3h_1p"):
-        put("users", user_idx)
-        put("items", item_idx)
-        if family == "das3h_1p":
-            for k in skills:
-                put("skills", skill_idx[k])
-        win_sum = [0.0] * W
-        att_sum = [0.0] * W
-        for k in skills:
-            key = ("skill", interaction.student, k)
-            if key in counters:
-                a, c = counters[key].counts(interaction.timestamp, windows)
-            else:
-                a, c = [0] * W, [0] * W
-            for w in range(W):
-                win_sum[w] += math.log1p(c[w])
-                att_sum[w] += math.log1p(a[w])
-        for w in range(W):
-            put("wins", w, win_sum[w])
-            put("attempts", w, att_sum[w])
-    elif family == "das3h":
-        put("users", user_idx)
-        put("items", item_idx)
-        for k in skills:
-            put("skills", skill_idx[k])
-            key = ("skill", interaction.student, k)
-            if key in counters:
-                a, c = counters[key].counts(interaction.timestamp, windows)
-            else:
-                a, c = [0] * W, [0] * W
-            for w in range(W):
-                put("wins", skill_idx[k] * W + w, math.log1p(c[w]))
-                put("attempts", skill_idx[k] * W + w, math.log1p(a[w]))
-    elif family == "das3h_plaincounts":
-        put("users", user_idx)
-        put("items", item_idx)
-        for k in skills:
-            put("skills", skill_idx[k])
-            key = ("skill", interaction.student, k)
-            a, c = counters[key].totals() if key in counters else (0, 0)
-            put("wins", skill_idx[k], float(c))
-            put("fails", skill_idx[k], float(a - c))
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown family {family}")
+            for off, stat in history:
+                for w in windows:
+                    v = 0.0
+                    for a, c in counts:
+                        v += transform(stat(a[w], c[w]))
+                    if v != 0.0:
+                        idx.append(off + w)
+                        val.append(v)
+        order = sorted(range(len(idx)), key=idx.__getitem__)
+        return [idx[i] for i in order], [val[i] for i in order]
 
-    order = np.argsort(idx, kind="stable")
-    return np.asarray(idx, dtype=np.int64)[order], np.asarray(val)[order]
+    return build
 
 
 def encode_dataset(dataset, spec, layout=None):
     """Encode every interaction into a DesignMatrix, per-student chronological.
 
-    Counters are keyed by skill (or by item for dash_items) and are updated
+    Counters are keyed as the family's table entry says and are updated
     only after a row is emitted, so each row sees strictly prior history.
     """
     if layout is None:
         layout = build_layout(spec, dataset)
+    family = FAMILY_TABLE[spec.family]
+    build = row_builder(spec, layout)
     user_pos = {s: i for i, s in enumerate(layout.students)}
     item_pos = {j: i for i, j in enumerate(layout.items)}
-    skill_pos = {k: i for i, k in enumerate(layout.skills)}
     qm = dataset.qmatrix
 
     data, indices, indptr = [], [], [0]
     labels, row_students, row_items, row_ts = [], [], [], []
     for student in dataset.students:
-        counters: dict[tuple, _Counter] = {}
+        counters: dict[str, _Counter] = {}
+        user_idx = user_pos.get(student)
         for r in dataset.interactions[student]:
             if r.item not in qm or not qm.skills_of(r.item):
                 raise EncodingError(f"item {r.item!r} missing from q-matrix")
             skills = sorted(qm.skills_of(r.item))
             if r.item not in item_pos:
                 raise EncodingError(f"item {r.item!r} not in layout")
-            idx, val = encode_row(
-                r, skills, layout, spec, counters,
-                user_pos.get(student), item_pos[r.item], skill_pos,
-            )
-            indices.extend(idx.tolist())
-            data.extend(val.tolist())
+            idx, val = build(counters, r.timestamp, user_idx,
+                             item_pos[r.item], r.item, skills)
+            indices.extend(idx)
+            data.extend(val)
             indptr.append(len(indices))
             labels.append(r.correct)
             row_students.append(student)
             row_items.append(r.item)
             row_ts.append(r.timestamp)
             # update counters after emitting the row
-            if spec.family == "dash_items":
-                keys = [("item", student, r.item)]
-            else:
-                keys = [("skill", student, k) for k in skills]
-            for key in keys:
+            for key in family.history_keys(r.item, skills):
                 counters.setdefault(key, _Counter()).push(r.timestamp, r.correct)
 
     X = sparse.csr_matrix(

@@ -25,7 +25,6 @@ class GibbsConfig:
     seed: int = 0
     burn_in: int | None = None  # defaults to iterations // 2
     init_stdev: float = 0.1
-    keep_chain: bool = False
 
     def resolved_burn_in(self):
         b = self.iterations // 2 if self.burn_in is None else self.burn_in
@@ -48,13 +47,11 @@ class FMParams:
 
 @dataclass
 class FMFit:
-    """Result of a Gibbs run: posterior mean, final sample, optional chain."""
+    """Result of a Gibbs run: posterior mean and final sample."""
 
     posterior_mean: FMParams
     final_sample: FMParams
-    chain: list | None = None
     eval_probs: np.ndarray | None = None  # chain-averaged probs for eval rows
-    train_probs: np.ndarray | None = None
 
 
 def fm_score(params, row):
@@ -146,8 +143,6 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
     sum_mu, sum_w, sum_V = 0.0, np.zeros(N), np.zeros((N, d))
     n_kept = 0
     eval_prob_sum = None if eval_X is None else np.zeros(eval_X.shape[0])
-    train_prob_sum = np.zeros(n)
-    chain = [] if config.keep_chain else None
 
     for it in range(config.iterations):
         # latent responses
@@ -225,12 +220,9 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
             sum_mu += mu0
             sum_w += w
             sum_V += V
-            sample = FMParams(mu0, w.copy(), V.copy())
-            train_prob_sum += probit(scores)
             if eval_X is not None:
-                eval_prob_sum += probit(_scores_matrix(sample, eval_X))
-            if chain is not None:
-                chain.append(sample)
+                eval_prob_sum += probit(_scores_matrix(FMParams(mu0, w, V),
+                                                       eval_X))
 
     hyper = {
         "mu_w": {int(g): float(v) for g, v in mu_w.items()},
@@ -242,9 +234,7 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
     return FMFit(
         posterior_mean=posterior_mean,
         final_sample=final_sample,
-        chain=chain,
         eval_probs=None if eval_X is None else eval_prob_sum / n_kept,
-        train_probs=train_prob_sum / n_kept,
     )
 
 
@@ -253,10 +243,10 @@ def fm_predict(model, row):
 
     `model` may be an FMParams (point estimate: probit of its score), a list
     of FMParams (chain average of per-sample probabilities), or an FMFit
-    (uses its chain when kept, else the posterior mean).
+    (its posterior mean).
     """
     if isinstance(model, FMFit):
-        model = model.chain if model.chain else model.posterior_mean
+        model = model.posterior_mean
     if isinstance(model, FMParams):
         return float(probit(fm_score(model, row)))
     probs = [probit(fm_score(p, row)) for p in model]

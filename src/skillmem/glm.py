@@ -21,7 +21,6 @@ class FitConfig:
     l2_strength: float = 1.0
     max_iterations: int = 500
     tolerance: float = 1e-6
-    seed: int = 0
 
 
 @dataclass

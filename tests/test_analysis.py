@@ -155,3 +155,13 @@ class TestRecallProbability:
         ds, truth, mf = truth_model
         with pytest.raises(ConfigError):
             recall_probability(mf, [], ["ghost"], 0.0)
+
+    def test_history_of_several_students_rejected(self, truth_model):
+        ds, truth, mf = truth_model
+        a, b = ds.students[0], ds.students[1]
+        skill = mf.layout.skills[0]
+        item = mf.layout.items[0]
+        hist = [Interaction(a, item, 1.0, 1, (skill,)),
+                Interaction(b, item, 0.5, 0, (skill,))]
+        with pytest.raises(ConfigError, match=f"{a}.*{b}"):
+            recall_probability(mf, hist, [skill], 5.0, qmatrix=truth.qmatrix)

@@ -116,6 +116,31 @@ def test_recall_command(runner, tmp_path):
     assert 0.0 < doc["recall_probability"] < 1.0
 
 
+def test_recall_rejects_history_of_several_students(tmp_path, capsys):
+    encoded = str(tmp_path / "design.txt")
+    assert run(["encode", "--in", FIXTURE_PATH, "--out", encoded]) == 0
+    model = str(tmp_path / "model.json")
+    assert run(["train", "--encoded", encoded, "--l2", "0.01",
+                "--out", model]) == 0
+    capsys.readouterr()
+    assert run(["analyze", "recall", "--model", model,
+                "--history", FIXTURE_PATH, "--skills", "k0",
+                "--at-day", "14"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "several students" in err and "s000" in err
+
+
+def test_family_names_from_table(runner, tmp_path):
+    encoded = str(tmp_path / "design.txt")
+    r = runner.invoke(main, ["encode", "--in", FIXTURE_PATH,
+                             "--model", "DAS3H-1p", "--out", encoded])
+    assert r.exit_code == 0, r.output
+    assert json.load(open(encoded + ".json"))["spec"]["family"] == "das3h_1p"
+    assert run(["cv", "--in", FIXTURE_PATH, "--models", "irt,bogus",
+                "--out", str(tmp_path / "cv_out")]) == 2
+
+
 def test_schedule_sim_command(runner, tmp_path):
     out = str(tmp_path / "sim.csv")
     r = runner.invoke(main, ["schedule-sim", "--policy", "threshold,random",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillmem.corpus import Dataset, Interaction, QMatrix
-from skillmem.encoder import (DEFAULT_WINDOWS, ModelSpec, WindowSet,
-                              encode_dataset, feature_layout, load_design,
-                              save_design, window_counts)
+from skillmem.encoder import (DEFAULT_WINDOWS, FAMILIES, ModelSpec,
+                              WindowSet, encode_dataset, feature_layout,
+                              load_design, save_design, window_counts)
 from skillmem.errors import ConfigError, EncodingError
 from skillmem.synth import SynthConfig, make_synthetic
 
@@ -190,25 +191,23 @@ class TestEncodeDataset:
 def recompute_row_from_scratch(dataset, spec, student, row_pos):
     """No-leakage oracle: rebuild one row's features using only the rows
     strictly before it in the student's stream."""
-    from skillmem.encoder import _Counter, build_layout, encode_row
+    from skillmem.encoder import (FAMILY_TABLE, _Counter, build_layout,
+                                  row_builder)
 
     layout = build_layout(spec, dataset)
+    family = FAMILY_TABLE[spec.family]
     rows = dataset.interactions[student]
     counters = {}
     for r in rows[:row_pos]:
-        if spec.family == "dash_items":
-            keys = [("item", student, r.item)]
-        else:
-            keys = [("skill", student, k)
-                    for k in sorted(dataset.qmatrix.skills_of(r.item))]
-        for key in keys:
+        for key in family.history_keys(
+                r.item, sorted(dataset.qmatrix.skills_of(r.item))):
             counters.setdefault(key, _Counter()).push(r.timestamp, r.correct)
     r = rows[row_pos]
-    skills = sorted(dataset.qmatrix.skills_of(r.item))
-    skill_idx = {k: i for i, k in enumerate(layout.skills)}
-    return encode_row(r, skills, layout, spec, counters,
-                      layout.students.index(student),
-                      layout.items.index(r.item), skill_idx)
+    idx, val = row_builder(spec, layout)(
+        counters, r.timestamp, layout.students.index(student),
+        layout.items.index(r.item), r.item,
+        sorted(dataset.qmatrix.skills_of(r.item)))
+    return np.asarray(idx, dtype=np.int64), np.asarray(val)
 
 
 @pytest.mark.parametrize("family", ["das3h", "das3h_1p", "dash_kc",
@@ -290,3 +289,67 @@ def test_design_roundtrip(tmp_path, fixture_dataset):
     assert np.array_equal(dm.y, back.y)
     assert back.spec.family == "das3h"
     assert back.layout.blocks == dm.layout.blocks
+
+
+# sha256 of the CSR indptr, indices and data bytes of every family encoded
+# on data/fixture_small.csv, taken from the encoder before the family table
+# replaced its per-family branches; the table must reproduce it bit for bit.
+GOLDEN_CSR = {
+    "irt": (
+        "bc089c332c0cf81267c0d7b10af4e1955b6201bfc073a17098e905d25740f6df",
+        "92efaa94faecb3de793fab32aa1bad1d9d46f9428b4aaaacf12ed2cb515ba0aa",
+        "c989f2eabb21cbdde37bc2c0fcd498b1c2c95014933dd6d6560c3ffb18e7b5bb",
+    ),
+    "mirtb": (
+        "bc089c332c0cf81267c0d7b10af4e1955b6201bfc073a17098e905d25740f6df",
+        "92efaa94faecb3de793fab32aa1bad1d9d46f9428b4aaaacf12ed2cb515ba0aa",
+        "c989f2eabb21cbdde37bc2c0fcd498b1c2c95014933dd6d6560c3ffb18e7b5bb",
+    ),
+    "afm": (
+        "a8b3aec37f0a1be88d5e69a518259ff99deb9847c25432ca243b1ca6bc855228",
+        "8238f99bc26a56044f2c41b9de18c7c893bfca5e30e0fc7550e87cd9d9a421cd",
+        "5095d0d44943eeb4941c30b1e6cecca2c609c0fa0192388f2e150025daec8ff2",
+    ),
+    "pfa": (
+        "08380d2e9a27ce64b29197a73a8467cfcdcbc743e72ec2e62c5e283ac845cb64",
+        "ac809f8dad79d36a9e9c628c09cee05857041a281333bcb1be16728e64027435",
+        "884a0663b3704c0240e6fece39e081161325861c19409894597506c8991159c9",
+    ),
+    "dash_items": (
+        "09aaaae0eec7512682970a3832fcebb18792914c58fa92b36357206d1d8ec2ba",
+        "3c3fc81e13c514e4f8d7970964ae8f2fc719bfe8167b433267dfd65da060d79f",
+        "5e29ef1d9b36093be65e733a65d68acc485711936b62d0861d9afbf8db56b8e3",
+    ),
+    "dash_kc": (
+        "320587965635be2347fb78db4e4daf8e67ec23822aaaf377ce39d1217774e587",
+        "70dc16b52c8af5d4e14b7b1407a5ff9c3bfcc6c4a7bfe52ed8530a213c672189",
+        "47ef7ea252446b2ade34812be7a8240e3c4d9d4834bdb1c1f1782b38942dbc92",
+    ),
+    "das3h": (
+        "490528eaf318a8a40e5086cb2589f8043e276aa92fdd926520b9dae4af03a7e4",
+        "f2b3af0fb77e04fd7f3088be1568d88d1194891d154105c9cb6012009f21f808",
+        "827480d2f294651fbf6eb2e0c51558cdcd744a3cdda9acbe9537bd8124644bd4",
+    ),
+    "das3h_1p": (
+        "fff5f768b7547f721581f85a6f66942ac077a7bf8d1cfd2ae1fa37c4496e2bac",
+        "71229c486888dae1c7a13097bd348f3fdf5f695c6cd20e55ab1590631ae4f988",
+        "d4de9c4ad122cb14a88d8df1c9dac3315d3bbe3fbda67d18cfd6a28b95d1f2f1",
+    ),
+    "das3h_plaincounts": (
+        "27e80ebca95653c2125fa14b220009d0da6ea11c2f865411f178ced4c2754237",
+        "1c7584356a8cb85ca2a6f68b915630c37c10d1faff97c673de58e07d33c36a6f",
+        "7c7284118b9581e543780c31e5d4440e4232d7a88eb0069c0c534f5b00593a2a",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_CSR))
+def test_golden_csr(fixture_dataset, family):
+    assert set(GOLDEN_CSR) == set(FAMILIES)
+    spec = ModelSpec(family, 1 if family == "mirtb" else 0)
+    X = encode_dataset(fixture_dataset, spec).X
+    assert (X.indptr.dtype, X.indices.dtype, X.data.dtype) == \
+        (np.int32, np.int32, np.float64)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                    for a in (X.indptr, X.indices, X.data))
+    assert digests == GOLDEN_CSR[family]
