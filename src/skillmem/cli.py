@@ -141,7 +141,9 @@ def encode(in_path, family, dim, windows, out_path):
 @click.option("--dim", default=None, type=int,
               help="override the spec's embedding dimension")
 @click.option("--iters", default=300, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True,
+              help="seed of the Gibbs sampler (dim > 0); a dim-0 L-BFGS fit "
+                   "draws nothing, so the seed is neither used nor recorded")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def train(encoded, l2, dim, iters, seed, out_path):
     """Fit a model on an encoded design matrix."""
@@ -151,6 +153,7 @@ def train(encoded, l2, dim, iters, seed, out_path):
     if d == 0:
         params = glm.fit_logistic(dm.X, dm.y, glm.FitConfig(l2_strength=l2))
         training_config = {"l2": l2, "converged": params.converged}
+        seed = None
     else:
         cfg = fm_mod.GibbsConfig(iterations=iters, seed=seed)
         params = fm_mod.fit_fm_gibbs(dm.X, dm.y, d, cfg,

@@ -6,6 +6,18 @@ component carries a normal prior N(mu_g, 1/lambda_g) whose (mu_g, lambda_g)
 are sampled per feature group under hyperpriors mu ~ N(0,1), lambda ~ Gamma(1,1).
 Predictions average per-sample probit probabilities over the post-burn-in
 chain; a point-estimate mode applies probit to the posterior-mean score.
+
+Each sweep draws the latents, the global bias, the group hyperparameters,
+then the linear weights and each embedding factor in column order, as a
+blocked scan over runs: maximal ranges of consecutive non-empty columns in
+which no two columns share a row (the one-hot users and items blocks are one
+run each; skill and count columns that share rows are runs of length 1).
+Given everything else, a run's columns are conditionally independent and
+each one's conditional reads only rows that the others leave alone, so one
+vectorized draw per run, with its noise taken from the generator in column
+order, gives the same chain as drawing the columns one by one. The cost of a
+sweep grows with nnz and the number of runs, not with the number of users
+and items.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 from .errors import FitError
 
@@ -89,13 +101,89 @@ def probit(s):
 
 
 def _draw_truncnorm(rng, mean, positive):
-    """Draw z ~ N(mean, 1) truncated to z>0 (positive) or z<0, by inverse CDF."""
-    lo = ndtr(-mean)  # P(z <= 0)
+    """Draw z ~ N(mean, 1) truncated to z>0 (positive) or z<0, by inverse CDF.
+
+    Each side is drawn through its own lower tail in log space, so the sign
+    is right for any finite mean: with u ~ U[0, 1), a positive row gets
+    mean - ndtri((1-u) * ndtr(mean)) and a negative row gets
+    mean + ndtri(u * ndtr(-mean)).
+    """
     u = rng.uniform(size=mean.shape)
-    # positive side: quantile in (P(z<=0), 1); negative side: (0, P(z<=0))
-    p = np.where(positive, lo + u * (1 - lo), u * lo)
-    p = np.clip(p, 1e-12, 1 - 1e-12)
-    return mean + ndtri(p)
+    z = np.empty_like(mean)
+    pos, neg = positive, ~positive
+    z[pos] = mean[pos] - ndtri_exp(np.log1p(-u[pos]) + log_ndtr(mean[pos]))
+    u_neg = np.maximum(u[neg], np.finfo(float).tiny)  # log(0) is -inf
+    z[neg] = mean[neg] + ndtri_exp(np.log(u_neg) + log_ndtr(-mean[neg]))
+    return z
+
+
+@dataclass
+class _Run:
+    """Consecutive non-empty columns that share no row, and their nonzeros."""
+
+    cols: np.ndarray     # (k,) column ids
+    groups: np.ndarray   # (k,) group index of each column
+    local: np.ndarray    # (nnz,) position in `cols` of each nonzero's column
+    rows: np.ndarray     # (nnz,) row of each nonzero
+    vals: np.ndarray     # (nnz,) value of each nonzero
+
+
+def _column_runs(Xc, group_index):
+    """Split the non-empty columns of a canonical CSC matrix into runs.
+
+    A run is a maximal range of consecutive non-empty columns in which no two
+    columns share a row, taken greedily from the left. Empty columns are
+    never drawn, so they belong to no run and do not split one.
+    """
+    counts = np.diff(Xc.indptr)
+    cols = np.flatnonzero(counts)
+    m = len(cols)
+    if m == 0:
+        return []
+    pos = np.repeat(np.arange(m), counts[cols])  # column position per nonzero
+    # per nonzero, the position of the previous column holding its row
+    order = np.lexsort((pos, Xc.indices))
+    prev = np.full(len(pos), -1)
+    same_row = Xc.indices[order[1:]] == Xc.indices[order[:-1]]
+    prev[order[1:]] = np.where(same_row, pos[order[:-1]], -1)
+    # per column, the last earlier column it shares a row with
+    last = np.maximum.reduceat(prev, Xc.indptr[cols])
+    bounds = [0]
+    while bounds[-1] < m:
+        s = bounds[-1]
+        hit = np.flatnonzero(last[s + 1:] >= s)
+        bounds.append(s + 1 + int(hit[0]) if len(hit) else m)
+    runs = []
+    for s, t in zip(bounds[:-1], bounds[1:]):
+        a, b = Xc.indptr[cols[s]], Xc.indptr[cols[t - 1] + 1]
+        runs.append(_Run(cols=cols[s:t], groups=group_index[cols[s:t]],
+                         local=pos[a:b] - s, rows=Xc.indices[a:b],
+                         vals=Xc.data[a:b]))
+    return runs
+
+
+def _draw_run(rng, coef, run, h, lam, mu, e, scores):
+    """Draw coef[run.cols] from their full conditionals in one step.
+
+    The score is linear in each coefficient with per-nonzero slope `h`; the
+    prior of column j is N(mu[j], 1/lam[j]). The run's columns touch
+    disjoint rows, so each conditional reads `e` only at rows that no other
+    column of the run changes, and one batched draw gives the same chain as
+    drawing the columns one after another. `e` and `scores` are updated in
+    place; returns the change of the coefficient at each nonzero.
+    """
+    k = len(run.cols)
+    old = coef[run.cols]
+    resid = e[run.rows] + h * old[run.local]
+    prec = np.bincount(run.local, h * h, k) + lam
+    mean = (np.bincount(run.local, h * resid, k) + lam * mu) / prec
+    new = mean + (1.0 / np.sqrt(prec)) * rng.standard_normal(k)
+    coef[run.cols] = new
+    delta = (new - old)[run.local]
+    step = h * delta
+    e[run.rows] -= step
+    scores[run.rows] += step
+    return delta
 
 
 def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
@@ -108,32 +196,35 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
     config = config or GibbsConfig()
     if d < 1:
         raise FitError(f"dim must be >= 1, got {d}")
-    rng = np.random.default_rng(config.seed)
     X = sparse.csr_matrix(X, dtype=float)
-    Xc = X.tocsc()
     n, N = X.shape
     y = np.asarray(y)
-    positive = y > 0
-    burn_in = config.resolved_burn_in()
-
+    if y.shape != (n,):
+        raise FitError(f"{y.size} labels for {n} rows")
     groups = np.zeros(N, dtype=np.int64) if groups is None else np.asarray(groups)
-    group_ids = np.unique(groups)
-    group_cols = {g: np.where(groups == g)[0] for g in group_ids}
+    if groups.shape != (N,):
+        raise FitError(f"{groups.size} groups for {N} feature columns")
+    if eval_X is not None and eval_X.shape[1] != N:
+        raise FitError(f"eval_X has {eval_X.shape[1]} columns, X has {N}")
+    burn_in = config.resolved_burn_in()
+    rng = np.random.default_rng(config.seed)
+    positive = y > 0
+
+    Xc = X.tocsc()
+    Xc.sum_duplicates()  # a repeated entry would share a row within a column
+    group_ids, group_index = np.unique(groups, return_inverse=True)
+    group_cols = [np.flatnonzero(group_index == i) for i in range(len(group_ids))]
+    runs = _column_runs(Xc, group_index)
 
     w = np.zeros(N)
     V = rng.normal(0.0, config.init_stdev, size=(N, d))
     mu0 = 0.0
 
     # per-group (mu, lambda) for w, and per-(group, factor) for V
-    mu_w = {g: 0.0 for g in group_ids}
-    lam_w = {g: 1.0 for g in group_ids}
-    mu_v = {g: np.zeros(d) for g in group_ids}
-    lam_v = {g: np.ones(d) for g in group_ids}
-
-    cols = [Xc.getcol(j) for j in range(N)]
-    col_rows = [c.indices.copy() for c in cols]
-    col_vals = [c.data.copy() for c in cols]
-    col_sq = [float(v @ v) for v in col_vals]
+    mu_w = np.zeros(len(group_ids))
+    lam_w = np.ones(len(group_ids))
+    mu_v = np.zeros((len(group_ids), d))
+    lam_v = np.ones((len(group_ids), d))
 
     scores = _scores_matrix(FMParams(mu0, w, V), X)
     Q = np.asarray(X @ V)  # (n, d), maintained incrementally
@@ -158,8 +249,7 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
         mu0 = mu_new
 
         # hyperparameters per group
-        for g in group_ids:
-            cols_g = group_cols[g]
+        for g, cols_g in enumerate(group_cols):
             ng = len(cols_g)
             theta = w[cols_g]
             lam_w[g] = rng.gamma(1.0 + ng / 2.0,
@@ -169,48 +259,27 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
                                  1.0 / np.sqrt(prec_mu))
             Vg = V[cols_g]
             for f in range(d):
-                lam_v[g][f] = rng.gamma(
+                lam_v[g, f] = rng.gamma(
                     1.0 + ng / 2.0,
-                    1.0 / (1.0 + 0.5 * np.sum((Vg[:, f] - mu_v[g][f]) ** 2)))
-                prec_mu = lam_v[g][f] * ng + 1.0
-                mu_v[g][f] = rng.normal(
-                    lam_v[g][f] * np.sum(Vg[:, f]) / prec_mu,
+                    1.0 / (1.0 + 0.5 * np.sum((Vg[:, f] - mu_v[g, f]) ** 2)))
+                prec_mu = lam_v[g, f] * ng + 1.0
+                mu_v[g, f] = rng.normal(
+                    lam_v[g, f] * np.sum(Vg[:, f]) / prec_mu,
                     1.0 / np.sqrt(prec_mu))
 
-        # linear weights
-        for j in range(N):
-            rows_j, vals_j = col_rows[j], col_vals[j]
-            if len(rows_j) == 0:
-                continue
-            g = groups[j]
-            prec = col_sq[j] + lam_w[g]
-            resid = e[rows_j] + vals_j * w[j]
-            mean = (vals_j @ resid + lam_w[g] * mu_w[g]) / prec
-            w_new = rng.normal(mean, 1.0 / np.sqrt(prec))
-            delta = w_new - w[j]
-            e[rows_j] -= vals_j * delta
-            scores[rows_j] += vals_j * delta
-            w[j] = w_new
+        # linear weights: the score's slope in w_j is x_ij
+        for run in runs:
+            _draw_run(rng, w, run, run.vals, lam_w[run.groups],
+                      mu_w[run.groups], e, scores)
 
-        # embeddings
+        # embeddings: the slope in V_jf is x_ij * (Q_if - x_ij V_jf)
         for f in range(d):
-            qf = Q[:, f]
-            for j in range(N):
-                rows_j, vals_j = col_rows[j], col_vals[j]
-                if len(rows_j) == 0:
-                    continue
-                g = groups[j]
-                h = vals_j * (qf[rows_j] - vals_j * V[j, f])
-                h_sq = float(h @ h)
-                prec = h_sq + lam_v[g][f]
-                resid = e[rows_j] + h * V[j, f]
-                mean = (h @ resid + lam_v[g][f] * mu_v[g][f]) / prec
-                v_new = rng.normal(mean, 1.0 / np.sqrt(prec))
-                delta = v_new - V[j, f]
-                e[rows_j] -= h * delta
-                scores[rows_j] += h * delta
-                qf[rows_j] += vals_j * delta
-                V[j, f] = v_new
+            vf, qf = V[:, f], Q[:, f]
+            for run in runs:
+                h = run.vals * (qf[run.rows] - run.vals * vf[run.cols][run.local])
+                delta = _draw_run(rng, vf, run, h, lam_v[run.groups, f],
+                                  mu_v[run.groups, f], e, scores)
+                qf[run.rows] += run.vals * delta
 
         if not (np.isfinite(mu0) and np.all(np.isfinite(w)) and np.all(np.isfinite(V))):
             raise FitError(f"divergent Gibbs chain at iteration {it}")
@@ -225,8 +294,8 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
                                                        eval_X))
 
     hyper = {
-        "mu_w": {int(g): float(v) for g, v in mu_w.items()},
-        "lambda_w": {int(g): float(v) for g, v in lam_w.items()},
+        "mu_w": {int(g): float(v) for g, v in zip(group_ids, mu_w)},
+        "lambda_w": {int(g): float(v) for g, v in zip(group_ids, lam_w)},
     }
     posterior_mean = FMParams(sum_mu / n_kept, sum_w / n_kept, sum_V / n_kept,
                               hyperparams=hyper)

@@ -192,3 +192,18 @@ def test_fm_model_roundtrip(tmp_path, fixture_dataset):
     assert back.kind == "fm"
     assert np.allclose(back.params.posterior_mean.embeddings,
                        fit.posterior_mean.embeddings)
+
+
+def test_train_records_seed_only_for_gibbs(tmp_path):
+    encoded = str(tmp_path / "design.txt")
+    assert run(["encode", "--in", FIXTURE_PATH, "--out", encoded]) == 0
+    for dim, recorded in (("0", None), ("1", 7)):
+        os.makedirs(tmp_path / f"dim{dim}")
+        model = str(tmp_path / f"dim{dim}" / "model.json")
+        assert run(["train", "--encoded", encoded, "--dim", dim, "--iters",
+                    "4", "--seed", "7", "--out", model]) == 0
+        config = json.load(open(model))["training_config"]
+        manifest = json.load(open(os.path.join(os.path.dirname(model),
+                                               "manifest.json")))
+        assert config.get("seed") == recorded
+        assert manifest["seed"] == recorded
