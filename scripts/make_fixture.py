@@ -16,11 +16,14 @@ from skillmem.synth import SynthConfig, make_synthetic
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "data", "fixture_small.csv")
 
-if __name__ == "__main__":
+
+def write_fixture(out):
+    """Write the fixture CSV to `out` and its generating truth to
+    `out + ".truth.json"`."""
     config = SynthConfig(seed=12345)
     dataset, truth = make_synthetic(config)
-    save_dataset(dataset, OUT)
-    with open(OUT + ".truth.json", "w") as fh:
+    save_dataset(dataset, out)
+    with open(out + ".truth.json", "w") as fh:
         json.dump({
             "seed": config.seed,
             "user_w": truth.user_w,
@@ -29,4 +32,8 @@ if __name__ == "__main__":
             "win_w": truth.win_w,
             "att_w": truth.att_w,
         }, fh, indent=2)
-    print(f"wrote {dataset.n_interactions} interactions to {OUT}")
+    print(f"wrote {dataset.n_interactions} interactions to {out}")
+
+
+if __name__ == "__main__":
+    write_fixture(OUT)

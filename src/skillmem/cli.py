@@ -61,7 +61,6 @@ def write_manifest(out_dir, command, params, inputs, seed, started):
         "version": __version__,
         "wall_time_s": round(time.time() - started, 3),
     }
-    os.makedirs(out_dir, exist_ok=True)
     atomic_write_text(os.path.join(out_dir, "manifest.json"),
                       json.dumps(manifest, indent=2))
 
@@ -97,10 +96,11 @@ def prepare(in_path, fmt, min_interactions, qmatrix_path, out_path):
         qm = load_qmatrix_triplets(qmatrix_path)
         ds.qmatrix = QMatrix(ds.qmatrix.entries() | qm.entries())
     ds = preprocess(ds, min_interactions)
+    out_dir = _out_dir_of(out_path)
     save_dataset(ds, out_path)
     report = dataset_stats(ds)
     atomic_write_text(out_path + ".stats.json", report.to_json())
-    write_manifest(_out_dir_of(out_path), "prepare",
+    write_manifest(out_dir, "prepare",
                    {"in": in_path, "format": fmt,
                     "min_interactions": min_interactions, "out": out_path},
                    [in_path], seed=None, started=started)
@@ -127,8 +127,9 @@ def encode(in_path, family, dim, windows, out_path):
     spec = ModelSpec(_family(family), dim, _windows(windows))
     ds = load_prepared(in_path)
     dm = encode_dataset(ds, spec)
+    out_dir = _out_dir_of(out_path)
     save_design(dm, out_path)
-    write_manifest(_out_dir_of(out_path), "encode",
+    write_manifest(out_dir, "encode",
                    {"in": in_path, "model": family, "dim": dim,
                     "windows": windows, "out": out_path},
                    [in_path], seed=None, started=started)
@@ -159,9 +160,10 @@ def train(encoded, l2, dim, iters, seed, out_path):
         params = fm_mod.fit_fm_gibbs(dm.X, dm.y, d, cfg,
                                      groups=dm.layout.group_of_feature())
         training_config = {"iterations": iters, "seed": seed}
+    out_dir = _out_dir_of(out_path)
     save_model(ModelFile(spec=dm.spec, layout=dm.layout, params=params,
                          training_config=training_config), out_path)
-    write_manifest(_out_dir_of(out_path), "train",
+    write_manifest(out_dir, "train",
                    {"encoded": encoded, "l2": l2, "dim": d, "iters": iters,
                     "out": out_path},
                    [encoded], seed=seed, started=started)
@@ -261,9 +263,10 @@ def slopes(model_dir, pairs, out_path):
     if not models:
         raise click.UsageError("no linear das3h models found in --model-dir")
     report = analysis_mod.slope_report(models, layouts, pair_mode=pairs)
+    out_dir = _out_dir_of(out_path)
     report.write_csv(out_path)
     atomic_write_text(out_path + ".json", report.to_json())
-    write_manifest(_out_dir_of(out_path), "analyze slopes",
+    write_manifest(out_dir, "analyze slopes",
                    {"model_dir": model_dir, "pairs": pairs, "out": out_path},
                    [], seed=None, started=started)
     click.echo(f"slopes for {len(report.entries)} skills -> {out_path}")
@@ -321,8 +324,9 @@ def schedule_sim(model_path, policy, threshold, horizon, sessions, seeds,
     session_times = np.linspace(0, horizon * 0.8, sessions).tolist()
     result = scheduler.simulate_policy(
         truth, policies, session_times, horizon, seeds=range(seeds))
+    out_dir = _out_dir_of(out_path)
     result.write_csv(out_path)
-    write_manifest(_out_dir_of(out_path), "schedule-sim",
+    write_manifest(out_dir, "schedule-sim",
                    {"policy": policy, "threshold": threshold,
                     "horizon": horizon, "seeds": seeds, "out": out_path},
                    [model_path] if model_path else [], seed=seed,

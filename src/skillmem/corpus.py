@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,7 +85,6 @@ class Dataset:
 
     interactions: dict[str, list[Interaction]]
     qmatrix: QMatrix
-    preprocessed: bool = False
 
     @property
     def students(self):
@@ -206,7 +203,7 @@ def load_interactions(path, fmt="generic"):
             )
             for k in skills:
                 entries.add((item, k))
-    return Dataset(per_student, QMatrix(entries), preprocessed=False)
+    return Dataset(per_student, QMatrix(entries))
 
 
 def preprocess(dataset, min_interactions=10):
@@ -247,7 +244,7 @@ def preprocess(dataset, min_interactions=10):
                 extra.update((r.item, k) for k in r.skills)
     if extra:
         qm = QMatrix(qm.entries() | extra)
-    return Dataset(out, qm, preprocessed=True)
+    return Dataset(out, qm)
 
 
 def dataset_stats(dataset):
@@ -310,7 +307,6 @@ def save_dataset(dataset, path):
 def load_prepared(path):
     """Load a dataset previously written by `save_dataset` (already clean)."""
     ds = load_interactions(path, fmt="generic")
-    ds.preprocessed = True
     for s in ds.interactions:
         ds.interactions[s].sort(key=lambda r: r.timestamp)
     return ds

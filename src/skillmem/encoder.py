@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -255,13 +256,11 @@ class _Counter:
 
 @dataclass
 class DesignMatrix:
-    """Encoded rows (CSR), labels, per-row metadata, layout and spec."""
+    """Encoded rows (CSR), labels, the student of each row, layout and spec."""
 
     X: sparse.csr_matrix
     y: np.ndarray
     students: list[str]
-    items: list[str]
-    timestamps: np.ndarray
     layout: LayoutDescriptor
     spec: ModelSpec
 
@@ -271,24 +270,14 @@ class DesignMatrix:
 
     def row(self, i):
         start, end = self.X.indptr[i], self.X.indptr[i + 1]
-        return SparseVector(
-            indices=self.X.indices[start:end].copy(),
-            values=self.X.data[start:end].copy(),
-            label=int(self.y[i]),
-            student=self.students[i],
-            item=self.items[i],
-            timestamp=float(self.timestamps[i]),
-        )
+        return SparseVector(indices=self.X.indices[start:end].copy(),
+                            values=self.X.data[start:end].copy())
 
 
 @dataclass
 class SparseVector:
     indices: np.ndarray
     values: np.ndarray
-    label: int | None = None
-    student: str | None = None
-    item: str | None = None
-    timestamp: float | None = None
 
 
 def row_builder(spec, layout):
@@ -357,14 +346,13 @@ def row_builder(spec, layout):
     return build
 
 
-def encode_dataset(dataset, spec, layout=None):
+def encode_dataset(dataset, spec):
     """Encode every interaction into a DesignMatrix, per-student chronological.
 
     Counters are keyed as the family's table entry says and are updated
     only after a row is emitted, so each row sees strictly prior history.
     """
-    if layout is None:
-        layout = build_layout(spec, dataset)
+    layout = build_layout(spec, dataset)
     family = FAMILY_TABLE[spec.family]
     build = row_builder(spec, layout)
     user_pos = {s: i for i, s in enumerate(layout.students)}
@@ -372,7 +360,7 @@ def encode_dataset(dataset, spec, layout=None):
     qm = dataset.qmatrix
 
     data, indices, indptr = [], [], [0]
-    labels, row_students, row_items, row_ts = [], [], [], []
+    labels, row_students = [], []
     for student in dataset.students:
         counters: dict[str, _Counter] = {}
         user_idx = user_pos.get(student)
@@ -380,8 +368,6 @@ def encode_dataset(dataset, spec, layout=None):
             if r.item not in qm or not qm.skills_of(r.item):
                 raise EncodingError(f"item {r.item!r} missing from q-matrix")
             skills = sorted(qm.skills_of(r.item))
-            if r.item not in item_pos:
-                raise EncodingError(f"item {r.item!r} not in layout")
             idx, val = build(counters, r.timestamp, user_idx,
                              item_pos[r.item], r.item, skills)
             indices.extend(idx)
@@ -389,8 +375,6 @@ def encode_dataset(dataset, spec, layout=None):
             indptr.append(len(indices))
             labels.append(r.correct)
             row_students.append(student)
-            row_items.append(r.item)
-            row_ts.append(r.timestamp)
             # update counters after emitting the row
             for key in family.history_keys(r.item, skills):
                 counters.setdefault(key, _Counter()).push(r.timestamp, r.correct)
@@ -401,9 +385,7 @@ def encode_dataset(dataset, spec, layout=None):
         shape=(len(labels), layout.n_features),
     )
     return DesignMatrix(
-        X=X, y=np.asarray(labels, dtype=np.int8),
-        students=row_students, items=row_items,
-        timestamps=np.asarray(row_ts, dtype=float),
+        X=X, y=np.asarray(labels, dtype=np.int8), students=row_students,
         layout=layout, spec=spec,
     )
 
@@ -419,48 +401,56 @@ def spec_from_dict(d):
 
 
 def save_design(dm, path):
-    """Write `label idx:value ...` rows plus a JSON sidecar at path + '.json'."""
-    with open(path, "w") as fh:
-        for i in range(dm.n_rows):
-            start, end = dm.X.indptr[i], dm.X.indptr[i + 1]
-            parts = [str(int(dm.y[i]))]
-            parts += [f"{j}:{v:.17g}" for j, v in
-                      zip(dm.X.indices[start:end], dm.X.data[start:end])]
-            fh.write(" ".join(parts) + "\n")
-    sidecar = {
-        "layout": dm.layout.to_dict(),
-        "spec": spec_to_dict(dm.spec),
-        "students": dm.students,
-        "items": dm.items,
-        "timestamps": dm.timestamps.tolist(),
-    }
+    """Write a design as one uncompressed `.npz` archive at exactly `path`.
+
+    It holds the CSR `data`, `indices`, `indptr` and `shape`, the int8
+    labels `y` and each row's student as a unicode array `students`, so it
+    loads with `allow_pickle=False`. The layout and the spec go to a JSON
+    sidecar at `path + ".json"`.
+    """
+    X = dm.X
+    # a file handle keeps numpy from appending ".npz" to the path
+    with open(path, "wb") as fh:
+        np.savez(fh, data=X.data, indices=X.indices, indptr=X.indptr,
+                 shape=np.asarray(X.shape, dtype=np.int64), y=dm.y,
+                 students=np.asarray(dm.students, dtype=str))
     with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh)
+        json.dump({"layout": dm.layout.to_dict(),
+                   "spec": spec_to_dict(dm.spec)}, fh)
 
 
 def load_design(path):
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
+    """Read a design written by `save_design`, arrays bit for bit.
+
+    Raises EncodingError naming `path` when the file is not such an archive,
+    its sidecar is missing or the array lengths disagree with `shape`, `y`
+    or the layout.
+    """
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an archive")
+        with npz:
+            a = {name: npz[name] for name in ("data", "indices", "indptr",
+                                              "shape", "y", "students")}
+    except (OSError, EOFError, KeyError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise EncodingError(f"{path} is not a design .npz: {exc}") from None
+    try:
+        with open(path + ".json") as fh:
+            sidecar = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise EncodingError(f"{path}: cannot read its sidecar: {exc}") from None
     layout = LayoutDescriptor.from_dict(sidecar["layout"])
-    spec = spec_from_dict(sidecar["spec"])
-    data, indices, indptr, labels = [], [], [0], []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            labels.append(int(parts[0]))
-            for p in parts[1:]:
-                j, v = p.split(":")
-                indices.append(int(j))
-                data.append(float(v))
-            indptr.append(len(indices))
-    X = sparse.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(len(labels), layout.n_features),
-    )
-    return DesignMatrix(
-        X=X, y=np.asarray(labels, dtype=np.int8),
-        students=sidecar["students"], items=sidecar["items"],
-        timestamps=np.asarray(sidecar["timestamps"], dtype=float),
-        layout=layout, spec=spec,
-    )
+    shape, indptr = a["shape"], a["indptr"]
+    if not (shape.shape == (2,) and shape[1] == layout.n_features
+            and len(indptr) == shape[0] + 1
+            and len(a["y"]) == len(a["students"]) == shape[0]
+            and len(a["indices"]) == len(a["data"]) == indptr[-1]):
+        raise EncodingError(
+            f"{path}: array lengths disagree with shape {shape.tolist()}, "
+            f"{len(a['y'])} labels and {layout.n_features} layout features")
+    X = sparse.csr_matrix((a["data"], a["indices"], indptr),
+                          shape=(int(shape[0]), int(shape[1])))
+    return DesignMatrix(X=X, y=a["y"], students=a["students"].tolist(),
+                        layout=layout, spec=spec_from_dict(sidecar["spec"]))

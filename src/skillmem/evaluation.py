@@ -58,6 +58,8 @@ class FoldResult:
     nll: float
     acc: float
     n_test: int
+    converged: bool | None = None  # L-BFGS only; None for Gibbs folds
+    n_iter: int | None = None
 
 
 @dataclass
@@ -143,6 +145,11 @@ def cross_validate(dataset, specs, k=5, seed=0, glm_config=None,
             train_mask = ~test_mask
             probs, fitted = _fit_and_score(dm, train_mask, test_mask,
                                            glm_config, gibbs_config)
+            linear = isinstance(fitted, glm.LinearParams)
+            if linear and not fitted.converged:
+                warnings.warn(
+                    f"{spec.label} fold {fold}: L-BFGS stopped after "
+                    f"{fitted.n_iter} iterations without converging")
             y_test = dm.y[test_mask]
             try:
                 fold_auc = auc(probs, y_test)
@@ -153,7 +160,9 @@ def cross_validate(dataset, specs, k=5, seed=0, glm_config=None,
                 fold_auc = None
             table.add(spec.label, FoldResult(
                 fold=fold, auc=fold_auc, nll=nll(probs, y_test),
-                acc=accuracy(probs, y_test), n_test=int(test_mask.sum())))
+                acc=accuracy(probs, y_test), n_test=int(test_mask.sum()),
+                converged=fitted.converged if linear else None,
+                n_iter=fitted.n_iter if linear else None))
             if model_sink is not None:
                 model_sink(spec.label, fold, fitted, dm)
     return table

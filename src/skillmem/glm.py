@@ -8,7 +8,7 @@ Optimization uses L-BFGS with an analytic gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, sparse

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Dataset, Interaction, QMatrix
-from .encoder import (DEFAULT_WINDOWS, ModelSpec, WindowSet, build_layout,
-                      window_counts)
+from .encoder import ModelSpec, WindowSet, build_layout, window_counts
 from .glm import LinearParams, sigmoid
 from .modelio import ModelFile
 
@@ -154,4 +153,4 @@ def make_synthetic(config=None):
             for k in row_skills:
                 hist.setdefault(k, []).append((float(t), correct))
         interactions[s] = rows
-    return Dataset(interactions, qm, preprocessed=True), truth
+    return Dataset(interactions, qm), truth

@@ -49,7 +49,7 @@ def test_end_to_end_pipeline(runner, tmp_path):
     assert os.path.exists(prepared)
     assert os.path.exists(os.path.join(tmp_path, "manifest.json"))
 
-    encoded = str(tmp_path / "design.txt")
+    encoded = str(tmp_path / "design.npz")
     r = runner.invoke(main, ["encode", "--in", prepared, "--model", "das3h",
                              "--dim", "0", "--out", encoded])
     assert r.exit_code == 0, r.output
@@ -97,7 +97,7 @@ def test_recall_command(runner, tmp_path):
     runner.invoke(main, ["prepare", "--in", FIXTURE_PATH, "--format",
                          "generic", "--min-interactions", "5",
                          "--out", prepared])
-    encoded = str(tmp_path / "design.txt")
+    encoded = str(tmp_path / "design.npz")
     runner.invoke(main, ["encode", "--in", prepared, "--out", encoded])
     model = str(tmp_path / "model.json")
     runner.invoke(main, ["train", "--encoded", encoded, "--l2", "0.01",
@@ -117,7 +117,7 @@ def test_recall_command(runner, tmp_path):
 
 
 def test_recall_rejects_history_of_several_students(tmp_path, capsys):
-    encoded = str(tmp_path / "design.txt")
+    encoded = str(tmp_path / "design.npz")
     assert run(["encode", "--in", FIXTURE_PATH, "--out", encoded]) == 0
     model = str(tmp_path / "model.json")
     assert run(["train", "--encoded", encoded, "--l2", "0.01",
@@ -132,7 +132,7 @@ def test_recall_rejects_history_of_several_students(tmp_path, capsys):
 
 
 def test_family_names_from_table(runner, tmp_path):
-    encoded = str(tmp_path / "design.txt")
+    encoded = str(tmp_path / "design.npz")
     r = runner.invoke(main, ["encode", "--in", FIXTURE_PATH,
                              "--model", "DAS3H-1p", "--out", encoded])
     assert r.exit_code == 0, r.output
@@ -195,7 +195,7 @@ def test_fm_model_roundtrip(tmp_path, fixture_dataset):
 
 
 def test_train_records_seed_only_for_gibbs(tmp_path):
-    encoded = str(tmp_path / "design.txt")
+    encoded = str(tmp_path / "design.npz")
     assert run(["encode", "--in", FIXTURE_PATH, "--out", encoded]) == 0
     for dim, recorded in (("0", None), ("1", 7)):
         os.makedirs(tmp_path / f"dim{dim}")
@@ -207,3 +207,40 @@ def test_train_records_seed_only_for_gibbs(tmp_path):
                                                "manifest.json")))
         assert config.get("seed") == recorded
         assert manifest["seed"] == recorded
+
+
+def test_train_on_a_non_design_fails_typed(tmp_path, capsys):
+    assert run(["train", "--encoded", FIXTURE_PATH,
+                "--out", str(tmp_path / "model.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fixture_small.csv" in err
+
+
+@pytest.fixture(scope="module")
+def fitted_inputs(tmp_path_factory):
+    """A fixture design and a directory of per-fold das3h models."""
+    d = tmp_path_factory.mktemp("inputs")
+    design = str(d / "design.npz")
+    assert run(["encode", "--in", FIXTURE_PATH, "--out", design]) == 0
+    assert run(["cv", "--in", FIXTURE_PATH, "--models", "das3h",
+                "--folds", "2", "--l2", "0.01", "--out", str(d / "cv")]) == 0
+    return design, str(d / "cv" / "models")
+
+
+@pytest.mark.parametrize("command", ["prepare", "encode", "train",
+                                     "analyze slopes", "schedule-sim"])
+def test_output_into_missing_directory(tmp_path, fitted_inputs, command):
+    design, models = fitted_inputs
+    argv = {
+        "prepare": ["prepare", "--in", FIXTURE_PATH,
+                    "--min-interactions", "5"],
+        "encode": ["encode", "--in", FIXTURE_PATH],
+        "train": ["train", "--encoded", design, "--l2", "0.01"],
+        "analyze slopes": ["analyze", "slopes", "--model-dir", models],
+        "schedule-sim": ["schedule-sim", "--horizon", "30",
+                         "--sessions", "5", "--seeds", "2"],
+    }[command]
+    out_dir = tmp_path / "a" / "b"
+    assert run(argv + ["--out", str(out_dir / "out")]) == 0
+    assert (out_dir / "out").exists()
+    assert (out_dir / "manifest.json").exists()

@@ -1,3 +1,5 @@
+import os
+import runpy
 import textwrap
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from skillmem.corpus import (FoldAssignment, dataset_stats, load_interactions,
                              preprocess, student_kfold)
 from skillmem.errors import ConfigError, EmptyDatasetError, ParseError
+from conftest import FIXTURE_PATH
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -146,7 +149,7 @@ def test_stats_single_student(tmp_path):
 
 def test_stats_empty_flag():
     from skillmem.corpus import Dataset, QMatrix
-    rep = dataset_stats(Dataset({}, QMatrix([]), preprocessed=True))
+    rep = dataset_stats(Dataset({}, QMatrix([])))
     assert rep.empty and rep.interactions == 0
 
 
@@ -184,3 +187,14 @@ def test_kfold_k_too_large(tmp_path):
     ds = preprocess(_mkds(tmp_path, rows), min_interactions=1)
     with pytest.raises(ConfigError):
         student_kfold(ds, 2, seed=0)
+
+
+def test_make_fixture_reproduces_bundled_fixture(tmp_path):
+    script = runpy.run_path(os.path.join(os.path.dirname(__file__), "..",
+                                         "scripts", "make_fixture.py"))
+    out = str(tmp_path / "fixture_small.csv")
+    script["write_fixture"](out)
+    for suffix in ("", ".truth.json"):
+        with open(out + suffix, "rb") as a, \
+                open(FIXTURE_PATH + suffix, "rb") as b:
+            assert a.read() == b.read(), suffix

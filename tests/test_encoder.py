@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -136,7 +138,7 @@ def _toy_dataset():
     qm = QMatrix([("i1", "k1")])
     rows = [Interaction("u1", "i1", 0.0, 1, ("k1",)),
             Interaction("u1", "i1", 0.5, 0, ("k1",))]
-    return Dataset({"u1": rows}, qm, preprocessed=True)
+    return Dataset({"u1": rows}, qm)
 
 
 class TestEncodeDataset:
@@ -177,7 +179,7 @@ class TestEncodeDataset:
     def test_missing_item_error(self):
         qm = QMatrix([("i1", "k1")])
         rows = [Interaction("u1", "i2", 0.0, 1, ())]
-        ds = Dataset({"u1": rows}, qm, preprocessed=True)
+        ds = Dataset({"u1": rows}, qm)
         with pytest.raises(EncodingError, match="i2"):
             encode_dataset(ds, ModelSpec("irt", 0))
 
@@ -282,13 +284,62 @@ def test_plaincounts_match_pfa_blocks(fixture_dataset):
 
 def test_design_roundtrip(tmp_path, fixture_dataset):
     dm = encode_dataset(fixture_dataset, ModelSpec("das3h", 0))
-    path = str(tmp_path / "design.txt")
+    path = str(tmp_path / "design.npz")
     save_design(dm, path)
+    assert sorted(os.listdir(tmp_path)) == ["design.npz", "design.npz.json"]
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz["students"].dtype.kind == "U"
+    with open(path + ".json") as fh:
+        assert set(json.load(fh)) == {"layout", "spec"}
     back = load_design(path)
-    assert (dm.X != back.X).nnz == 0
-    assert np.array_equal(dm.y, back.y)
-    assert back.spec.family == "das3h"
-    assert back.layout.blocks == dm.layout.blocks
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(dm.X, name), getattr(back.X, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert back.X.shape == dm.X.shape
+    assert back.y.dtype == np.int8 and np.array_equal(dm.y, back.y)
+    assert back.students == dm.students
+    assert back.layout.to_dict() == dm.layout.to_dict()
+    assert back.spec == dm.spec
+
+
+class TestBadDesign:
+    @pytest.fixture()
+    def saved(self, tmp_path, fixture_dataset):
+        path = str(tmp_path / "design.npz")
+        save_design(encode_dataset(fixture_dataset, ModelSpec("irt", 0)), path)
+        return path
+
+    def test_not_an_npz(self, tmp_path):
+        path = str(tmp_path / "design.txt")
+        with open(path, "w") as fh:
+            fh.write("1 0:1 5:1\n")
+        with open(path + ".json", "w") as fh:
+            fh.write("{}")
+        with pytest.raises(EncodingError, match="design.txt"):
+            load_design(path)
+
+    def test_single_npy_array(self, tmp_path):
+        path = str(tmp_path / "design.npy")
+        with open(path, "wb") as fh:
+            np.save(fh, np.arange(3))
+        with pytest.raises(EncodingError, match="design.npy"):
+            load_design(path)
+
+    def test_missing_sidecar(self, saved):
+        os.remove(saved + ".json")
+        with pytest.raises(EncodingError, match="design.npz"):
+            load_design(saved)
+
+    @pytest.mark.parametrize("name", ["y", "students", "indices", "indptr",
+                                      "shape"])
+    def test_lengths_disagree(self, saved, name):
+        with np.load(saved, allow_pickle=False) as npz:
+            arrays = dict(npz)
+        arrays[name] = arrays[name][:-1]
+        with open(saved, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(EncodingError, match="design.npz"):
+            load_design(saved)
 
 
 # sha256 of the CSR indptr, indices and data bytes of every family encoded

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -116,6 +117,23 @@ class TestCrossValidate:
         assert "das3h" in cv_table.to_json()
         assert "AUC" in cv_table.format_table()
 
+    def test_unconverged_folds_warn(self, fixture_dataset):
+        from skillmem.fm import GibbsConfig
+        with pytest.warns(UserWarning, match="without converging") as caught:
+            table = cross_validate(
+                fixture_dataset, [ModelSpec("das3h", 0), ModelSpec("mirtb", 1)],
+                k=2, seed=0, glm_config=FitConfig(max_iterations=2),
+                gibbs_config=GibbsConfig(iterations=2, seed=0))
+        messages = [str(w.message) for w in caught]
+        assert [m for m in messages if "converg" in m] == [
+            f"das3h(d=0) fold {f}: L-BFGS stopped after 2 iterations "
+            "without converging" for f in range(2)]
+        folds = json.loads(table.to_json())["folds"]
+        assert [(f["converged"], f["n_iter"]) for f in folds["das3h(d=0)"]] \
+            == [(False, 2)] * 2
+        assert [(f["converged"], f["n_iter"]) for f in folds["mirtb(d=1)"]] \
+            == [(None, None)] * 2
+
     def test_single_class_fold_warns(self):
         from skillmem.corpus import Dataset, Interaction, QMatrix
         qm = QMatrix([("i1", "k1")])
@@ -130,7 +148,7 @@ class TestCrossValidate:
                             ("k1",))
                 for t in range(6)
             ]
-        ds = Dataset(interactions, qm, preprocessed=True)
+        ds = Dataset(interactions, qm)
         with pytest.warns(UserWarning, match="single-class"):
             table = cross_validate(ds, [ModelSpec("irt", 0)], k=4, seed=0)
         folds = table.results["irt(d=0)"]

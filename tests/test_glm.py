@@ -162,7 +162,7 @@ class TestFitLogistic:
                 rows.append(Interaction(s, j, float(t), int(rng.uniform() < p),
                                         ("k",)))
             interactions[s] = rows
-        ds = Dataset(interactions, qm, preprocessed=True)
+        ds = Dataset(interactions, qm)
         dm = encode_dataset(ds, ModelSpec("irt", 0))
         params = fit_logistic(dm.X, dm.y, FitConfig(l2_strength=1e-4))
         off = dm.layout.offset("users")
