@@ -155,10 +155,11 @@ def recall_probability(model, history, skills, query_time, item=None,
     prior = sorted((r for r in history if r.timestamp <= query_time),
                    key=lambda r: r.timestamp)
     student = prior[0].student if prior else None
-    counters = {}
+    counters = {key: _Counter() for key in family.history_keys(item, skills)}
     for r in prior:
         for key in family.history_keys(r.item, r.skills or ()):
-            counters.setdefault(key, _Counter()).push(r.timestamp, r.correct)
+            if key in counters:
+                counters[key].push(r.timestamp, r.correct)
 
     user_idx = (layout.students.index(student)
                 if student is not None and student in layout.students else None)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,11 +28,11 @@ from .errors import ConfigError, EncodingError
 
 DEFAULT_WINDOWS = (1 / 24, 1.0, 7.0, 30.0, math.inf)
 
-# Per-window statistic of a counter's (attempts, wins), by history block.
+# Per-window statistic of a counter's (attempts, wins) lists, by history block.
 _STATISTICS = {
     "wins": lambda a, c: c,
     "attempts": lambda a, c: a,
-    "fails": lambda a, c: a - c,
+    "fails": lambda a, c: [x - y for x, y in zip(a, c)],
 }
 
 
@@ -218,15 +218,15 @@ def _counts_from(times, wins_prefix, query_time, widths):
     """Count attempts/wins with elapsed = query_time - t < width (strict).
 
     The elapsed values are computed per element so the boundary behaves
-    exactly like the definition (thresholding `query_time - width` instead
-    is not float-equivalent). Times are non-decreasing, so the reversed
-    elapsed sequence is non-decreasing and binary-searchable.
+    exactly like the definition (thresholding `t > query_time - width` is
+    not float-equivalent): on non-decreasing times, a binary search probes
+    `t - query_time`, exactly `-(query_time - t)`, against `-width`.
     """
     n = len(times)
-    elapsed_rev = [query_time - times[n - 1 - i] for i in range(n)]
     attempts, wins = [], []
     for w in widths:
-        cnt = n if math.isinf(w) else bisect_left(elapsed_rev, w)
+        cnt = n if math.isinf(w) else n - bisect_right(
+            times, -w, key=lambda t: t - query_time)
         attempts.append(cnt)
         wins.append(wins_prefix[n] - wins_prefix[n - cnt])
     return attempts, wins
@@ -241,13 +241,8 @@ class _Counter:
         self.times = []
         self.wins_prefix = [0]
 
-    def counts(self, query_time, windows):
-        return _counts_from(self.times, self.wins_prefix, query_time,
-                            windows.widths)
-
-    def totals(self):
-        n = len(self.times)
-        return n, self.wins_prefix[n]
+    def counts(self, query_time, widths):
+        return _counts_from(self.times, self.wins_prefix, query_time, widths)
 
     def push(self, t, correct):
         self.times.append(t)
@@ -284,7 +279,7 @@ def row_builder(spec, layout):
     """The row function of `spec`'s family over `layout`.
 
     It returns `build(counters, query_time, user_idx, item_idx, item,
-    skills)` -> (indices, values) sorted by index, from the counter state
+    skills)` -> (indices, values) in index order, from the counter state
     before the row's own outcome. `counters` maps the family's history keys
     to `_Counter`s of one student; `skills` is the row's sorted skill list.
     `user_idx` / `item_idx` may be None (virtual queries for students or
@@ -292,19 +287,11 @@ def row_builder(spec, layout):
     are dropped.
     """
     family = FAMILY_TABLE[spec.family]
-    if family.windowed:
-        n_windows, transform = len(spec.windows), math.log1p
-
-        def stats(counter, query_time):
-            return counter.counts(query_time, spec.windows)
-    else:
-        n_windows, transform = 1, float
-
-        def stats(counter, query_time):
-            a, c = counter.totals()
-            return [a], [c]
-
+    # all-time totals are the counts of one infinite window
+    widths = spec.windows.widths if family.windowed else (math.inf,)
+    transform = math.log1p if family.windowed else float
     empty = _Counter()
+    n_windows = len(widths)
     windows = range(n_windows)
     skill_pos = {k: i for i, k in enumerate(layout.skills)}
     indicators = [(name, layout.offset(name)) for name in family.indicators]
@@ -320,28 +307,27 @@ def row_builder(spec, layout):
                 if p is not None:
                     idx.append(off + p)
                     val.append(1.0)
-        counts = [stats(counters.get(key, empty), query_time)
+        counts = [counters.get(key, empty).counts(query_time, widths)
                   for key in family.history_keys(item, skills)]
         if family.per_key:
             for off, stat in history:
                 for p, (a, c) in zip(pos[family.key], counts):
                     base = off + p * n_windows
-                    for w in windows:
-                        v = transform(stat(a[w], c[w]))
-                        if v != 0.0:
+                    for w, n in enumerate(stat(a, c)):
+                        if n:
                             idx.append(base + w)
-                            val.append(v)
+                            val.append(transform(n))
         else:
             for off, stat in history:
+                per_key = [stat(a, c) for a, c in counts]
                 for w in windows:
                     v = 0.0
-                    for a, c in counts:
-                        v += transform(stat(a[w], c[w]))
+                    for n in per_key:
+                        v += transform(n[w])
                     if v != 0.0:
                         idx.append(off + w)
                         val.append(v)
-        order = sorted(range(len(idx)), key=idx.__getitem__)
-        return [idx[i] for i in order], [val[i] for i in order]
+        return idx, val
 
     return build
 

@@ -39,11 +39,8 @@ class LinearParams:
 def sigmoid(x):
     """Overflow-safe logistic function, elementwise."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    ex = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
     return out if out.ndim else float(out)
 
 

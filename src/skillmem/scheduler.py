@@ -114,8 +114,10 @@ def simulate_policy(generator, policies, session_times, horizon, seeds,
     """Run each policy on synthetic students answering from the ground truth.
 
     `generator` is a SyntheticModel; answers are sampled from its true
-    probability. For each seed every policy sees the same student; the report
-    holds the mean true recall over all skills at the horizon.
+    probability, over per-skill `_Counter`s of the student's past answers
+    that each answer is pushed to. For each seed every policy sees the same
+    student; the report holds the mean true recall over all skills at the
+    horizon.
     """
     from .corpus import Interaction
 
@@ -124,20 +126,15 @@ def simulate_policy(generator, policies, session_times, horizon, seeds,
     for seed in seeds:
         for name, policy in policies.items():
             rng = np.random.default_rng((seed, hash(name) & 0xFFFF))
-            history = []
-            hist_by_skill = {}
+            history, counters = [], {}
             for t in session_times:
                 item = policy(history, t, rng)
-                p = generator.prob(student, item, hist_by_skill, t)
-                correct = int(rng.uniform() < p)
-                row_skills = tuple(sorted(generator.qmatrix.skills_of(item)))
+                correct, row_skills = generator.respond(
+                    student, item, counters, float(t), rng)
                 history.append(
                     Interaction(student, item, float(t), correct, row_skills))
-                for k in row_skills:
-                    hist_by_skill.setdefault(k, []).append((float(t), correct))
             end_recalls = [
-                generator.prob(student, None, hist_by_skill, horizon,
-                               skills=[k])
+                generator.prob(student, None, counters, horizon, skills=[k])
                 for k in skills
             ]
             per_seed[name].append(float(np.mean(end_recalls)))

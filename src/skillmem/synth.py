@@ -2,19 +2,21 @@
 
 The generator draws labels from a linear (dim=0) das3h scorer with genuine
 forgetting: win weights are largest for the shortest windows, so recent
-practice helps more than old practice. It is used for the bundled fixture,
+practice helps more than old practice. The truth scores through the
+encoder's family table, with the das3h `row_builder` over per-skill
+`_Counter`s pushed as answers are drawn. It is used for the bundled fixture,
 recovery tests and scheduler simulations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Dataset, Interaction, QMatrix
-from .encoder import ModelSpec, WindowSet, build_layout, window_counts
+from .encoder import (ModelSpec, WindowSet, _Counter, build_layout,
+                      row_builder)
 from .glm import LinearParams, sigmoid
 from .modelio import ModelFile
 
@@ -43,7 +45,9 @@ class SynthConfig:
 
 @dataclass
 class SyntheticModel:
-    """Ground-truth linear das3h parameters in weight space."""
+    """Ground-truth linear das3h parameters in weight space. A row is scored
+    as the encoder scores it: the das3h `row_builder`'s row over the truth's
+    own layout, summed in index order against the packed weights."""
 
     user_w: dict
     item_w: dict
@@ -53,22 +57,37 @@ class SyntheticModel:
     windows: WindowSet
     qmatrix: QMatrix
 
-    def logit(self, student, item, history_by_skill, t, skills=None):
-        """True score; `history_by_skill` maps skill -> [(time, correct)]."""
+    def __post_init__(self):
+        # the truth's own layout: its students and items, no rows
+        mf = self.to_model_file(
+            Dataset(dict.fromkeys(self.user_w, ()), self.qmatrix))
+        self._build = row_builder(mf.spec, mf.layout)
+        self._user_pos = {s: i for i, s in enumerate(mf.layout.students)}
+        self._item_pos = {j: i for i, j in enumerate(mf.layout.items)}
+        self._weights = mf.params.weights.tolist()
+
+    def prob(self, student, item, counters, t, skills=None):
+        """True probability of a correct answer to `item` at time `t`, given
+        a `_Counter` per skill of the student's past answers. A virtual item
+        over `skills` (`item` None) has no item bias."""
         skills = sorted(skills if skills is not None
                         else self.qmatrix.skills_of(item))
-        z = self.user_w.get(student, 0.0) + self.item_w.get(item, 0.0)
-        for k in skills:
-            z += self.skill_w[k]
-            a, c = window_counts(history_by_skill.get(k, []), t, self.windows)
-            for w in range(len(self.windows)):
-                z += self.win_w[k][w] * math.log1p(c[w])
-                z += self.att_w[k][w] * math.log1p(a[w])
-        return z
+        idx, val = self._build(counters, t, self._user_pos.get(student),
+                               self._item_pos.get(item), item, skills)
+        z = 0.0
+        for i, v in zip(idx, val):
+            z += self._weights[i] * v
+        return sigmoid(z)
 
-    def prob(self, student, item, history_by_skill, t, skills=None):
-        return float(sigmoid(self.logit(student, item, history_by_skill, t,
-                                        skills)))
+    def respond(self, student, item, counters, t, rng):
+        """Draw the answer to `item` at `t`, push it to the counters of the
+        item's skills and return (correct, skills)."""
+        skills = tuple(sorted(self.qmatrix.skills_of(item)))
+        correct = int(rng.uniform() < self.prob(student, item, counters, t,
+                                                skills))
+        for k in skills:
+            counters.setdefault(k, _Counter()).push(t, correct)
+        return correct, skills
 
     def to_model_file(self, dataset):
         """Pack the true parameters as a fitted-model container."""
@@ -142,15 +161,11 @@ def make_synthetic(config=None):
     for s in students:
         times = _draw_session_times(rng, config.interactions_per_student,
                                     config.horizon_days)
-        hist = {}
+        counters = {}
         rows = []
-        for t in times:
+        for t in times.tolist():
             item = items[int(rng.integers(config.n_items))]
-            p = truth.prob(s, item, hist, float(t))
-            correct = int(rng.uniform() < p)
-            row_skills = tuple(sorted(qm.skills_of(item)))
-            rows.append(Interaction(s, item, float(t), correct, row_skills))
-            for k in row_skills:
-                hist.setdefault(k, []).append((float(t), correct))
+            correct, row_skills = truth.respond(s, item, counters, t, rng)
+            rows.append(Interaction(s, item, t, correct, row_skills))
         interactions[s] = rows
     return Dataset(interactions, qm), truth

@@ -55,6 +55,11 @@ class TestWindowCounts:
         a, _ = window_counts(hist, 1.0, DEFAULT)
         assert a == (0, 0, 1, 1, 1)
 
+    def test_boundary_uses_elapsed_not_threshold(self):
+        # 1.0 - 0.9 < 0.1 holds in floats, but 0.9 > 1.0 - 0.1 does not
+        assert window_counts([(0.9, 1)], 1.0, WindowSet((0.1, math.inf))) \
+            == ((1, 1), (1, 1))
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(0, 50), st.booleans()), max_size=40),
            st.floats(0, 60))
