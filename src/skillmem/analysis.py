@@ -1,9 +1,10 @@
 """Post-fit interpretation: forgetting-curve slopes and recall queries.
 
-Both functions are read-only over fitted models. Slopes are closed-form
-readouts of linear (dim=0) das3h weights: the probability drop when a single
-past win ages out of one time window, everything else held at a documented
-reference operating point.
+Both are read-only over fitted models. Slopes are closed-form readouts of
+linear (dim=0) das3h weights: the probability drop when a single past win
+ages out of one time window, everything else held at a documented reference
+operating point. Recall reads one student's `_Counter`s, the state the
+encoder, the truth and the simulator keep; `history_counters` builds them.
 """
 
 from __future__ import annotations
@@ -125,20 +126,37 @@ def slope_report(models, layouts, pair_mode="adjacent"):
     )
 
 
-def recall_probability(model, history, skills, query_time, item=None,
-                       qmatrix=None):
-    """Probability of answering correctly a virtual item over `skills` at
-    `query_time`, given one student's prior history.
+def history_counters(model, history, query_time):
+    """(counters, student) of one student's history rows at or before
+    `query_time`, pushed in time order to `model`'s family keys (each row's
+    `skills`, or its item). A history of several students is an error."""
+    students = sorted({r.student for r in history})
+    if len(students) > 1:
+        raise ConfigError(f"history spans several students: {students}")
+    family = FAMILY_TABLE[model.spec.family]
+    prior = sorted((r for r in history if r.timestamp <= query_time),
+                   key=lambda r: r.timestamp)
+    counters = {}
+    for r in prior:
+        for key in family.history_keys(r.item, r.skills or ()):
+            counters.setdefault(key, _Counter()).push(r.timestamp, r.correct)
+    return counters, (prior[0].student if prior else None)
 
-    The row is built by the family's table entry, as in batch encoding, with
-    counters fed from each history row's `skills`. History events strictly
-    after `query_time` are ignored; a history of several students is an
-    error. When `item` is None, the item bias is proxied by the mean fitted
-    bias over the items tagged with the queried skills (all items if no
-    q-matrix is supplied). An FM model answers with the probit of its
-    posterior-mean score, whereas cross-validation scores held-out rows by
-    the probit probabilities averaged over the kept chain; the two differ
-    when the posterior is spread out.
+
+def recall_probability(model, counters, skills, query_time, item=None,
+                       student=None, qmatrix=None):
+    """Probability of answering correctly a virtual item over `skills` at
+    `query_time`, given one student's `counters` (family key -> `_Counter`
+    of answers at or before `query_time`).
+
+    The row is built by the family's table entry, as in batch encoding. A
+    `student` outside the layout (or None) has no user bias. When `item` is
+    None, the item bias is proxied by the mean fitted bias over the items
+    tagged with the queried skills (all items if no q-matrix is supplied).
+    An FM model answers with the probit of its posterior-mean score, whereas
+    cross-validation scores held-out rows by the probit probabilities
+    averaged over the kept chain; the two differ when the posterior is
+    spread out.
     """
     skills = sorted(set(skills))
     if not skills:
@@ -147,22 +165,9 @@ def recall_probability(model, history, skills, query_time, item=None,
     unknown = [k for k in skills if k not in layout.skills]
     if unknown:
         raise ConfigError(f"skills not in model: {unknown}")
-    students = sorted({r.student for r in history})
-    if len(students) > 1:
-        raise ConfigError(f"history spans several students: {students}")
-
-    family = FAMILY_TABLE[spec.family]
-    prior = sorted((r for r in history if r.timestamp <= query_time),
-                   key=lambda r: r.timestamp)
-    student = prior[0].student if prior else None
-    counters = {key: _Counter() for key in family.history_keys(item, skills)}
-    for r in prior:
-        for key in family.history_keys(r.item, r.skills or ()):
-            if key in counters:
-                counters[key].push(r.timestamp, r.correct)
 
     user_idx = (layout.students.index(student)
-                if student is not None and student in layout.students else None)
+                if student in layout.students else None)
     if item is not None:
         if item not in layout.items:
             raise ConfigError(f"item {item!r} not in model")
@@ -172,9 +177,8 @@ def recall_probability(model, history, skills, query_time, item=None,
         item_idx = None
         off, size = layout.blocks["items"]
         if qmatrix is not None:
-            wanted = set(skills)
-            pool = [i for i, it in enumerate(layout.items)
-                    if qmatrix.skills_of(it) & wanted]
+            tagged = set().union(*map(qmatrix.items_of, skills))
+            pool = [i for i, it in enumerate(layout.items) if it in tagged]
         else:
             pool = list(range(size))
         weights = (params.weights if isinstance(params, LinearParams)

@@ -285,8 +285,9 @@ def recall(model_path, history_path, skills, item, at_day):
     mf = load_model(model_path)
     hist_ds = load_interactions(history_path, fmt="generic")
     history = [r for rows in hist_ds.interactions.values() for r in rows]
+    counters, student = analysis_mod.history_counters(mf, history, at_day)
     p = analysis_mod.recall_probability(
-        mf, history, skills.split(","), at_day, item=item,
+        mf, counters, skills.split(","), at_day, item=item, student=student,
         qmatrix=hist_ds.qmatrix)
     click.echo(json.dumps({"skills": skills.split(","), "at_day": at_day,
                            "recall_probability": p}))

@@ -41,10 +41,12 @@ class QMatrix:
     """Binary item-to-skill tagging."""
 
     def __init__(self, entries):
-        self._skills_of = {}
+        skills_of, items_of = {}, {}
         for item, skill in entries:
-            self._skills_of.setdefault(item, set()).add(skill)
-        self._skills_of = {i: frozenset(s) for i, s in self._skills_of.items()}
+            skills_of.setdefault(item, set()).add(skill)
+            items_of.setdefault(skill, set()).add(item)
+        self._skills_of = {i: frozenset(s) for i, s in skills_of.items()}
+        self._items_of = {k: frozenset(s) for k, s in items_of.items()}
 
     @property
     def items(self):
@@ -52,10 +54,7 @@ class QMatrix:
 
     @property
     def skills(self):
-        out = set()
-        for s in self._skills_of.values():
-            out |= s
-        return sorted(out)
+        return sorted(self._items_of)
 
     @property
     def item_count(self):
@@ -67,6 +66,9 @@ class QMatrix:
 
     def skills_of(self, item):
         return self._skills_of.get(item, frozenset())
+
+    def items_of(self, skill):
+        return self._items_of.get(skill, frozenset())
 
     def __contains__(self, item):
         return item in self._skills_of

@@ -3,7 +3,8 @@
 The heuristic: practice the skill whose predicted recall is closest to a
 target threshold, then pick the covering item whose skill-combination score
 (mean distance of its skills' recalls from the threshold) is smallest. This
-is plumbing around the fitted model, not a learned policy.
+is plumbing around the fitted model, not a learned policy. A policy is
+`pick(counters, now, rng)`, over the simulated student's per-skill counters.
 """
 
 from __future__ import annotations
@@ -28,19 +29,19 @@ class SchedulerConfig:
             raise ConfigError(f"threshold must be in (0,1), got {self.threshold}")
 
 
-def _skill_recalls(model, history, skills, config, now):
+def _skill_recalls(model, counters, skills, config, now):
     return {
-        k: recall_probability(model, history, [k], now, item=None,
+        k: recall_probability(model, counters, [k], now,
                               qmatrix=config.qmatrix)
         for k in skills
     }
 
 
-def next_skill(model, history, config, now):
+def next_skill(model, counters, config, now):
     """Skill whose recall is closest to the threshold; ties -> lowest id."""
     if not config.skills:
         raise SchedulingError("empty skill pool")
-    recalls = _skill_recalls(model, history, config.skills, config, now)
+    recalls = _skill_recalls(model, counters, config.skills, config, now)
     best = None
     for k in sorted(config.skills):
         dist = abs(recalls[k] - config.threshold)
@@ -49,7 +50,7 @@ def next_skill(model, history, config, now):
     return best[1]
 
 
-def next_item(model, skill, item_pool, history, config, now):
+def next_item(model, skill, item_pool, counters, config, now):
     """Among items covering `skill`, minimize the mean distance of the item's
     skills' recalls from the threshold; ties -> lowest item id."""
     if config.qmatrix is None:
@@ -60,7 +61,7 @@ def next_item(model, skill, item_pool, history, config, now):
     needed = set()
     for j in eligible:
         needed |= config.qmatrix.skills_of(j)
-    recalls = _skill_recalls(model, history, sorted(needed), config, now)
+    recalls = _skill_recalls(model, counters, sorted(needed), config, now)
     best = None
     for j in sorted(eligible):
         dists = [abs(recalls[k] - config.threshold)
@@ -73,17 +74,19 @@ def next_item(model, skill, item_pool, history, config, now):
 
 def threshold_policy(model, config):
     """Policy closure: pick skill at threshold distance, then covering item."""
+    if config.qmatrix is None:
+        raise ConfigError("threshold policy needs a q-matrix")
 
-    def pick(history, now, rng):
-        skill = next_skill(model, history, config, now)
-        return next_item(model, skill, config.qmatrix.items, history, config,
+    def pick(counters, now, rng):
+        skill = next_skill(model, counters, config, now)
+        return next_item(model, skill, config.qmatrix.items, counters, config,
                          now)
 
     return pick
 
 
 def random_policy(item_pool):
-    def pick(history, now, rng):
+    def pick(counters, now, rng):
         return item_pool[int(rng.integers(len(item_pool)))]
 
     return pick
@@ -94,8 +97,6 @@ class SimulationResult:
     """End-of-horizon mean true recall per policy, per seed."""
 
     per_seed: dict            # policy -> list of mean recalls
-    session_times: list
-    horizon: float
 
     def mean_recall(self, policy):
         return float(np.mean(self.per_seed[policy]))
@@ -109,35 +110,27 @@ class SimulationResult:
                     w.writerow([policy, i, v])
 
 
-def simulate_policy(generator, policies, session_times, horizon, seeds,
-                    student="sim"):
+def simulate_policy(generator, policies, session_times, horizon, seeds):
     """Run each policy on synthetic students answering from the ground truth.
 
     `generator` is a SyntheticModel; answers are sampled from its true
-    probability, over per-skill `_Counter`s of the student's past answers
-    that each answer is pushed to. For each seed every policy sees the same
-    student; the report holds the mean true recall over all skills at the
-    horizon.
+    probability and pushed to the per-skill `_Counter`s that the policy
+    reads. The student is in no layout, so has no user bias. For each seed
+    every policy sees the same student; the report holds the mean true
+    recall over all skills at the horizon.
     """
-    from .corpus import Interaction
-
     skills = generator.qmatrix.skills
     per_seed = {name: [] for name in policies}
     for seed in seeds:
         for name, policy in policies.items():
             rng = np.random.default_rng((seed, hash(name) & 0xFFFF))
-            history, counters = [], {}
+            counters = {}
             for t in session_times:
-                item = policy(history, t, rng)
-                correct, row_skills = generator.respond(
-                    student, item, counters, float(t), rng)
-                history.append(
-                    Interaction(student, item, float(t), correct, row_skills))
+                item = policy(counters, t, rng)
+                generator.respond(None, item, counters, float(t), rng)
             end_recalls = [
-                generator.prob(student, None, counters, horizon, skills=[k])
+                generator.prob(None, None, counters, horizon, skills=[k])
                 for k in skills
             ]
             per_seed[name].append(float(np.mean(end_recalls)))
-    return SimulationResult(per_seed=per_seed,
-                            session_times=list(session_times),
-                            horizon=horizon)
+    return SimulationResult(per_seed=per_seed)

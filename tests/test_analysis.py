@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from skillmem.analysis import (forgetting_slope, recall_probability,
-                               slope_report)
+from skillmem.analysis import (forgetting_slope, history_counters,
+                               recall_probability, slope_report)
 from skillmem.corpus import Interaction
-from skillmem.encoder import ModelSpec, build_layout
+from skillmem.encoder import ModelSpec, build_layout, encode_dataset
 from skillmem.errors import ConfigError
 from skillmem.glm import LinearParams, sigmoid
 from skillmem.modelio import ModelFile
@@ -91,7 +91,7 @@ class TestRecallProbability:
     def test_empty_skill_set_rejected(self, truth_model):
         ds, truth, mf = truth_model
         with pytest.raises(ConfigError):
-            recall_probability(mf, [], [], 1.0)
+            recall_probability(mf, {}, [], 1.0)
 
     def test_recent_wins_beat_idle(self, truth_model):
         ds, truth, mf = truth_model
@@ -101,22 +101,24 @@ class TestRecallProbability:
                     if skill in truth.qmatrix.skills_of(i))
         wins = [Interaction(student, item, float(t) * 0.2, 1, (skill,))
                 for t in range(5)]
-        soon = recall_probability(mf, wins, [skill], 1.1,
+        counters, who = history_counters(mf, wins, 1.1)
+        soon = recall_probability(mf, counters, [skill], 1.1, student=who,
                                   qmatrix=truth.qmatrix)
-        later = recall_probability(mf, wins, [skill], 31.0,
+        later = recall_probability(mf, counters, [skill], 31.0, student=who,
                                    qmatrix=truth.qmatrix)
         assert soon > later
 
     def test_no_history_is_bias_only(self, truth_model):
         ds, truth, mf = truth_model
-        skill = mf.layout.skills[0]
-        p = recall_probability(mf, [], [skill], 0.0, qmatrix=truth.qmatrix)
         off = mf.layout.offset("items")
-        pool = [i for i, it in enumerate(mf.layout.items)
-                if skill in truth.qmatrix.skills_of(it)]
-        proxy = float(np.mean(mf.params.weights[off + np.asarray(pool)]))
-        expected = sigmoid(truth.skill_w[skill] + proxy)
-        assert p == pytest.approx(float(expected))
+        for skills in (mf.layout.skills[:1], mf.layout.skills[:2]):
+            p = recall_probability(mf, {}, skills, 0.0, qmatrix=truth.qmatrix)
+            # the proxy pool: every layout item tagged with a queried skill
+            pool = [i for i, it in enumerate(mf.layout.items)
+                    if truth.qmatrix.skills_of(it) & set(skills)]
+            proxy = float(np.mean(mf.params.weights[off + np.asarray(pool)]))
+            expected = sigmoid(sum(truth.skill_w[k] for k in skills) + proxy)
+            assert p == pytest.approx(float(expected))
 
     def test_future_events_ignored(self, truth_model):
         ds, truth, mf = truth_model
@@ -125,8 +127,12 @@ class TestRecallProbability:
         hist = [Interaction(student, mf.layout.items[0], 1.0, 1, (skill,))]
         future = hist + [
             Interaction(student, mf.layout.items[0], 9.0, 1, (skill,))]
-        p1 = recall_probability(mf, hist, [skill], 5.0, qmatrix=truth.qmatrix)
-        p2 = recall_probability(mf, future, [skill], 5.0,
+        c1, s1 = history_counters(mf, hist, 5.0)
+        c2, s2 = history_counters(mf, future, 5.0)
+        assert s1 == s2 == student
+        p1 = recall_probability(mf, c1, [skill], 5.0, student=s1,
+                                qmatrix=truth.qmatrix)
+        p2 = recall_probability(mf, c2, [skill], 5.0, student=s2,
                                 qmatrix=truth.qmatrix)
         assert p1 == p2
 
@@ -147,14 +153,15 @@ class TestRecallProbability:
         mf2 = ModelFile(spec=mf.spec, layout=lay, params=params,
                         training_config={})
         hist = [Interaction("x", lay.items[0], 0.5, 1, (k1,))]
-        single = recall_probability(mf2, hist, [k1], 2.0)
-        both = recall_probability(mf2, hist, [k1, k2], 2.0)
+        counters, _ = history_counters(mf2, hist, 2.0)
+        single = recall_probability(mf2, counters, [k1], 2.0)
+        both = recall_probability(mf2, counters, [k1, k2], 2.0)
         assert single == pytest.approx(both)
 
     def test_unknown_skill_rejected(self, truth_model):
         ds, truth, mf = truth_model
         with pytest.raises(ConfigError):
-            recall_probability(mf, [], ["ghost"], 0.0)
+            recall_probability(mf, {}, ["ghost"], 0.0)
 
     def test_history_of_several_students_rejected(self, truth_model):
         ds, truth, mf = truth_model
@@ -164,4 +171,28 @@ class TestRecallProbability:
         hist = [Interaction(a, item, 1.0, 1, (skill,)),
                 Interaction(b, item, 0.5, 0, (skill,))]
         with pytest.raises(ConfigError, match=f"{a}.*{b}"):
-            recall_probability(mf, hist, [skill], 5.0, qmatrix=truth.qmatrix)
+            history_counters(mf, hist, 5.0)
+
+
+@pytest.mark.parametrize("family", ["irt", "afm", "pfa", "dash_items",
+                                    "dash_kc", "das3h", "das3h_1p",
+                                    "das3h_plaincounts"])
+def test_online_recall_matches_batch_encoder(fixture_dataset, family):
+    # each row of one student, scored online from the counters of the rows
+    # before it, against the batch encoder's row under the same weights
+    dm = encode_dataset(fixture_dataset, ModelSpec(family, 0))
+    rng = np.random.default_rng(17)
+    params = LinearParams(rng.normal(size=dm.layout.n_features), 0.3, 0.0)
+    mf = ModelFile(spec=dm.spec, layout=dm.layout, params=params,
+                   training_config={})
+    qm = fixture_dataset.qmatrix
+    student = fixture_dataset.students[0]
+    rows = fixture_dataset.interactions[student]
+    assert dm.students[:len(rows)] == [student] * len(rows)
+    batch = sigmoid(dm.X[:len(rows)] @ params.weights + params.intercept)
+    for r, row in enumerate(rows):
+        counters, _ = history_counters(mf, rows[:r], row.timestamp)
+        online = recall_probability(mf, counters, qm.skills_of(row.item),
+                                    row.timestamp, item=row.item,
+                                    student=student, qmatrix=qm)
+        assert online == pytest.approx(batch[r], rel=0, abs=1e-12)

@@ -30,6 +30,8 @@ def test_parse_three_rows(tmp_path):
     assert ds.n_interactions == 3
     assert ds.interactions["u1"][1].timestamp == pytest.approx(1.0)
     assert ds.qmatrix.skills_of("i2") == {"k1", "k2"}
+    assert ds.qmatrix.items_of("k1") == {"i1", "i2"}
+    assert ds.qmatrix.skills == ["k1", "k2"]
 
 
 def test_empty_skill_retained_at_load_removed_in_preprocess(tmp_path):

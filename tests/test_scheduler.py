@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from skillmem.analysis import history_counters, recall_probability
 from skillmem.corpus import Interaction, QMatrix
 from skillmem.errors import ConfigError, SchedulingError
 from skillmem.scheduler import (SchedulerConfig, next_item, next_skill,
@@ -20,7 +21,8 @@ class FixedRecallModel:
 def _patched_recalls(monkeypatch, recalls):
     import skillmem.scheduler as sched
 
-    def fake(model, history, skills, now, item=None, qmatrix=None):
+    def fake(model, counters, skills, now, item=None, student=None,
+             qmatrix=None):
         return model.recalls[skills[0]]
 
     monkeypatch.setattr(sched, "recall_probability", fake)
@@ -32,19 +34,19 @@ class TestNextSkill:
         model = FixedRecallModel({"a": 0.4, "b": 0.9}, qm)
         _patched_recalls(monkeypatch, model.recalls)
         cfg = SchedulerConfig(threshold=0.5, skills=["a", "b"], qmatrix=qm)
-        assert next_skill(model, [], cfg, now=0.0) == "a"
+        assert next_skill(model, {}, cfg, now=0.0) == "a"
 
     def test_tie_break_lowest_id(self, monkeypatch):
         qm = QMatrix([("i1", "a"), ("i2", "b"), ("i3", "c")])
         model = FixedRecallModel({"a": 0.6, "b": 0.6, "c": 0.6}, qm)
         _patched_recalls(monkeypatch, model.recalls)
         cfg = SchedulerConfig(threshold=0.5, skills=["c", "b", "a"], qmatrix=qm)
-        assert next_skill(model, [], cfg, now=0.0) == "a"
+        assert next_skill(model, {}, cfg, now=0.0) == "a"
 
     def test_empty_pool(self):
         cfg = SchedulerConfig(threshold=0.5, skills=[], qmatrix=QMatrix([]))
         with pytest.raises(SchedulingError):
-            next_skill(None, [], cfg, now=0.0)
+            next_skill(None, {}, cfg, now=0.0)
 
     def test_decay_changes_selection_over_idle_time(self):
         ds, truth = make_synthetic(SynthConfig(seed=13))
@@ -57,16 +59,23 @@ class TestNextSkill:
         item = next(i for i in mf.layout.items
                     if k0 in truth.qmatrix.skills_of(i))
         hist = [Interaction("s", item, 0.1 * t, 1, (k0,)) for t in range(8)]
-        early = next_skill(mf, hist, cfg, now=1.0)
+        counters, _ = history_counters(mf, hist, 1.0)
+        early = next_skill(mf, counters, cfg, now=1.0)
         assert early != k0  # freshly practiced skill is far above threshold
-        from skillmem.analysis import recall_probability
-        soon = recall_probability(mf, hist, [k0], 1.0, qmatrix=truth.qmatrix)
-        late = recall_probability(mf, hist, [k0], 200.0, qmatrix=truth.qmatrix)
+        soon = recall_probability(mf, counters, [k0], 1.0,
+                                  qmatrix=truth.qmatrix)
+        late = recall_probability(mf, counters, [k0], 200.0,
+                                  qmatrix=truth.qmatrix)
         assert late < soon  # decays toward re-eligibility
 
     def test_threshold_validation(self):
         with pytest.raises(ConfigError):
             SchedulerConfig(threshold=1.5)
+
+    def test_threshold_policy_needs_qmatrix(self):
+        cfg = SchedulerConfig(threshold=0.7, skills=["a"])
+        with pytest.raises(ConfigError, match="q-matrix"):
+            threshold_policy(None, cfg)
 
 
 class TestNextItem:
@@ -75,7 +84,7 @@ class TestNextItem:
         model = FixedRecallModel({"a": 0.3, "b": 0.9}, qm)
         _patched_recalls(monkeypatch, model.recalls)
         cfg = SchedulerConfig(threshold=0.5, skills=["a", "b"], qmatrix=qm)
-        assert next_item(model, "a", ["i1", "i2"], [], cfg, now=0.0) == "i1"
+        assert next_item(model, "a", ["i1", "i2"], {}, cfg, now=0.0) == "i1"
 
     def test_prefers_focused_item(self, monkeypatch):
         # i2 also covers skill b, whose recall is far from threshold
@@ -83,28 +92,28 @@ class TestNextItem:
         model = FixedRecallModel({"a": 0.5, "b": 0.99}, qm)
         _patched_recalls(monkeypatch, model.recalls)
         cfg = SchedulerConfig(threshold=0.5, skills=["a", "b"], qmatrix=qm)
-        assert next_item(model, "a", ["i1", "i2"], [], cfg, now=0.0) == "i1"
+        assert next_item(model, "a", ["i1", "i2"], {}, cfg, now=0.0) == "i1"
 
     def test_tie_break_lowest_item(self, monkeypatch):
         qm = QMatrix([("i1", "a"), ("i2", "a")])
         model = FixedRecallModel({"a": 0.5}, qm)
         _patched_recalls(monkeypatch, model.recalls)
         cfg = SchedulerConfig(threshold=0.5, skills=["a"], qmatrix=qm)
-        assert next_item(model, "a", ["i2", "i1"], [], cfg, now=0.0) == "i1"
+        assert next_item(model, "a", ["i2", "i1"], {}, cfg, now=0.0) == "i1"
 
     def test_no_cover_error(self, monkeypatch):
         qm = QMatrix([("i1", "a")])
         model = FixedRecallModel({"a": 0.5}, qm)
         cfg = SchedulerConfig(threshold=0.5, skills=["a"], qmatrix=qm)
         with pytest.raises(SchedulingError):
-            next_item(model, "zz", ["i1"], [], cfg, now=0.0)
+            next_item(model, "zz", ["i1"], {}, cfg, now=0.0)
 
     def test_never_returns_uncovered_item(self, monkeypatch):
         qm = QMatrix([("i1", "a"), ("i2", "b"), ("i3", "a")])
         model = FixedRecallModel({"a": 0.5, "b": 0.5}, qm)
         _patched_recalls(monkeypatch, model.recalls)
         cfg = SchedulerConfig(threshold=0.5, skills=["a", "b"], qmatrix=qm)
-        item = next_item(model, "a", ["i1", "i2", "i3"], [], cfg, now=0.0)
+        item = next_item(model, "a", ["i1", "i2", "i3"], {}, cfg, now=0.0)
         assert "a" in qm.skills_of(item)
 
 
@@ -136,7 +145,7 @@ class TestSimulate:
         res = simulate_policy(truth, pols, [], 0.0, seeds=range(2))
         # no practice happened: recall is the bias-only probability
         expected = float(np.mean([
-            truth.prob("sim", None, {}, 0.0, skills=[k])
+            truth.prob(None, None, {}, 0.0, skills=[k])
             for k in truth.qmatrix.skills]))
         assert res.per_seed["random"] == [expected, expected]
 
