@@ -3,8 +3,9 @@
 Both are read-only over fitted models. Slopes are closed-form readouts of
 linear (dim=0) das3h weights: the probability drop when a single past win
 ages out of one time window, everything else held at a documented reference
-operating point. Recall reads one student's `_Counter`s, the state the
-encoder, the truth and the simulator keep; `history_counters` builds them.
+operating point. Recall scores one student's `_Counter`s, the state the
+encoder, the truth and the simulator keep, through the fitted model's
+`ModelFile.score`; `history_counters` builds them from a history list.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import FAMILY_TABLE, SparseVector, _Counter, row_builder
+from .encoder import FAMILY_TABLE, _Counter
 from .errors import ConfigError
-from .fm import FMFit, fm_score, probit
+from .fm import probit
 from .glm import LinearParams, sigmoid
 
 LOG2 = math.log(2.0)
@@ -149,52 +150,37 @@ def recall_probability(model, counters, skills, query_time, item=None,
     `query_time`, given one student's `counters` (family key -> `_Counter`
     of answers at or before `query_time`).
 
-    The row is built by the family's table entry, as in batch encoding. A
-    `student` outside the layout (or None) has no user bias. When `item` is
-    None, the item bias is proxied by the mean fitted bias over the items
-    tagged with the queried skills (all items if no q-matrix is supplied).
-    An FM model answers with the probit of its posterior-mean score, whereas
-    cross-validation scores held-out rows by the probit probabilities
-    averaged over the kept chain; the two differ when the posterior is
-    spread out.
+    The row is scored by `model.score`, which builds it by the family's
+    table entry as batch encoding does. A `student` outside the layout (or
+    None) has no user bias. When `item` is None, the item bias is proxied
+    by the mean fitted bias over the items tagged with the queried skills
+    (all items if no q-matrix is supplied). An FM model answers with the
+    probit of its posterior-mean score, whereas cross-validation scores
+    held-out rows by the probit probabilities averaged over the kept chain;
+    the two differ when the posterior is spread out.
     """
     skills = sorted(set(skills))
     if not skills:
         raise ConfigError("empty skill set")
-    layout, spec, params = model.layout, model.spec, model.params
+    layout, params = model.layout, model.params
     unknown = [k for k in skills if k not in layout.skills]
     if unknown:
         raise ConfigError(f"skills not in model: {unknown}")
 
-    user_idx = (layout.students.index(student)
-                if student in layout.students else None)
     if item is not None:
         if item not in layout.items:
             raise ConfigError(f"item {item!r} not in model")
-        item_idx = layout.items.index(item)
         proxy = 0.0
     else:
-        item_idx = None
         off, size = layout.blocks["items"]
         if qmatrix is not None:
             tagged = set().union(*map(qmatrix.items_of, skills))
             pool = [i for i, it in enumerate(layout.items) if it in tagged]
         else:
             pool = list(range(size))
-        weights = (params.weights if isinstance(params, LinearParams)
-                   else _fm_point(params).linear_weights)
+        weights = (params.weights if model.kind == "linear"
+                   else params.posterior_mean.linear_weights)
         proxy = float(np.mean(weights[off + np.asarray(pool)])) if pool else 0.0
 
-    idx, val = row_builder(spec, layout)(counters, query_time, user_idx,
-                                         item_idx, item, skills)
-    idx, val = np.asarray(idx, dtype=np.int64), np.asarray(val)
-    if isinstance(params, LinearParams):
-        z = float(params.weights[idx] @ val) + params.intercept + proxy
-        return float(sigmoid(z))
-    row = SparseVector(indices=idx, values=val)
-    return float(probit(fm_score(_fm_point(params), row) + proxy))
-
-
-def _fm_point(params):
-    """The FMParams an FM recall scores with: the posterior mean of a fit."""
-    return params.posterior_mean if isinstance(params, FMFit) else params
+    z = model.score(counters, query_time, student, item, skills) + proxy
+    return float(sigmoid(z) if model.kind == "linear" else probit(z))

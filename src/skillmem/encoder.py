@@ -7,10 +7,10 @@ history counters are keyed by (the row's skills or its item), the statistic
 (log(1+count) per nested time window, or raw all-time totals), whether
 history weights are per key or shared across keys, and its history blocks
 in order. The layout sizes, the family names and the one row builder
-(`row_builder`) all come from that table; the batch encoder and online
-recall queries both build rows through it. Counters always reflect strictly
-prior interactions of the same student: a row is emitted before the
-counters are updated with its outcome.
+(`row_builder`) all come from that table; the batch encoder and a fitted
+model's row score (`modelio.ModelFile.score`) both build rows through it.
+Counters always reflect strictly prior interactions of the same student: a
+row is emitted before the counters are updated with its outcome.
 """
 
 from __future__ import annotations
@@ -278,13 +278,13 @@ class SparseVector:
 def row_builder(spec, layout):
     """The row function of `spec`'s family over `layout`.
 
-    It returns `build(counters, query_time, user_idx, item_idx, item,
-    skills)` -> (indices, values) in index order, from the counter state
-    before the row's own outcome. `counters` maps the family's history keys
-    to `_Counter`s of one student; `skills` is the row's sorted skill list.
-    `user_idx` / `item_idx` may be None (virtual queries for students or
-    items outside the layout); the indicator is then omitted. Zero values
-    are dropped.
+    It returns `build(counters, query_time, student, item, skills)` ->
+    (indices, values) in index order, from the counter state before the
+    row's own outcome. `counters` maps the family's history keys to
+    `_Counter`s of one student; `skills` is the row's sorted skill list.
+    The student's and the item's positions are looked up by id; a student
+    or item outside the layout, or None (a virtual query), gets no
+    indicator. Zero values are dropped.
     """
     family = FAMILY_TABLE[spec.family]
     # all-time totals are the counts of one infinite window
@@ -293,13 +293,16 @@ def row_builder(spec, layout):
     empty = _Counter()
     n_windows = len(widths)
     windows = range(n_windows)
+    user_pos = {s: i for i, s in enumerate(layout.students)}
+    item_pos = {j: i for i, j in enumerate(layout.items)}
     skill_pos = {k: i for i, k in enumerate(layout.skills)}
     indicators = [(name, layout.offset(name)) for name in family.indicators]
     history = [(layout.offset(name), _STATISTICS[name])
                for name in family.history]
 
-    def build(counters, query_time, user_idx, item_idx, item, skills):
-        pos = {"users": (user_idx,), "items": (item_idx,),
+    def build(counters, query_time, student, item, skills):
+        pos = {"users": (user_pos.get(student),),
+               "items": (item_pos.get(item),),
                "skills": [skill_pos[k] for k in skills]}
         idx, val = [], []
         for name, off in indicators:
@@ -341,21 +344,17 @@ def encode_dataset(dataset, spec):
     layout = build_layout(spec, dataset)
     family = FAMILY_TABLE[spec.family]
     build = row_builder(spec, layout)
-    user_pos = {s: i for i, s in enumerate(layout.students)}
-    item_pos = {j: i for i, j in enumerate(layout.items)}
     qm = dataset.qmatrix
 
     data, indices, indptr = [], [], [0]
     labels, row_students = [], []
     for student in dataset.students:
         counters: dict[str, _Counter] = {}
-        user_idx = user_pos.get(student)
         for r in dataset.interactions[student]:
             if r.item not in qm or not qm.skills_of(r.item):
                 raise EncodingError(f"item {r.item!r} missing from q-matrix")
             skills = sorted(qm.skills_of(r.item))
-            idx, val = build(counters, r.timestamp, user_idx,
-                             item_pos[r.item], r.item, skills)
+            idx, val = build(counters, r.timestamp, student, r.item, skills)
             indices.extend(idx)
             data.extend(val)
             indptr.append(len(indices))

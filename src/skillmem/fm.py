@@ -74,7 +74,7 @@ def fm_score(params, row):
         idx, val = row.indices, row.values
     else:
         idx, val = row
-        idx = np.asarray(idx)
+        idx = np.asarray(idx, dtype=np.int64)
         val = np.asarray(val, dtype=float)
     N = len(params.linear_weights)
     if len(idx) and (idx.max() >= N or idx.min() < 0):

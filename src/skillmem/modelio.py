@@ -6,11 +6,14 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .encoder import LayoutDescriptor, spec_from_dict, spec_to_dict
-from .fm import FMFit, FMParams
+from .encoder import (LayoutDescriptor, row_builder, spec_from_dict,
+                      spec_to_dict)
+from .errors import ConfigError
+from .fm import FMFit, FMParams, fm_score
 from .glm import LinearParams
 
 
@@ -26,6 +29,26 @@ class ModelFile:
     @property
     def kind(self):
         return "linear" if isinstance(self.params, LinearParams) else "fm"
+
+    @cached_property
+    def score(self):
+        """`score(counters, t, student, item, skills)` of the row the family's
+        `row_builder` builds, set up once per instance: a linear model's logit
+        (summed in index order, as the CSR product sums, plus the intercept)
+        or an FM's `fm_score` at the posterior mean."""
+        build = row_builder(self.spec, self.layout)
+        if self.kind == "fm":
+            point = self.params.posterior_mean
+            return lambda *row: fm_score(point, build(*row))
+        weights, intercept = self.params.weights.tolist(), self.params.intercept
+
+        def score(*row):
+            z = 0.0
+            for i, v in zip(*build(*row)):
+                z += weights[i] * v
+            return z + intercept
+
+        return score
 
 
 def atomic_write_text(path, text):
@@ -86,24 +109,33 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    spec = spec_from_dict(doc["spec"])
-    layout = LayoutDescriptor.from_dict(doc["layout"])
-    if doc["kind"] == "linear":
-        L = doc["linear"]
-        params = LinearParams(
-            weights=np.asarray(L["weights"], dtype=float),
-            intercept=float(L["intercept"]),
-            l2_strength=float(L["l2_strength"]),
-            converged=bool(L["converged"]),
-            n_iter=int(L["n_iter"]),
-        )
-    else:
-        F = doc["fm"]
-        params = FMFit(
-            posterior_mean=_fm_params_from_dict(F["posterior_mean"]),
-            final_sample=_fm_params_from_dict(F["final_sample"]),
-        )
+    """Read a model written by `save_model`. Raises ConfigError naming `path`
+    when the file cannot be read, is not JSON, lacks a model key or names an
+    unknown `kind`."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if doc["kind"] not in ("linear", "fm"):
+            raise ValueError(f"unknown kind {doc['kind']!r}")
+        spec = spec_from_dict(doc["spec"])
+        layout = LayoutDescriptor.from_dict(doc["layout"])
+        if doc["kind"] == "linear":
+            L = doc["linear"]
+            params = LinearParams(
+                weights=np.asarray(L["weights"], dtype=float),
+                intercept=float(L["intercept"]),
+                l2_strength=float(L["l2_strength"]),
+                converged=bool(L["converged"]),
+                n_iter=int(L["n_iter"]),
+            )
+        else:
+            F = doc["fm"]
+            params = FMFit(
+                posterior_mean=_fm_params_from_dict(F["posterior_mean"]),
+                final_sample=_fm_params_from_dict(F["final_sample"]),
+            )
+    except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
+        raise ConfigError(f"{path} is not a model file: "
+                          f"{type(exc).__name__}: {exc}") from None
     return ModelFile(spec=spec, layout=layout, params=params,
                      training_config=doc.get("training_config", {}))

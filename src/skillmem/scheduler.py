@@ -4,12 +4,14 @@ The heuristic: practice the skill whose predicted recall is closest to a
 target threshold, then pick the covering item whose skill-combination score
 (mean distance of its skills' recalls from the threshold) is smallest. This
 is plumbing around the fitted model, not a learned policy. A policy is
-`pick(counters, now, rng)`, over the simulated student's per-skill counters.
+`pick(counters, now, rng)`, over the simulated student's per-skill counters;
+both steps of a threshold pick read one memoized `recall(skill)`.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,58 +31,44 @@ class SchedulerConfig:
             raise ConfigError(f"threshold must be in (0,1), got {self.threshold}")
 
 
-def _skill_recalls(model, counters, skills, config, now):
-    return {
-        k: recall_probability(model, counters, [k], now,
-                              qmatrix=config.qmatrix)
-        for k in skills
-    }
-
-
-def next_skill(model, counters, config, now):
-    """Skill whose recall is closest to the threshold; ties -> lowest id."""
+def next_skill(recall, config):
+    """Skill whose `recall(skill)` is nearest the threshold; ties -> lowest id."""
     if not config.skills:
         raise SchedulingError("empty skill pool")
-    recalls = _skill_recalls(model, counters, config.skills, config, now)
-    best = None
-    for k in sorted(config.skills):
-        dist = abs(recalls[k] - config.threshold)
-        if best is None or dist < best[0]:
-            best = (dist, k)
-    return best[1]
+    return min(sorted(config.skills),
+               key=lambda k: abs(recall(k) - config.threshold))
 
 
-def next_item(model, skill, item_pool, counters, config, now):
+def next_item(skill, item_pool, recall, config):
     """Among items covering `skill`, minimize the mean distance of the item's
-    skills' recalls from the threshold; ties -> lowest item id."""
+    skills' `recall` from the threshold; ties -> lowest item id."""
     if config.qmatrix is None:
         raise ConfigError("scheduler needs a q-matrix for item selection")
     eligible = [j for j in item_pool if skill in config.qmatrix.skills_of(j)]
     if not eligible:
         raise SchedulingError(f"no item covers skill {skill!r}")
-    needed = set()
-    for j in eligible:
-        needed |= config.qmatrix.skills_of(j)
-    recalls = _skill_recalls(model, counters, sorted(needed), config, now)
-    best = None
-    for j in sorted(eligible):
-        dists = [abs(recalls[k] - config.threshold)
+
+    def mean_distance(j):
+        dists = [abs(recall(k) - config.threshold)
                  for k in config.qmatrix.skills_of(j)]
-        score = float(np.mean(dists))
-        if best is None or score < best[0]:
-            best = (score, j)
-    return best[1]
+        return sum(dists) / len(dists)
+
+    return min(sorted(eligible), key=mean_distance)
 
 
 def threshold_policy(model, config):
-    """Policy closure: pick skill at threshold distance, then covering item."""
+    """Policy closure: skill at threshold distance, then a covering item."""
     if config.qmatrix is None:
         raise ConfigError("threshold policy needs a q-matrix")
 
     def pick(counters, now, rng):
-        skill = next_skill(model, counters, config, now)
-        return next_item(model, skill, config.qmatrix.items, counters, config,
-                         now)
+        @functools.cache
+        def recall(skill):
+            return recall_probability(model, counters, [skill], now,
+                                      qmatrix=config.qmatrix)
+
+        skill = next_skill(recall, config)
+        return next_item(skill, config.qmatrix.items, recall, config)
 
     return pick
 

@@ -2,10 +2,10 @@
 
 The generator draws labels from a linear (dim=0) das3h scorer with genuine
 forgetting: win weights are largest for the shortest windows, so recent
-practice helps more than old practice. The truth scores through the
-encoder's family table, with the das3h `row_builder` over per-skill
-`_Counter`s pushed as answers are drawn. It is used for the bundled fixture,
-recovery tests and scheduler simulations.
+practice helps more than old practice. The truth scores through its own
+das3h model file (`ModelFile.score`), over per-skill `_Counter`s pushed as
+answers are drawn, as any fitted model does. It is used for the bundled
+fixture, recovery tests and scheduler simulations.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Dataset, Interaction, QMatrix
-from .encoder import (ModelSpec, WindowSet, _Counter, build_layout,
-                      row_builder)
+from .encoder import ModelSpec, WindowSet, _Counter, build_layout
 from .glm import LinearParams, sigmoid
 from .modelio import ModelFile
 
@@ -46,8 +45,8 @@ class SynthConfig:
 @dataclass
 class SyntheticModel:
     """Ground-truth linear das3h parameters in weight space. A row is scored
-    as the encoder scores it: the das3h `row_builder`'s row over the truth's
-    own layout, summed in index order against the packed weights."""
+    by the truth's own model file (`to_model_file` over its students and
+    items), as any fitted das3h model scores it."""
 
     user_w: dict
     item_w: dict
@@ -59,12 +58,8 @@ class SyntheticModel:
 
     def __post_init__(self):
         # the truth's own layout: its students and items, no rows
-        mf = self.to_model_file(
-            Dataset(dict.fromkeys(self.user_w, ()), self.qmatrix))
-        self._build = row_builder(mf.spec, mf.layout)
-        self._user_pos = {s: i for i, s in enumerate(mf.layout.students)}
-        self._item_pos = {j: i for i, j in enumerate(mf.layout.items)}
-        self._weights = mf.params.weights.tolist()
+        self._score = self.to_model_file(
+            Dataset(dict.fromkeys(self.user_w, ()), self.qmatrix)).score
 
     def prob(self, student, item, counters, t, skills=None):
         """True probability of a correct answer to `item` at time `t`, given
@@ -72,12 +67,7 @@ class SyntheticModel:
         over `skills` (`item` None) has no item bias."""
         skills = sorted(skills if skills is not None
                         else self.qmatrix.skills_of(item))
-        idx, val = self._build(counters, t, self._user_pos.get(student),
-                               self._item_pos.get(item), item, skills)
-        z = 0.0
-        for i, v in zip(idx, val):
-            z += self._weights[i] * v
-        return sigmoid(z)
+        return sigmoid(self._score(counters, t, student, item, skills))
 
     def respond(self, student, item, counters, t, rng):
         """Draw the answer to `item` at `t`, push it to the counters of the

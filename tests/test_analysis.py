@@ -8,6 +8,7 @@ from skillmem.analysis import (forgetting_slope, history_counters,
 from skillmem.corpus import Interaction
 from skillmem.encoder import ModelSpec, build_layout, encode_dataset
 from skillmem.errors import ConfigError
+from skillmem.fm import FMFit, FMParams, _scores_matrix, probit
 from skillmem.glm import LinearParams, sigmoid
 from skillmem.modelio import ModelFile
 from skillmem.synth import SynthConfig, make_synthetic
@@ -174,25 +175,57 @@ class TestRecallProbability:
             history_counters(mf, hist, 5.0)
 
 
-@pytest.mark.parametrize("family", ["irt", "afm", "pfa", "dash_items",
-                                    "dash_kc", "das3h", "das3h_1p",
-                                    "das3h_plaincounts"])
-def test_online_recall_matches_batch_encoder(fixture_dataset, family):
+def _seeded_model(spec, layout):
+    """A linear model (dim 0) or an FM fit (dim > 0) with seeded weights."""
+    rng = np.random.default_rng(17)
+    n = layout.n_features
+    if spec.dim == 0:
+        params = LinearParams(rng.normal(size=n), 0.3, 0.0)
+    else:
+        point = FMParams(0.3, rng.normal(size=n),
+                         0.3 * rng.normal(size=(n, spec.dim)))
+        params = FMFit(posterior_mean=point, final_sample=point)
+    return ModelFile(spec=spec, layout=layout, params=params,
+                     training_config={})
+
+
+@pytest.mark.parametrize("family,dim", [
+    *(pytest.param(f, 0, id=f) for f in [
+        "irt", "afm", "pfa", "dash_items", "dash_kc", "das3h", "das3h_1p",
+        "das3h_plaincounts"]),
+    *(pytest.param(f, 2, id=f"{f}-d2") for f in [
+        "mirtb", "dash_items", "das3h"])])
+def test_online_recall_matches_batch_encoder(fixture_dataset, family, dim):
     # each row of one student, scored online from the counters of the rows
     # before it, against the batch encoder's row under the same weights
-    dm = encode_dataset(fixture_dataset, ModelSpec(family, 0))
-    rng = np.random.default_rng(17)
-    params = LinearParams(rng.normal(size=dm.layout.n_features), 0.3, 0.0)
-    mf = ModelFile(spec=dm.spec, layout=dm.layout, params=params,
-                   training_config={})
+    dm = encode_dataset(fixture_dataset, ModelSpec(family, dim))
+    mf = _seeded_model(dm.spec, dm.layout)
     qm = fixture_dataset.qmatrix
     student = fixture_dataset.students[0]
     rows = fixture_dataset.interactions[student]
     assert dm.students[:len(rows)] == [student] * len(rows)
-    batch = sigmoid(dm.X[:len(rows)] @ params.weights + params.intercept)
+    X = dm.X[:len(rows)]
+    if dim == 0:
+        batch = sigmoid(X @ mf.params.weights + mf.params.intercept)
+    else:
+        batch = probit(_scores_matrix(mf.params.posterior_mean, X))
     for r, row in enumerate(rows):
         counters, _ = history_counters(mf, rows[:r], row.timestamp)
         online = recall_probability(mf, counters, qm.skills_of(row.item),
                                     row.timestamp, item=row.item,
                                     student=student, qmatrix=qm)
         assert online == pytest.approx(batch[r], rel=0, abs=1e-12)
+
+
+def test_fm_recall_of_an_empty_row(fixture_dataset):
+    # mirtb without a student or an item has no active feature: the score is
+    # the global bias plus the proxy, the mean bias over all layout items
+    spec = ModelSpec("mirtb", 2)
+    layout = build_layout(spec, fixture_dataset)
+    mf = _seeded_model(spec, layout)
+    point = mf.params.posterior_mean
+    off, size = layout.blocks["items"]
+    proxy = float(np.mean(point.linear_weights[off:off + size]))
+    p = recall_probability(mf, {}, layout.skills[:1], 3.0)
+    assert p == pytest.approx(float(probit(point.global_bias + proxy)),
+                              rel=0, abs=1e-12)

@@ -1,5 +1,8 @@
 import json
 import os
+import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -7,7 +10,11 @@ import pytest
 from click.testing import CliRunner
 
 from skillmem.cli import main, run
+from skillmem.errors import ConfigError
+from skillmem.modelio import load_model
 from conftest import FIXTURE_PATH
+
+REPO = os.path.join(os.path.dirname(__file__), "..")
 
 
 @pytest.fixture()
@@ -192,6 +199,47 @@ def test_fm_model_roundtrip(tmp_path, fixture_dataset):
     assert back.kind == "fm"
     assert np.allclose(back.params.posterior_mean.embeddings,
                        fit.posterior_mean.embeddings)
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("prepared,csv\n1,2\n", "JSONDecodeError"),
+    ('{"rows": 3}', "'kind'"),
+    ('[1, 2]', "TypeError"),
+    ('{"kind": "tree"}', "unknown kind 'tree'"),
+], ids=["not-json", "no-model-keys", "not-an-object", "unknown-kind"])
+def test_load_model_rejects_a_non_model_file(tmp_path, text, reason):
+    path = tmp_path / "stray.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="stray.json") as info:
+        load_model(str(path))
+    assert reason in str(info.value)
+
+
+def test_slopes_over_a_stray_json_fails_typed(tmp_path, capsys):
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "notes.json").write_text("not json")
+    assert run(["analyze", "slopes", "--model-dir", str(models),
+                "--out", str(tmp_path / "slopes.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "notes.json" in err
+
+
+def test_console_script_reports_typed_errors(tmp_path):
+    # the installed `skillmem` command runs the target pyproject.toml names
+    with open(os.path.join(REPO, "pyproject.toml")) as fh:
+        scripts = fh.read().split("[project.scripts]")[1]
+    module, attr = re.search(r'^skillmem\s*=\s*"([\w.]+):(\w+)"', scripts,
+                             re.M).groups()
+    code = (f"import sys; from {module} import {attr} as target; "
+            f"sys.exit(target())")
+    argv = ["train", "--encoded", FIXTURE_PATH,
+            "--out", str(tmp_path / "model.json")]
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_train_records_seed_only_for_gibbs(tmp_path):

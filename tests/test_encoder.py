@@ -211,8 +211,7 @@ def recompute_row_from_scratch(dataset, spec, student, row_pos):
             counters.setdefault(key, _Counter()).push(r.timestamp, r.correct)
     r = rows[row_pos]
     idx, val = row_builder(spec, layout)(
-        counters, r.timestamp, layout.students.index(student),
-        layout.items.index(r.item), r.item,
+        counters, r.timestamp, student, r.item,
         sorted(dataset.qmatrix.skills_of(r.item)))
     return np.asarray(idx, dtype=np.int64), np.asarray(val)
 

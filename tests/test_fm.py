@@ -55,6 +55,10 @@ class TestFmScore:
             assert fm_score(p, (idx, val)) == pytest.approx(
                 brute_force_score(p, idx, val), abs=1e-10)
 
+    def test_empty_row_is_global_bias(self):
+        p = random_params(np.random.default_rng(4))
+        assert fm_score(p, ([], [])) == p.global_bias
+
     def test_index_out_of_range(self):
         p = random_params(np.random.default_rng(3), n=5)
         with pytest.raises(FitError):

@@ -10,43 +10,23 @@ from skillmem.scheduler import (SchedulerConfig, next_item, next_skill,
 from skillmem.synth import SynthConfig, make_synthetic
 
 
-class FixedRecallModel:
-    """Stub for unit tests: fixed recall per skill, ignores history."""
-
-    def __init__(self, recalls, qmatrix):
-        self.recalls = recalls
-        self.qmatrix = qmatrix
-
-
-def _patched_recalls(monkeypatch, recalls):
-    import skillmem.scheduler as sched
-
-    def fake(model, counters, skills, now, item=None, student=None,
-             qmatrix=None):
-        return model.recalls[skills[0]]
-
-    monkeypatch.setattr(sched, "recall_probability", fake)
-
-
 class TestNextSkill:
-    def test_closest_to_threshold(self, monkeypatch):
+    def test_closest_to_threshold(self):
         qm = QMatrix([("i1", "a"), ("i2", "b")])
-        model = FixedRecallModel({"a": 0.4, "b": 0.9}, qm)
-        _patched_recalls(monkeypatch, model.recalls)
+        recall = {"a": 0.4, "b": 0.9}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a", "b"], qmatrix=qm)
-        assert next_skill(model, {}, cfg, now=0.0) == "a"
+        assert next_skill(recall, cfg) == "a"
 
-    def test_tie_break_lowest_id(self, monkeypatch):
+    def test_tie_break_lowest_id(self):
         qm = QMatrix([("i1", "a"), ("i2", "b"), ("i3", "c")])
-        model = FixedRecallModel({"a": 0.6, "b": 0.6, "c": 0.6}, qm)
-        _patched_recalls(monkeypatch, model.recalls)
+        recall = {"a": 0.6, "b": 0.6, "c": 0.6}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["c", "b", "a"], qmatrix=qm)
-        assert next_skill(model, {}, cfg, now=0.0) == "a"
+        assert next_skill(recall, cfg) == "a"
 
     def test_empty_pool(self):
         cfg = SchedulerConfig(threshold=0.5, skills=[], qmatrix=QMatrix([]))
         with pytest.raises(SchedulingError):
-            next_skill(None, {}, cfg, now=0.0)
+            next_skill({}.__getitem__, cfg)
 
     def test_decay_changes_selection_over_idle_time(self):
         ds, truth = make_synthetic(SynthConfig(seed=13))
@@ -60,13 +40,14 @@ class TestNextSkill:
                     if k0 in truth.qmatrix.skills_of(i))
         hist = [Interaction("s", item, 0.1 * t, 1, (k0,)) for t in range(8)]
         counters, _ = history_counters(mf, hist, 1.0)
-        early = next_skill(mf, counters, cfg, now=1.0)
+        recalls = {k: recall_probability(mf, counters, [k], 1.0,
+                                         qmatrix=truth.qmatrix)
+                   for k in skills}
+        early = next_skill(recalls.__getitem__, cfg)
         assert early != k0  # freshly practiced skill is far above threshold
-        soon = recall_probability(mf, counters, [k0], 1.0,
-                                  qmatrix=truth.qmatrix)
         late = recall_probability(mf, counters, [k0], 200.0,
                                   qmatrix=truth.qmatrix)
-        assert late < soon  # decays toward re-eligibility
+        assert late < recalls[k0]  # decays toward re-eligibility
 
     def test_threshold_validation(self):
         with pytest.raises(ConfigError):
@@ -79,42 +60,64 @@ class TestNextSkill:
 
 
 class TestNextItem:
-    def test_single_eligible(self, monkeypatch):
+    def test_single_eligible(self):
         qm = QMatrix([("i1", "a"), ("i2", "b")])
-        model = FixedRecallModel({"a": 0.3, "b": 0.9}, qm)
-        _patched_recalls(monkeypatch, model.recalls)
+        recall = {"a": 0.3, "b": 0.9}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a", "b"], qmatrix=qm)
-        assert next_item(model, "a", ["i1", "i2"], {}, cfg, now=0.0) == "i1"
+        assert next_item("a", ["i1", "i2"], recall, cfg) == "i1"
 
-    def test_prefers_focused_item(self, monkeypatch):
+    def test_prefers_focused_item(self):
         # i2 also covers skill b, whose recall is far from threshold
         qm = QMatrix([("i1", "a"), ("i2", "a"), ("i2", "b")])
-        model = FixedRecallModel({"a": 0.5, "b": 0.99}, qm)
-        _patched_recalls(monkeypatch, model.recalls)
+        recall = {"a": 0.5, "b": 0.99}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a", "b"], qmatrix=qm)
-        assert next_item(model, "a", ["i1", "i2"], {}, cfg, now=0.0) == "i1"
+        assert next_item("a", ["i1", "i2"], recall, cfg) == "i1"
 
-    def test_tie_break_lowest_item(self, monkeypatch):
+    def test_tie_break_lowest_item(self):
         qm = QMatrix([("i1", "a"), ("i2", "a")])
-        model = FixedRecallModel({"a": 0.5}, qm)
-        _patched_recalls(monkeypatch, model.recalls)
+        recall = {"a": 0.5}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a"], qmatrix=qm)
-        assert next_item(model, "a", ["i2", "i1"], {}, cfg, now=0.0) == "i1"
+        assert next_item("a", ["i2", "i1"], recall, cfg) == "i1"
 
-    def test_no_cover_error(self, monkeypatch):
+    def test_no_cover_error(self):
         qm = QMatrix([("i1", "a")])
-        model = FixedRecallModel({"a": 0.5}, qm)
+        recall = {"a": 0.5}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a"], qmatrix=qm)
         with pytest.raises(SchedulingError):
-            next_item(model, "zz", ["i1"], {}, cfg, now=0.0)
+            next_item("zz", ["i1"], recall, cfg)
 
-    def test_never_returns_uncovered_item(self, monkeypatch):
+    def test_never_returns_uncovered_item(self):
         qm = QMatrix([("i1", "a"), ("i2", "b"), ("i3", "a")])
-        model = FixedRecallModel({"a": 0.5, "b": 0.5}, qm)
-        _patched_recalls(monkeypatch, model.recalls)
+        recall = {"a": 0.5, "b": 0.5}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a", "b"], qmatrix=qm)
-        item = next_item(model, "a", ["i1", "i2", "i3"], {}, cfg, now=0.0)
+        item = next_item("a", ["i1", "i2", "i3"], recall, cfg)
         assert "a" in qm.skills_of(item)
+
+
+def test_threshold_pick_queries_each_skill_once(monkeypatch):
+    # every pick asks for each skill's recall once, shared by both steps
+    import skillmem.scheduler as sched
+
+    ds, truth = make_synthetic(SynthConfig(seed=5, n_items=15, n_skills=4,
+                                           multi_skill_fraction=0.5))
+    mf = truth.to_model_file(ds)
+    cfg = SchedulerConfig(threshold=0.6, skills=truth.qmatrix.skills,
+                          qmatrix=truth.qmatrix)
+    queried = []
+
+    def counting(model, counters, skills, now, **kwargs):
+        queried.append(tuple(skills))
+        return recall_probability(model, counters, skills, now, **kwargs)
+
+    monkeypatch.setattr(sched, "recall_probability", counting)
+    pick = threshold_policy(mf, cfg)
+    rng = np.random.default_rng(0)
+    counters = {}
+    for t in np.linspace(0, 20, 12).tolist():
+        queried.clear()
+        item = pick(counters, t, rng)
+        assert sorted(queried) == [(k,) for k in sorted(cfg.skills)]
+        truth.respond(None, item, counters, t, rng)
 
 
 @pytest.fixture(scope="module")
