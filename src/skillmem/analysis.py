@@ -5,7 +5,8 @@ linear (dim=0) das3h weights: the probability drop when a single past win
 ages out of one time window, everything else held at a documented reference
 operating point. Recall scores one student's `_Counter`s, the state the
 encoder, the truth and the simulator keep, through the fitted model's
-`ModelFile.score`; `history_counters` builds them from a history list.
+`ModelFile.score`; `history_counters` builds them from a one-student
+history `Dataset`, whose q-matrix tags its items.
 """
 
 from __future__ import annotations
@@ -128,20 +129,22 @@ def slope_report(models, layouts, pair_mode="adjacent"):
 
 
 def history_counters(model, history, query_time):
-    """(counters, student) of one student's history rows at or before
-    `query_time`, pushed in time order to `model`'s family keys (each row's
-    `skills`, or its item). A history of several students is an error."""
-    students = sorted({r.student for r in history})
+    """(counters, student) of a one-student `history` Dataset: its rows at or
+    before `query_time`, pushed in time order to `model`'s family keys (the
+    item's skills in `history.qmatrix`, or the item). The student is the
+    history's own whenever it has rows, even if none is that early, and None
+    for an empty history. A history of several students is an error."""
+    students = history.students
     if len(students) > 1:
         raise ConfigError(f"history spans several students: {students}")
-    family = FAMILY_TABLE[model.spec.family]
-    prior = sorted((r for r in history if r.timestamp <= query_time),
-                   key=lambda r: r.timestamp)
+    family, qm = FAMILY_TABLE[model.spec.family], history.qmatrix
+    prior = sorted((r for r in history.iter_rows()
+                    if r.timestamp <= query_time), key=lambda r: r.timestamp)
     counters = {}
     for r in prior:
-        for key in family.history_keys(r.item, r.skills or ()):
+        for key in family.history_keys(r.item, sorted(qm.skills_of(r.item))):
             counters.setdefault(key, _Counter()).push(r.timestamp, r.correct)
-    return counters, (prior[0].student if prior else None)
+    return counters, (students[0] if students else None)
 
 
 def recall_probability(model, counters, skills, query_time, item=None,

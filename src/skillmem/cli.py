@@ -1,8 +1,9 @@
 """Command-line entry point wiring all modules together.
 
 Every subcommand that writes outputs also writes a run manifest (flags,
-input hashes, seed, version, wall time) next to them, and all files go
-through atomic temp-then-rename writes.
+input hashes, seed, version, wall time) next to them, built from the
+command's own parameters, and all files go through atomic temp-then-rename
+writes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import __version__
 from . import analysis as analysis_mod
 from . import evaluation, glm, scheduler, synth
 from . import fm as fm_mod
-from .corpus import (dataset_stats, load_interactions, load_prepared,
+from .corpus import (QMatrix, dataset_stats, load_interactions, load_prepared,
                      load_qmatrix_triplets, preprocess, save_dataset)
 from .encoder import (FAMILIES, ModelSpec, WindowSet, encode_dataset,
                       load_design, save_design)
@@ -52,11 +53,27 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def write_manifest(out_dir, command, params, inputs, seed, started):
+def write_manifest(out_dir, seed, started):
+    """Record the running subcommand's options: every option's value under
+    its long name (`-` as `_`, None dropped; `--seed` is the manifest's own
+    `seed`, None where unused), and the hash of every existing input file
+    (an option typed `click.Path(exists=True)`)."""
+    ctx = click.get_current_context()
+    flags, inputs = {}, []
+    for opt in ctx.command.params:
+        value = ctx.params[opt.name]
+        if value is None:
+            continue
+        name = max(opt.opts, key=len).lstrip("-").replace("-", "_")
+        if name != "seed":
+            flags[name] = value
+        if (isinstance(opt.type, click.Path) and opt.type.exists
+                and os.path.isfile(value)):
+            inputs.append(value)
     manifest = {
-        "command": command,
-        "flags": {k: v for k, v in params.items() if v is not None},
-        "input_hashes": {p: _sha256(p) for p in inputs if os.path.exists(p)},
+        "command": ctx.command_path[len(ctx.find_root().command_path) + 1:],
+        "flags": flags,
+        "input_hashes": {p: _sha256(p) for p in inputs},
         "seed": seed,
         "version": __version__,
         "wall_time_s": round(time.time() - started, 3),
@@ -92,7 +109,6 @@ def prepare(in_path, fmt, min_interactions, qmatrix_path, out_path):
     started = time.time()
     ds = load_interactions(in_path, fmt)
     if qmatrix_path:
-        from .corpus import QMatrix
         qm = load_qmatrix_triplets(qmatrix_path)
         ds.qmatrix = QMatrix(ds.qmatrix.entries() | qm.entries())
     ds = preprocess(ds, min_interactions)
@@ -100,10 +116,7 @@ def prepare(in_path, fmt, min_interactions, qmatrix_path, out_path):
     save_dataset(ds, out_path)
     report = dataset_stats(ds)
     atomic_write_text(out_path + ".stats.json", report.to_json())
-    write_manifest(out_dir, "prepare",
-                   {"in": in_path, "format": fmt,
-                    "min_interactions": min_interactions, "out": out_path},
-                   [in_path], seed=None, started=started)
+    write_manifest(out_dir, seed=None, started=started)
     click.echo(report.to_json())
 
 
@@ -129,10 +142,7 @@ def encode(in_path, family, dim, windows, out_path):
     dm = encode_dataset(ds, spec)
     out_dir = _out_dir_of(out_path)
     save_design(dm, out_path)
-    write_manifest(out_dir, "encode",
-                   {"in": in_path, "model": family, "dim": dim,
-                    "windows": windows, "out": out_path},
-                   [in_path], seed=None, started=started)
+    write_manifest(out_dir, seed=None, started=started)
     click.echo(f"encoded {dm.n_rows} rows x {dm.layout.n_features} features")
 
 
@@ -163,10 +173,7 @@ def train(encoded, l2, dim, iters, seed, out_path):
     out_dir = _out_dir_of(out_path)
     save_model(ModelFile(spec=dm.spec, layout=dm.layout, params=params,
                          training_config=training_config), out_path)
-    write_manifest(out_dir, "train",
-                   {"encoded": encoded, "l2": l2, "dim": d, "iters": iters,
-                    "out": out_path},
-                   [encoded], seed=seed, started=started)
+    write_manifest(out_dir, seed=seed, started=started)
     click.echo(f"model written to {out_path}")
 
 
@@ -209,10 +216,7 @@ def cv(in_path, models, dims, folds, seed, l2, iters, out_dir):
     atomic_write_text(os.path.join(out_dir, "metrics.json"), table.to_json())
     atomic_write_text(os.path.join(out_dir, "metrics.txt"),
                       table.format_table() + "\n")
-    write_manifest(out_dir, "cv",
-                   {"in": in_path, "models": models, "dims": dims,
-                    "folds": folds, "l2": l2, "iters": iters, "out": out_dir},
-                   [in_path], seed=seed, started=started)
+    write_manifest(out_dir, seed=seed, started=started)
     click.echo(table.format_table())
 
 
@@ -233,9 +237,7 @@ def ablate(in_path, seed, folds, l2, out_dir):
     report.write_csv(os.path.join(out_dir, "ablation_folds.csv"))
     atomic_write_text(os.path.join(out_dir, "ablation_deltas.json"),
                       json.dumps(report.deltas(), indent=2))
-    write_manifest(out_dir, "ablate",
-                   {"in": in_path, "folds": folds, "l2": l2, "out": out_dir},
-                   [in_path], seed=seed, started=started)
+    write_manifest(out_dir, seed=seed, started=started)
     click.echo(json.dumps(report.deltas(), indent=2))
 
 
@@ -266,9 +268,7 @@ def slopes(model_dir, pairs, out_path):
     out_dir = _out_dir_of(out_path)
     report.write_csv(out_path)
     atomic_write_text(out_path + ".json", report.to_json())
-    write_manifest(out_dir, "analyze slopes",
-                   {"model_dir": model_dir, "pairs": pairs, "out": out_path},
-                   [], seed=None, started=started)
+    write_manifest(out_dir, seed=None, started=started)
     click.echo(f"slopes for {len(report.entries)} skills -> {out_path}")
 
 
@@ -283,12 +283,11 @@ def slopes(model_dir, pairs, out_path):
 def recall(model_path, history_path, skills, item, at_day):
     """Recall probability for a skill set at a future day."""
     mf = load_model(model_path)
-    hist_ds = load_interactions(history_path, fmt="generic")
-    history = [r for rows in hist_ds.interactions.values() for r in rows]
+    history = load_interactions(history_path, fmt="generic")
     counters, student = analysis_mod.history_counters(mf, history, at_day)
     p = analysis_mod.recall_probability(
         mf, counters, skills.split(","), at_day, item=item, student=student,
-        qmatrix=hist_ds.qmatrix)
+        qmatrix=history.qmatrix)
     click.echo(json.dumps({"skills": skills.split(","), "at_day": at_day,
                            "recall_probability": p}))
 
@@ -327,11 +326,7 @@ def schedule_sim(model_path, policy, threshold, horizon, sessions, seeds,
         truth, policies, session_times, horizon, seeds=range(seeds))
     out_dir = _out_dir_of(out_path)
     result.write_csv(out_path)
-    write_manifest(out_dir, "schedule-sim",
-                   {"policy": policy, "threshold": threshold,
-                    "horizon": horizon, "seeds": seeds, "out": out_path},
-                   [model_path] if model_path else [], seed=seed,
-                   started=started)
+    write_manifest(out_dir, seed=seed, started=started)
     for name in policies:
         click.echo(f"{name}: mean end-horizon recall "
                    f"{result.mean_recall(name):.4f}")

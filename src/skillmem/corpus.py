@@ -4,7 +4,9 @@ Input files are delimiter-separated text with a header row. Each format tag
 maps the logical columns (user, item, timestamp, correct, skills) onto actual
 column names, fixes the timestamp unit, and says how the item id is built.
 Timestamps are converted to fractional days internally; `preprocess` rebases
-them to days since each student's first interaction.
+them to days since each student's first interaction. A row holds no skills of
+its own: the skills column (and any separate q-matrix file) feeds one
+`QMatrix`, and a row's skills are always `qmatrix.skills_of(row.item)`.
 """
 
 from __future__ import annotations
@@ -26,15 +28,13 @@ KDD_ITEM_SEP = "@@"
 class Interaction:
     """One answer event: student s answered item j at time t, correctly or not.
 
-    `skills` carries the raw skill tagging of the row (empty tuple when the
-    source row had no skill, which marks the row for removal in preprocess).
+    The item's skills are those of the dataset's q-matrix.
     """
 
     student: str
     item: str
     timestamp: float  # days
     correct: int
-    skills: tuple[str, ...] = ()
 
 
 class QMatrix:
@@ -165,8 +165,9 @@ FORMATS = {
 def load_interactions(path, fmt="generic"):
     """Parse a delimited interaction log into a Dataset with raw day timestamps.
 
-    Rows with an empty skills field are kept (with no skills) and removed
-    later by `preprocess`. The q-matrix is derived from the skills column.
+    Every row's skills field adds its (item, skill) pairs to the q-matrix,
+    so an item's skills are the union over its rows. Rows with an empty
+    skills field are kept; `preprocess` removes those of untagged items.
     """
     if fmt not in FORMATS:
         raise ConfigError(f"unknown format tag {fmt!r}; known: {sorted(FORMATS)}")
@@ -195,32 +196,30 @@ def load_interactions(path, fmt="generic"):
                 if correct not in (0, 1):
                     raise ValueError(f"correct must be 0/1, got {correct}")
                 raw_skills = (row[f.skills] or "").strip()
-                skills = tuple(
-                    s for s in raw_skills.split(f.skill_sep) if s
-                ) if raw_skills and raw_skills.lower() != "nan" else ()
+                if raw_skills.lower() == "nan":
+                    raw_skills = ""
             except (KeyError, ValueError, AttributeError) as exc:
                 raise ParseError(line_no, str(exc)) from exc
             per_student.setdefault(student, []).append(
-                Interaction(student, item, ts, correct, skills)
-            )
-            for k in skills:
-                entries.add((item, k))
+                Interaction(student, item, ts, correct))
+            entries.update((item, k) for k in raw_skills.split(f.skill_sep)
+                           if k)
     return Dataset(per_student, QMatrix(entries))
 
 
 def preprocess(dataset, min_interactions=10):
     """Apply the standard cleaning pipeline.
 
-    Order: drop skill-less rows, drop duplicate (user, item, timestamp)
-    rows keeping the first in file order, drop students with fewer than
-    `min_interactions` remaining rows, then sort each student by time
-    (stable, input order breaks ties) and rebase timestamps to days since
-    the student's first remaining interaction.
+    Order: drop rows of items the q-matrix does not tag, drop duplicate
+    (user, item, timestamp) rows keeping the first in file order, drop
+    students with fewer than `min_interactions` remaining rows, then sort
+    each student by time (stable, input order breaks ties) and rebase
+    timestamps to days since the student's first remaining interaction.
     """
     out: dict[str, list[Interaction]] = {}
     for student in dataset.students:
-        rows = [r for r in dataset.interactions[student] if r.skills or
-                dataset.qmatrix.skills_of(r.item)]
+        rows = [r for r in dataset.interactions[student]
+                if dataset.qmatrix.skills_of(r.item)]
         seen = set()
         deduped = []
         for r in rows:
@@ -237,16 +236,7 @@ def preprocess(dataset, min_interactions=10):
     if not out:
         raise EmptyDatasetError("no interactions left after preprocessing")
     items = {r.item for rows in out.values() for r in rows}
-    qm = dataset.qmatrix.restricted_to(items)
-    # Items never tagged through the q-matrix file still carry row skills.
-    extra = set()
-    for rows in out.values():
-        for r in rows:
-            if r.item not in qm:
-                extra.update((r.item, k) for k in r.skills)
-    if extra:
-        qm = QMatrix(qm.entries() | extra)
-    return Dataset(out, qm)
+    return Dataset(out, dataset.qmatrix.restricted_to(items))
 
 
 def dataset_stats(dataset):
@@ -296,14 +286,16 @@ def student_kfold(dataset, k, seed):
 
 
 def save_dataset(dataset, path):
-    """Write a dataset in the canonical `generic` text format (days)."""
+    """Write a dataset in the canonical `generic` text format (days); each
+    row's skills field is its item's sorted q-matrix skills."""
+    qm = dataset.qmatrix
+    tags = {item: "~".join(sorted(qm.skills_of(item))) for item in qm.items}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["user", "item", "timestamp", "correct", "skills"])
         for r in dataset.iter_rows():
-            skills = r.skills or tuple(sorted(dataset.qmatrix.skills_of(r.item)))
             w.writerow([r.student, r.item, repr(r.timestamp), r.correct,
-                        "~".join(skills)])
+                        tags.get(r.item, "")])
 
 
 def load_prepared(path):

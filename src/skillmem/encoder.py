@@ -418,9 +418,8 @@ def load_design(path):
         with npz:
             a = {name: npz[name] for name in ("data", "indices", "indptr",
                                               "shape", "y", "students")}
-    except (OSError, EOFError, KeyError, ValueError,
-            zipfile.BadZipFile) as exc:
-        raise EncodingError(f"{path} is not a design .npz: {exc}") from None
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        raise EncodingError(f"{path} is not a design archive") from None
     try:
         with open(path + ".json") as fh:
             sidecar = json.load(fh)

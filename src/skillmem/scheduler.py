@@ -39,12 +39,12 @@ def next_skill(recall, config):
                key=lambda k: abs(recall(k) - config.threshold))
 
 
-def next_item(skill, item_pool, recall, config):
-    """Among items covering `skill`, minimize the mean distance of the item's
-    skills' `recall` from the threshold; ties -> lowest item id."""
+def next_item(skill, recall, config):
+    """Among the q-matrix items covering `skill`, minimize the mean distance
+    of the item's skills' `recall` from the threshold; ties -> lowest id."""
     if config.qmatrix is None:
         raise ConfigError("scheduler needs a q-matrix for item selection")
-    eligible = [j for j in item_pool if skill in config.qmatrix.skills_of(j)]
+    eligible = sorted(config.qmatrix.items_of(skill))
     if not eligible:
         raise SchedulingError(f"no item covers skill {skill!r}")
 
@@ -53,7 +53,7 @@ def next_item(skill, item_pool, recall, config):
                  for k in config.qmatrix.skills_of(j)]
         return sum(dists) / len(dists)
 
-    return min(sorted(eligible), key=mean_distance)
+    return min(eligible, key=mean_distance)
 
 
 def threshold_policy(model, config):
@@ -68,7 +68,7 @@ def threshold_policy(model, config):
                                       qmatrix=config.qmatrix)
 
         skill = next_skill(recall, config)
-        return next_item(skill, config.qmatrix.items, recall, config)
+        return next_item(skill, recall, config)
 
     return pick
 

@@ -71,13 +71,13 @@ class SyntheticModel:
 
     def respond(self, student, item, counters, t, rng):
         """Draw the answer to `item` at `t`, push it to the counters of the
-        item's skills and return (correct, skills)."""
-        skills = tuple(sorted(self.qmatrix.skills_of(item)))
+        item's skills and return it."""
+        skills = sorted(self.qmatrix.skills_of(item))
         correct = int(rng.uniform() < self.prob(student, item, counters, t,
                                                 skills))
         for k in skills:
             counters.setdefault(k, _Counter()).push(t, correct)
-        return correct, skills
+        return correct
 
     def to_model_file(self, dataset):
         """Pack the true parameters as a fitted-model container."""
@@ -155,7 +155,7 @@ def make_synthetic(config=None):
         rows = []
         for t in times.tolist():
             item = items[int(rng.integers(config.n_items))]
-            correct, row_skills = truth.respond(s, item, counters, t, rng)
-            rows.append(Interaction(s, item, t, correct, row_skills))
+            rows.append(Interaction(s, item, t,
+                                    truth.respond(s, item, counters, t, rng)))
         interactions[s] = rows
     return Dataset(interactions, qm), truth

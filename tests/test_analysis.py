@@ -5,7 +5,7 @@ import pytest
 
 from skillmem.analysis import (forgetting_slope, history_counters,
                                recall_probability, slope_report)
-from skillmem.corpus import Interaction
+from skillmem.corpus import Dataset, Interaction, QMatrix, load_interactions
 from skillmem.encoder import ModelSpec, build_layout, encode_dataset
 from skillmem.errors import ConfigError
 from skillmem.fm import FMFit, FMParams, _scores_matrix, probit
@@ -14,6 +14,14 @@ from skillmem.modelio import ModelFile
 from skillmem.synth import SynthConfig, make_synthetic
 
 LOG2 = math.log(2.0)
+
+
+def history(rows, qmatrix):
+    """A history Dataset of `rows`, grouped by student."""
+    by_student = {}
+    for r in rows:
+        by_student.setdefault(r.student, []).append(r)
+    return Dataset(by_student, qmatrix)
 
 
 def linear_das3h_model(dataset, fill=0.0):
@@ -100,9 +108,10 @@ class TestRecallProbability:
         skill = mf.layout.skills[0]
         item = next(i for i in mf.layout.items
                     if skill in truth.qmatrix.skills_of(i))
-        wins = [Interaction(student, item, float(t) * 0.2, 1, (skill,))
+        wins = [Interaction(student, item, float(t) * 0.2, 1)
                 for t in range(5)]
-        counters, who = history_counters(mf, wins, 1.1)
+        counters, who = history_counters(
+            mf, history(wins, QMatrix([(item, skill)])), 1.1)
         soon = recall_probability(mf, counters, [skill], 1.1, student=who,
                                   qmatrix=truth.qmatrix)
         later = recall_probability(mf, counters, [skill], 31.0, student=who,
@@ -125,11 +134,11 @@ class TestRecallProbability:
         ds, truth, mf = truth_model
         student = ds.students[0]
         skill = mf.layout.skills[0]
-        hist = [Interaction(student, mf.layout.items[0], 1.0, 1, (skill,))]
-        future = hist + [
-            Interaction(student, mf.layout.items[0], 9.0, 1, (skill,))]
-        c1, s1 = history_counters(mf, hist, 5.0)
-        c2, s2 = history_counters(mf, future, 5.0)
+        qm = QMatrix([(mf.layout.items[0], skill)])
+        hist = [Interaction(student, mf.layout.items[0], 1.0, 1)]
+        future = hist + [Interaction(student, mf.layout.items[0], 9.0, 1)]
+        c1, s1 = history_counters(mf, history(hist, qm), 5.0)
+        c2, s2 = history_counters(mf, history(future, qm), 5.0)
         assert s1 == s2 == student
         p1 = recall_probability(mf, c1, [skill], 5.0, student=s1,
                                 qmatrix=truth.qmatrix)
@@ -153,8 +162,9 @@ class TestRecallProbability:
                        lay.offset("attempts") + (i2 + 1) * W] = 0.0
         mf2 = ModelFile(spec=mf.spec, layout=lay, params=params,
                         training_config={})
-        hist = [Interaction("x", lay.items[0], 0.5, 1, (k1,))]
-        counters, _ = history_counters(mf2, hist, 2.0)
+        hist = [Interaction("x", lay.items[0], 0.5, 1)]
+        counters, _ = history_counters(
+            mf2, history(hist, QMatrix([(lay.items[0], k1)])), 2.0)
         single = recall_probability(mf2, counters, [k1], 2.0)
         both = recall_probability(mf2, counters, [k1, k2], 2.0)
         assert single == pytest.approx(both)
@@ -169,10 +179,27 @@ class TestRecallProbability:
         a, b = ds.students[0], ds.students[1]
         skill = mf.layout.skills[0]
         item = mf.layout.items[0]
-        hist = [Interaction(a, item, 1.0, 1, (skill,)),
-                Interaction(b, item, 0.5, 0, (skill,))]
+        hist = [Interaction(a, item, 1.0, 1), Interaction(b, item, 0.5, 0)]
         with pytest.raises(ConfigError, match=f"{a}.*{b}"):
-            history_counters(mf, hist, 5.0)
+            history_counters(mf, history(hist, QMatrix([(item, skill)])), 5.0)
+
+    def test_history_keeps_its_student_before_its_first_row(self, truth_model):
+        # a query earlier than every row still scores the history's student
+        ds, truth, mf = truth_model
+        student = ds.students[0]
+        skill = mf.layout.skills[0]
+        item = sorted(truth.qmatrix.items_of(skill))[0]
+        hist = history([Interaction(student, item, 3.0, 1),
+                        Interaction(student, item, 4.0, 0)], truth.qmatrix)
+        counters, who = history_counters(mf, hist, 1.0)
+        assert counters == {} and who == student
+        assert history_counters(mf, history([], truth.qmatrix), 1.0) == (
+            {}, None)
+        with_bias = recall_probability(mf, counters, [skill], 1.0,
+                                       student=who, qmatrix=truth.qmatrix)
+        without = recall_probability(mf, counters, [skill], 1.0,
+                                     qmatrix=truth.qmatrix)
+        assert with_bias != without
 
 
 def _seeded_model(spec, layout):
@@ -210,10 +237,39 @@ def test_online_recall_matches_batch_encoder(fixture_dataset, family, dim):
     else:
         batch = probit(_scores_matrix(mf.params.posterior_mean, X))
     for r, row in enumerate(rows):
-        counters, _ = history_counters(mf, rows[:r], row.timestamp)
+        counters, _ = history_counters(mf, history(rows[:r], qm),
+                                       row.timestamp)
         online = recall_probability(mf, counters, qm.skills_of(row.item),
                                     row.timestamp, item=row.item,
                                     student=student, qmatrix=qm)
+        assert online == pytest.approx(batch[r], rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", ["das3h", "dash_kc"])
+def test_online_recall_of_an_item_tagged_differently_across_rows(
+        tmp_path, family):
+    # i1 is tagged k1 in two rows and k1~k2 in one: the loaded history's
+    # q-matrix holds the union, which both batch and online recall read
+    path = tmp_path / "log.csv"
+    path.write_text("user,item,timestamp,correct,skills\n"
+                    "s0,i1,0,1,k1\n"
+                    "s0,i2,0.5,0,k2\n"
+                    "s0,i1,1,1,k1~k2\n"
+                    "s0,i1,2,0,k1\n"
+                    "s0,i2,3,1,k2\n")
+    log = load_interactions(str(path))
+    assert log.qmatrix.skills_of("i1") == {"k1", "k2"}
+    dm = encode_dataset(log, ModelSpec(family, 0))
+    mf = _seeded_model(dm.spec, dm.layout)
+    batch = sigmoid(dm.X @ mf.params.weights + mf.params.intercept)
+    rows = log.interactions["s0"]
+    for r, row in enumerate(rows):
+        counters, _ = history_counters(mf, history(rows[:r], log.qmatrix),
+                                       row.timestamp)
+        online = recall_probability(mf, counters,
+                                    log.qmatrix.skills_of(row.item),
+                                    row.timestamp, item=row.item,
+                                    student="s0", qmatrix=log.qmatrix)
         assert online == pytest.approx(batch[r], rel=0, abs=1e-12)
 
 

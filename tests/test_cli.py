@@ -262,6 +262,30 @@ def test_train_on_a_non_design_fails_typed(tmp_path, capsys):
                 "--out", str(tmp_path / "model.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "fixture_small.csv" in err
+    assert "pickle" not in err
+
+
+def test_prepare_writes_the_qmatrix_file_tags(tmp_path, capsys):
+    # the --qmatrix file tags i1 with k3, which no row of the log does
+    raw, qm = tmp_path / "raw.csv", tmp_path / "extra.csv"
+    raw.write_text("user,item,timestamp,correct,skills\n"
+                   "u1,i1,0,1,k1\n"
+                   "u1,i2,1,0,k2\n"
+                   "u1,i1,2,1,k1\n"
+                   "u1,i3,3,0,k1~k2\n"
+                   "u1,i2,4,1,k2\n")
+    qm.write_text("item,skill\ni1,k3\n")
+    prepared = str(tmp_path / "out" / "prepared.csv")
+    assert run(["prepare", "--in", str(raw), "--qmatrix", str(qm),
+                "--min-interactions", "1", "--out", prepared]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert run(["stats", "--in", prepared]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["skills"] == printed["skills"] == 3
+    with open(prepared) as fh:
+        tags = {line.split(",")[4].strip() for line in fh
+                if line.split(",")[1] == "i1"}
+    assert tags == {"k1~k3"}
 
 
 @pytest.fixture(scope="module")
@@ -292,3 +316,29 @@ def test_output_into_missing_directory(tmp_path, fitted_inputs, command):
     assert run(argv + ["--out", str(out_dir / "out")]) == 0
     assert (out_dir / "out").exists()
     assert (out_dir / "manifest.json").exists()
+
+
+def test_manifests_record_every_option_and_input(tmp_path, fitted_inputs):
+    qm = tmp_path / "qm.csv"
+    qm.write_text("item,skill\ni000,k9\n")
+    prepared = str(tmp_path / "prep" / "prepared.csv")
+    assert run(["prepare", "--in", FIXTURE_PATH, "--qmatrix", str(qm),
+                "--min-interactions", "5", "--out", prepared]) == 0
+    manifest = json.load(open(tmp_path / "prep" / "manifest.json"))
+    assert manifest["command"] == "prepare"
+    assert manifest["flags"] == {"in": FIXTURE_PATH, "format": "generic",
+                                 "min_interactions": 5, "qmatrix": str(qm),
+                                 "out": prepared}
+    assert sorted(manifest["input_hashes"]) == sorted([FIXTURE_PATH, str(qm)])
+
+    model = os.path.join(fitted_inputs[1], "das3h_d0_fold0.json")
+    sim = str(tmp_path / "sim" / "sim.csv")
+    assert run(["schedule-sim", "--model", model, "--horizon", "30",
+                "--sessions", "4", "--seeds", "1", "--seed", "3",
+                "--out", sim]) == 0
+    manifest = json.load(open(tmp_path / "sim" / "manifest.json"))
+    assert manifest["command"] == "schedule-sim"
+    assert manifest["flags"]["sessions"] == 4
+    assert manifest["flags"]["model"] == model
+    assert "seed" not in manifest["flags"] and manifest["seed"] == 3
+    assert list(manifest["input_hashes"]) == [model]

@@ -43,7 +43,7 @@ def test_empty_skill_retained_at_load_removed_in_preprocess(tmp_path):
     """)
     ds = load_interactions(path, "assist12")
     assert ds.n_interactions == 11
-    assert ds.interactions["u1"][0].skills == ()
+    assert "inan" not in ds.qmatrix
     clean = preprocess(ds, min_interactions=10)
     assert clean.n_interactions == 10
     assert all(r.item != "inan" for r in clean.iter_rows())

@@ -141,8 +141,8 @@ class TestLayout:
 def _toy_dataset():
     """One student, one single-skill item, two attempts 0.5 days apart."""
     qm = QMatrix([("i1", "k1")])
-    rows = [Interaction("u1", "i1", 0.0, 1, ("k1",)),
-            Interaction("u1", "i1", 0.5, 0, ("k1",))]
+    rows = [Interaction("u1", "i1", 0.0, 1),
+            Interaction("u1", "i1", 0.5, 0)]
     return Dataset({"u1": rows}, qm)
 
 
@@ -183,7 +183,7 @@ class TestEncodeDataset:
 
     def test_missing_item_error(self):
         qm = QMatrix([("i1", "k1")])
-        rows = [Interaction("u1", "i2", 0.0, 1, ())]
+        rows = [Interaction("u1", "i2", 0.0, 1)]
         ds = Dataset({"u1": rows}, qm)
         with pytest.raises(EncodingError, match="i2"):
             encode_dataset(ds, ModelSpec("irt", 0))

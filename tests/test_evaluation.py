@@ -144,8 +144,7 @@ class TestCrossValidate:
             # single-class
             label = 1 if i < 2 else i % 2
             interactions[s] = [
-                Interaction(s, "i1", float(t), label if i < 2 else t % 2,
-                            ("k1",))
+                Interaction(s, "i1", float(t), label if i < 2 else t % 2)
                 for t in range(6)
             ]
         ds = Dataset(interactions, qm)

@@ -159,8 +159,8 @@ class TestFitLogistic:
             for t in range(200):
                 j = "easy" if t % 2 == 0 else "hard"
                 p = sigmoid(a - difficulties[j])
-                rows.append(Interaction(s, j, float(t), int(rng.uniform() < p),
-                                        ("k",)))
+                rows.append(Interaction(s, j, float(t),
+                                        int(rng.uniform() < p)))
             interactions[s] = rows
         ds = Dataset(interactions, qm)
         dm = encode_dataset(ds, ModelSpec("irt", 0))

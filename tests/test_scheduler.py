@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from skillmem.analysis import history_counters, recall_probability
-from skillmem.corpus import Interaction, QMatrix
+from skillmem.corpus import Dataset, Interaction, QMatrix
 from skillmem.errors import ConfigError, SchedulingError
 from skillmem.scheduler import (SchedulerConfig, next_item, next_skill,
                                 random_policy, simulate_policy,
@@ -38,7 +38,8 @@ class TestNextSkill:
         k0 = skills[0]
         item = next(i for i in mf.layout.items
                     if k0 in truth.qmatrix.skills_of(i))
-        hist = [Interaction("s", item, 0.1 * t, 1, (k0,)) for t in range(8)]
+        hist = Dataset({"s": [Interaction("s", item, 0.1 * t, 1)
+                              for t in range(8)]}, truth.qmatrix)
         counters, _ = history_counters(mf, hist, 1.0)
         recalls = {k: recall_probability(mf, counters, [k], 1.0,
                                          qmatrix=truth.qmatrix)
@@ -64,33 +65,33 @@ class TestNextItem:
         qm = QMatrix([("i1", "a"), ("i2", "b")])
         recall = {"a": 0.3, "b": 0.9}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a", "b"], qmatrix=qm)
-        assert next_item("a", ["i1", "i2"], recall, cfg) == "i1"
+        assert next_item("a", recall, cfg) == "i1"
 
     def test_prefers_focused_item(self):
         # i2 also covers skill b, whose recall is far from threshold
         qm = QMatrix([("i1", "a"), ("i2", "a"), ("i2", "b")])
         recall = {"a": 0.5, "b": 0.99}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a", "b"], qmatrix=qm)
-        assert next_item("a", ["i1", "i2"], recall, cfg) == "i1"
+        assert next_item("a", recall, cfg) == "i1"
 
     def test_tie_break_lowest_item(self):
-        qm = QMatrix([("i1", "a"), ("i2", "a")])
+        qm = QMatrix([("i2", "a"), ("i1", "a")])
         recall = {"a": 0.5}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a"], qmatrix=qm)
-        assert next_item("a", ["i2", "i1"], recall, cfg) == "i1"
+        assert next_item("a", recall, cfg) == "i1"
 
     def test_no_cover_error(self):
         qm = QMatrix([("i1", "a")])
         recall = {"a": 0.5}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a"], qmatrix=qm)
         with pytest.raises(SchedulingError):
-            next_item("zz", ["i1"], recall, cfg)
+            next_item("zz", recall, cfg)
 
     def test_never_returns_uncovered_item(self):
         qm = QMatrix([("i1", "a"), ("i2", "b"), ("i3", "a")])
         recall = {"a": 0.5, "b": 0.5}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a", "b"], qmatrix=qm)
-        item = next_item("a", ["i1", "i2", "i3"], recall, cfg)
+        item = next_item("a", recall, cfg)
         assert "a" in qm.skills_of(item)
 
 

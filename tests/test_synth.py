@@ -24,7 +24,7 @@ def test_truth_scores_rows_as_the_encoder_does(generated):
         counters = {}
         for r in ds.interactions[s]:
             streamed.append(truth.prob(s, r.item, counters, r.timestamp))
-            for k in r.skills:
+            for k in ds.qmatrix.skills_of(r.item):
                 counters.setdefault(k, _Counter()).push(r.timestamp,
                                                         r.correct)
     dm = encode_dataset(ds, ModelSpec("das3h", 0, truth.windows))
