@@ -53,13 +53,14 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def write_manifest(out_dir, seed, started):
+def write_manifest(out_dir, seed, started, read=()):
     """Record the running subcommand's options: every option's value under
     its long name (`-` as `_`, None dropped; `--seed` is the manifest's own
     `seed`, None where unused), and the hash of every existing input file
-    (an option typed `click.Path(exists=True)`)."""
+    (an option typed `click.Path(exists=True)`) and of each file in `read`,
+    the files the command read besides its path options."""
     ctx = click.get_current_context()
-    flags, inputs = {}, []
+    flags, inputs = {}, list(read)
     for opt in ctx.command.params:
         value = ctx.params[opt.name]
         if value is None:
@@ -149,25 +150,22 @@ def encode(in_path, family, dim, windows, out_path):
 @main.command()
 @click.option("--encoded", required=True, type=click.Path(exists=True))
 @click.option("--l2", default=1.0, show_default=True)
-@click.option("--dim", default=None, type=int,
-              help="override the spec's embedding dimension")
 @click.option("--iters", default=300, show_default=True)
 @click.option("--seed", default=0, show_default=True,
               help="seed of the Gibbs sampler (dim > 0); a dim-0 L-BFGS fit "
                    "draws nothing, so the seed is neither used nor recorded")
 @click.option("--out", "out_path", required=True, type=click.Path())
-def train(encoded, l2, dim, iters, seed, out_path):
-    """Fit a model on an encoded design matrix."""
+def train(encoded, l2, iters, seed, out_path):
+    """Fit a model on an encoded design matrix, at the dim of its spec."""
     started = time.time()
     dm = load_design(encoded)
-    d = dm.spec.dim if dim is None else dim
-    if d == 0:
+    if dm.spec.dim == 0:
         params = glm.fit_logistic(dm.X, dm.y, glm.FitConfig(l2_strength=l2))
         training_config = {"l2": l2, "converged": params.converged}
         seed = None
     else:
         cfg = fm_mod.GibbsConfig(iterations=iters, seed=seed)
-        params = fm_mod.fit_fm_gibbs(dm.X, dm.y, d, cfg,
+        params = fm_mod.fit_fm_gibbs(dm.X, dm.y, dm.spec.dim, cfg,
                                      groups=dm.layout.group_of_feature())
         training_config = {"iterations": iters, "seed": seed}
     out_dir = _out_dir_of(out_path)
@@ -220,27 +218,6 @@ def cv(in_path, models, dims, folds, seed, l2, iters, out_dir):
     click.echo(table.format_table())
 
 
-@main.command()
-@click.option("--in", "in_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", default=42, show_default=True)
-@click.option("--folds", default=5, show_default=True)
-@click.option("--l2", default=1.0, show_default=True)
-@click.option("--out", "out_dir", default="ablation_out", show_default=True)
-def ablate(in_path, seed, folds, l2, out_dir):
-    """Paired ablation comparisons on per-fold AUC."""
-    started = time.time()
-    ds = load_prepared(in_path)
-    report = evaluation.ablation_suite(
-        ds, seed=seed, k=folds,
-        glm_config=glm.FitConfig(l2_strength=l2))
-    os.makedirs(out_dir, exist_ok=True)
-    report.write_csv(os.path.join(out_dir, "ablation_folds.csv"))
-    atomic_write_text(os.path.join(out_dir, "ablation_deltas.json"),
-                      json.dumps(report.deltas(), indent=2))
-    write_manifest(out_dir, seed=seed, started=started)
-    click.echo(json.dumps(report.deltas(), indent=2))
-
-
 @main.group()
 def analyze():
     """Post-fit model interpretation."""
@@ -254,21 +231,23 @@ def analyze():
 def slopes(model_dir, pairs, out_path):
     """Forgetting-curve slopes from per-fold dim=0 das3h models."""
     started = time.time()
-    models, layouts = [], []
+    models, layouts, read = [], [], []
     for name in sorted(os.listdir(model_dir)):
         if not name.endswith(".json") or name == "manifest.json":
             continue
-        mf = load_model(os.path.join(model_dir, name))
+        path = os.path.join(model_dir, name)
+        mf = load_model(path)
         if mf.kind == "linear" and mf.spec.family == "das3h":
             models.append(mf.params)
             layouts.append(mf.layout)
+            read.append(path)
     if not models:
         raise click.UsageError("no linear das3h models found in --model-dir")
     report = analysis_mod.slope_report(models, layouts, pair_mode=pairs)
     out_dir = _out_dir_of(out_path)
     report.write_csv(out_path)
     atomic_write_text(out_path + ".json", report.to_json())
-    write_manifest(out_dir, seed=None, started=started)
+    write_manifest(out_dir, seed=None, started=started, read=read)
     click.echo(f"slopes for {len(report.entries)} skills -> {out_path}")
 
 

@@ -4,11 +4,14 @@ Cross-validation splits at the student level: all rows of a student land in
 one fold, so test students are never seen at training time. History counters
 are per-student, so encoding the full dataset once yields exactly the rows
 each fold needs.
+
+The ablation study is data: `ABLATION_PAIRS` names pairs of families that
+differ in one feature block, and `MetricsTable.paired_deltas` compares the
+per-fold AUCs of each pair that ran at the same dim on the same folds.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -19,10 +22,17 @@ from scipy.stats import rankdata
 from . import fm as fm_mod
 from . import glm
 from .corpus import student_kfold
-from .encoder import ModelSpec, encode_dataset
+from .encoder import encode_dataset
 from .errors import MetricError
 
 EPS = 1e-12
+
+# name -> (a, b): a's per-fold AUC minus b's isolates one feature block
+ABLATION_PAIRS = {
+    "windowed_vs_plain": ("das3h", "das3h_plaincounts"),
+    "per_skill_vs_shared": ("das3h", "das3h_1p"),
+    "items_vs_kc": ("dash_items", "dash_kc"),
+}
 
 
 def auc(scores, labels):
@@ -90,12 +100,35 @@ class MetricsTable:
             }
         return out
 
+    def paired_deltas(self):
+        """Per-fold AUC deltas, a minus b, of every `ABLATION_PAIRS` pair
+        whose two families ran at the same dim, keyed `name(d=dim)`; folds
+        where either AUC is undefined are skipped."""
+        out = {}
+        for name, (a, b) in ABLATION_PAIRS.items():
+            for label, results_a in self.results.items():
+                family, _, dim = label.partition("(")
+                results_b = self.results.get(f"{b}({dim}")
+                if family != a or results_b is None:
+                    continue
+                folds_a = {f.fold: f.auc for f in results_a}
+                folds_b = {f.fold: f.auc for f in results_b}
+                ds = [folds_a[i] - folds_b[i] for i in sorted(folds_a)
+                      if folds_a[i] is not None and folds_b.get(i) is not None]
+                out[f"{name}({dim}"] = {
+                    "per_fold": ds,
+                    "mean": float(np.mean(ds)) if ds else None,
+                    "std": float(np.std(ds)) if ds else None,
+                }
+        return out
+
     def to_json(self):
         return json.dumps({
             "k": self.k, "seed": self.seed,
             "aggregate": self.aggregate(),
             "folds": {label: [f.__dict__ for f in folds]
                       for label, folds in self.results.items()},
+            "paired_deltas": self.paired_deltas(),
         }, indent=2)
 
     def format_table(self):
@@ -166,55 +199,3 @@ def cross_validate(dataset, specs, k=5, seed=0, glm_config=None,
             if model_sink is not None:
                 model_sink(spec.label, fold, fitted, dm)
     return table
-
-
-@dataclass
-class AblationReport:
-    """Three paired comparisons with per-fold AUC deltas."""
-
-    pairs: list  # (name, label_a, label_b)
-    table: MetricsTable
-
-    def deltas(self):
-        out = {}
-        for name, a, b in self.pairs:
-            folds_a = {f.fold: f.auc for f in self.table.results[a]}
-            folds_b = {f.fold: f.auc for f in self.table.results[b]}
-            ds = [folds_a[i] - folds_b[i] for i in sorted(folds_a)
-                  if folds_a[i] is not None and folds_b.get(i) is not None]
-            out[name] = {
-                "per_fold": ds,
-                "mean": float(np.mean(ds)) if ds else None,
-                "std": float(np.std(ds)) if ds else None,
-            }
-        return out
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["model", "fold", "auc"])
-            for label, folds in self.table.results.items():
-                for f in folds:
-                    w.writerow([label, f.fold, "" if f.auc is None else f.auc])
-
-
-def ablation_suite(dataset, seed=0, k=5, dim=0, glm_config=None,
-                   gibbs_config=None):
-    """The three paired comparisons: windowed-vs-plain counts, per-skill vs
-    shared window weights, item-keyed vs skill-keyed history."""
-    specs = [
-        ModelSpec("das3h", dim),
-        ModelSpec("das3h_plaincounts", dim),
-        ModelSpec("das3h_1p", dim),
-        ModelSpec("dash_items", dim),
-        ModelSpec("dash_kc", dim),
-    ]
-    table = cross_validate(dataset, specs, k=k, seed=seed,
-                           glm_config=glm_config, gibbs_config=gibbs_config)
-    d = f"(d={dim})"
-    pairs = [
-        ("windowed_vs_plain", f"das3h{d}", f"das3h_plaincounts{d}"),
-        ("per_skill_vs_shared", f"das3h{d}", f"das3h_1p{d}"),
-        ("items_vs_kc", f"dash_items{d}", f"dash_kc{d}"),
-    ]
-    return AblationReport(pairs=pairs, table=table)

@@ -4,8 +4,9 @@ Bayesian FM with a probit link: binary labels are handled through truncated
 normal latent responses (unit noise variance), and every weight and embedding
 component carries a normal prior N(mu_g, 1/lambda_g) whose (mu_g, lambda_g)
 are sampled per feature group under hyperpriors mu ~ N(0,1), lambda ~ Gamma(1,1).
-Predictions average per-sample probit probabilities over the post-burn-in
-chain; a point-estimate mode applies probit to the posterior-mean score.
+Held-out rows passed to the fit get per-sample probit probabilities
+averaged over the post-burn-in chain; a saved model keeps the posterior mean,
+and one row is scored at that mean by `fm_score`.
 
 Each sweep draws the latents, the global bias, the group hyperparameters,
 then the linear weights and each embedding factor in column order, as a
@@ -67,15 +68,11 @@ class FMFit:
 
 
 def fm_score(params, row):
-    """mu + sum w_i x_i + pairwise interactions, via the O(Nd) identity."""
-    from .encoder import SparseVector
-
-    if isinstance(row, SparseVector):
-        idx, val = row.indices, row.values
-    else:
-        idx, val = row
-        idx = np.asarray(idx, dtype=np.int64)
-        val = np.asarray(val, dtype=float)
+    """mu + sum w_i x_i + pairwise interactions, via the O(Nd) identity, of
+    one row given as an `(indices, values)` pair."""
+    idx, val = row
+    idx = np.asarray(idx, dtype=np.int64)
+    val = np.asarray(val, dtype=float)
     N = len(params.linear_weights)
     if len(idx) and (idx.max() >= N or idx.min() < 0):
         raise FitError(f"feature index out of range [0, {N})")
@@ -305,18 +302,3 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
         final_sample=final_sample,
         eval_probs=None if eval_X is None else eval_prob_sum / n_kept,
     )
-
-
-def fm_predict(model, row):
-    """Predicted probability for one row.
-
-    `model` may be an FMParams (point estimate: probit of its score), a list
-    of FMParams (chain average of per-sample probabilities), or an FMFit
-    (its posterior mean).
-    """
-    if isinstance(model, FMFit):
-        model = model.posterior_mean
-    if isinstance(model, FMParams):
-        return float(probit(fm_score(model, row)))
-    probs = [probit(fm_score(p, row)) for p in model]
-    return float(np.mean(probs))

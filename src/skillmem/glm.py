@@ -110,16 +110,6 @@ def fit_logistic(X, y, config=None):
     )
 
 
-def predict_proba(params, rows):
-    """Score a SparseVector, a CSR matrix, or a dense array of rows."""
-    from .encoder import SparseVector
-
-    if isinstance(rows, SparseVector):
-        if len(rows.indices) and rows.indices.max() >= params.n_features:
-            raise FitError(
-                f"feature index {int(rows.indices.max())} out of range "
-                f"{params.n_features}")
-        z = float(params.weights[rows.indices] @ rows.values) + params.intercept
-        return float(sigmoid(z))
-    z = rows @ params.weights + params.intercept
-    return sigmoid(z)
+def predict_proba(params, X):
+    """Probabilities of the rows of a CSR matrix or a dense array."""
+    return sigmoid(X @ params.weights + params.intercept)

@@ -243,18 +243,26 @@ def test_console_script_reports_typed_errors(tmp_path):
 
 
 def test_train_records_seed_only_for_gibbs(tmp_path):
-    encoded = str(tmp_path / "design.npz")
-    assert run(["encode", "--in", FIXTURE_PATH, "--out", encoded]) == 0
     for dim, recorded in (("0", None), ("1", 7)):
         os.makedirs(tmp_path / f"dim{dim}")
+        encoded = str(tmp_path / f"dim{dim}" / "design.npz")
+        assert run(["encode", "--in", FIXTURE_PATH, "--dim", dim,
+                    "--out", encoded]) == 0
         model = str(tmp_path / f"dim{dim}" / "model.json")
-        assert run(["train", "--encoded", encoded, "--dim", dim, "--iters",
+        assert run(["train", "--encoded", encoded, "--iters",
                     "4", "--seed", "7", "--out", model]) == 0
         config = json.load(open(model))["training_config"]
         manifest = json.load(open(os.path.join(os.path.dirname(model),
                                                "manifest.json")))
         assert config.get("seed") == recorded
         assert manifest["seed"] == recorded
+
+
+def test_train_has_no_dim_override(tmp_path, fitted_inputs):
+    # the dim is the design's: `encode --dim` sets it
+    assert run(["train", "--encoded", fitted_inputs[0], "--dim", "2",
+                "--out", str(tmp_path / "model.json")]) == 2
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_train_on_a_non_design_fails_typed(tmp_path, capsys):
@@ -342,3 +350,27 @@ def test_manifests_record_every_option_and_input(tmp_path, fitted_inputs):
     assert manifest["flags"]["model"] == model
     assert "seed" not in manifest["flags"] and manifest["seed"] == 3
     assert list(manifest["input_hashes"]) == [model]
+
+
+def test_slopes_manifest_hashes_the_fold_models(tmp_path, fitted_inputs):
+    models = fitted_inputs[1]
+    slopes = str(tmp_path / "slopes.csv")
+    assert run(["analyze", "slopes", "--model-dir", models,
+                "--out", slopes]) == 0
+    manifest = json.load(open(tmp_path / "manifest.json"))
+    folds = [os.path.join(models, f"das3h_d0_fold{f}.json") for f in (0, 1)]
+    assert sorted(manifest["input_hashes"]) == folds
+    assert manifest["flags"]["model_dir"] == models
+
+
+def test_cv_writes_paired_deltas(tmp_path):
+    out_dir = tmp_path / "cv"
+    assert run(["cv", "--in", FIXTURE_PATH, "--models", "das3h,das3h_1p,irt",
+                "--folds", "2", "--l2", "0.01", "--out", str(out_dir)]) == 0
+    metrics = json.load(open(out_dir / "metrics.json"))
+    deltas = metrics["paired_deltas"]
+    assert list(deltas) == ["per_skill_vs_shared(d=0)"]
+    aucs = {label: [f["auc"] for f in folds]
+            for label, folds in metrics["folds"].items()}
+    assert deltas["per_skill_vs_shared(d=0)"]["per_fold"] == [
+        a - b for a, b in zip(aucs["das3h(d=0)"], aucs["das3h_1p(d=0)"])]

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from skillmem.encoder import ModelSpec
 from skillmem.errors import MetricError
-from skillmem.evaluation import (MetricsTable, FoldResult, ablation_suite,
+from skillmem.evaluation import (ABLATION_PAIRS, MetricsTable, FoldResult,
                                  accuracy, auc, cross_validate, nll)
+from skillmem.fm import GibbsConfig
 from skillmem.glm import FitConfig
 
 
@@ -155,16 +156,40 @@ class TestCrossValidate:
 
 
 class TestAblation:
-    def test_suite_structure(self, fixture_dataset, tmp_path):
-        report = ablation_suite(fixture_dataset, seed=0, k=3,
-                                glm_config=FitConfig(l2_strength=0.01))
-        deltas = report.deltas()
-        assert set(deltas) == {"windowed_vs_plain", "per_skill_vs_shared",
-                               "items_vs_kc"}
-        for d in deltas.values():
-            assert len(d["per_fold"]) == 3
-        csv_path = tmp_path / "folds.csv"
-        report.write_csv(str(csv_path))
-        text = csv_path.read_text()
-        assert text.startswith("model,fold,auc")
-        assert "das3h_1p(d=0)" in text
+    def test_suite_structure(self, fixture_dataset):
+        families = ["das3h", "das3h_plaincounts", "das3h_1p", "dash_items",
+                    "dash_kc"]
+        table = cross_validate(fixture_dataset,
+                               [ModelSpec(f, 0) for f in families], k=3,
+                               seed=0, glm_config=FitConfig(l2_strength=0.01))
+        deltas = table.paired_deltas()
+        assert list(deltas) == [f"{name}(d=0)" for name in ABLATION_PAIRS]
+        for name, (a, b) in ABLATION_PAIRS.items():
+            d = deltas[f"{name}(d=0)"]
+            folds_a = table.results[f"{a}(d=0)"]
+            folds_b = table.results[f"{b}(d=0)"]
+            assert d["per_fold"] == [fa.auc - fb.auc
+                                     for fa, fb in zip(folds_a, folds_b)]
+            assert d["mean"] == pytest.approx(np.mean(d["per_fold"]))
+        assert json.loads(table.to_json())["paired_deltas"] == deltas
+
+    def test_a_pair_per_shared_dim(self, fixture_dataset):
+        specs = [ModelSpec(f, d) for f in ("das3h", "das3h_1p")
+                 for d in (0, 2)]
+        table = cross_validate(fixture_dataset, specs, k=2, seed=0,
+                               glm_config=FitConfig(l2_strength=0.01),
+                               gibbs_config=GibbsConfig(iterations=4, seed=0))
+        deltas = table.paired_deltas()
+        assert sorted(deltas) == ["per_skill_vs_shared(d=0)",
+                                  "per_skill_vs_shared(d=2)"]
+        assert all(len(d["per_fold"]) == 2 for d in deltas.values())
+
+    def test_undefined_folds_skipped(self):
+        table = MetricsTable(k=3)
+        for fold, (a, b) in enumerate([(0.7, 0.6), (None, 0.5), (0.9, None)]):
+            table.add("dash_items(d=0)", FoldResult(fold, a, 0.5, 0.5, 10))
+            table.add("dash_kc(d=0)", FoldResult(fold, b, 0.5, 0.5, 10))
+        table.add("das3h(d=0)", FoldResult(0, 0.8, 0.5, 0.5, 10))
+        deltas = table.paired_deltas()
+        assert list(deltas) == ["items_vs_kc(d=0)"]
+        assert deltas["items_vs_kc(d=0)"]["per_fold"] == [0.7 - 0.6]

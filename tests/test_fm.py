@@ -4,12 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from skillmem.encoder import SparseVector
 from skillmem.errors import FitError
 from skillmem.evaluation import auc
 from skillmem.fm import (FMFit, FMParams, GibbsConfig, _column_runs,
                          _draw_truncnorm, _scores_matrix, fit_fm_gibbs,
-                         fm_predict, fm_score, probit)
+                         fm_score, probit)
 
 
 def brute_force_score(params, idx, val):
@@ -355,29 +354,7 @@ class TestGibbs:
         assert np.all(fit.eval_probs < 1.0)
 
 
-class TestFmPredict:
-    def test_score_zero_gives_half(self):
-        p = FMParams(0.0, np.zeros(3), np.zeros((3, 1)))
-        row = SparseVector(np.array([0]), np.array([1.0]))
-        assert fm_predict(p, row) == pytest.approx(0.5)
-
-    def test_identical_samples_equal_single(self):
-        rng = np.random.default_rng(8)
-        p = random_params(rng)
-        row = SparseVector(np.array([1, 2]), np.array([1.0, 1.0]))
-        chain = [p, p, p]
-        assert fm_predict(chain, row) == pytest.approx(fm_predict(p, row))
-
-    def test_chain_vs_point_estimate_differ_on_skewed_chain(self):
-        # two-mode chain: averaging probabilities != probit of mean score
-        w_hi = FMParams(4.0, np.zeros(2), np.zeros((2, 1)))
-        w_lo = FMParams(-1.0, np.zeros(2), np.zeros((2, 1)))
-        mean = FMParams(1.5, np.zeros(2), np.zeros((2, 1)))
-        row = SparseVector(np.array([], dtype=int), np.array([]))
-        chain_avg = fm_predict([w_hi, w_lo], row)
-        point = fm_predict(mean, row)
-        assert abs(chain_avg - point) > 0.05
-
+class TestProbit:
     def test_probit_symmetry(self):
         assert probit(0.0) == pytest.approx(0.5)
         assert probit(1.3) + probit(-1.3) == pytest.approx(1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from skillmem.encoder import ModelSpec, SparseVector, encode_dataset
+from skillmem.encoder import ModelSpec, encode_dataset
 from skillmem.errors import FitError
 from skillmem.glm import (FitConfig, LinearParams, fit_logistic,
                           loss_and_gradient, predict_proba, sigmoid)
@@ -181,11 +181,5 @@ class TestFitLogistic:
 class TestPredictProba:
     def test_all_zero_row(self):
         params = LinearParams(np.zeros(3), 0.7, 0.0)
-        row = SparseVector(np.array([], dtype=int), np.array([]))
-        assert predict_proba(params, row) == pytest.approx(float(sigmoid(0.7)))
-
-    def test_index_out_of_range(self):
-        params = LinearParams(np.zeros(3), 0.0, 0.0)
-        row = SparseVector(np.array([5]), np.array([1.0]))
-        with pytest.raises(FitError):
-            predict_proba(params, row)
+        row = sparse.csr_matrix((1, 3))
+        assert predict_proba(params, row) == pytest.approx([sigmoid(0.7)])
