@@ -157,7 +157,8 @@ def recall_probability(model, counters, skills, query_time, item=None,
     table entry as batch encoding does. A `student` outside the layout (or
     None) has no user bias. When `item` is None, the item bias is proxied
     by the mean fitted bias over the items tagged with the queried skills
-    (all items if no q-matrix is supplied). An FM model answers with the
+    (all items if no q-matrix is supplied), pooled once per model and
+    q-matrix in `model.item_proxies`. An FM model answers with the
     probit of its posterior-mean score, whereas cross-validation scores
     held-out rows by the probit probabilities averaged over the kept chain;
     the two differ when the posterior is spread out.
@@ -170,11 +171,11 @@ def recall_probability(model, counters, skills, query_time, item=None,
     if unknown:
         raise ConfigError(f"skills not in model: {unknown}")
 
+    pooled = tuple(skills), qmatrix
     if item is not None:
         if item not in layout.items:
             raise ConfigError(f"item {item!r} not in model")
-        proxy = 0.0
-    else:
+    elif pooled not in model.item_proxies:
         off, size = layout.blocks["items"]
         if qmatrix is not None:
             tagged = set().union(*map(qmatrix.items_of, skills))
@@ -183,7 +184,9 @@ def recall_probability(model, counters, skills, query_time, item=None,
             pool = list(range(size))
         weights = (params.weights if model.kind == "linear"
                    else params.posterior_mean.linear_weights)
-        proxy = float(np.mean(weights[off + np.asarray(pool)])) if pool else 0.0
+        model.item_proxies[pooled] = (
+            float(np.mean(weights[off + np.asarray(pool)])) if pool else 0.0)
+    proxy = 0.0 if item is not None else model.item_proxies[pooled]
 
     z = model.score(counters, query_time, student, item, skills) + proxy
     return float(sigmoid(z) if model.kind == "linear" else probit(z))

@@ -58,7 +58,8 @@ def write_manifest(out_dir, seed, started, read=()):
     its long name (`-` as `_`, None dropped; `--seed` is the manifest's own
     `seed`, None where unused), and the hash of every existing input file
     (an option typed `click.Path(exists=True)`) and of each file in `read`,
-    the files the command read besides its path options."""
+    the files the command read besides its path options. Replacing the
+    manifest of another command warns on stderr, naming that command."""
     ctx = click.get_current_context()
     flags, inputs = {}, list(read)
     for opt in ctx.command.params:
@@ -71,16 +72,25 @@ def write_manifest(out_dir, seed, started, read=()):
         if (isinstance(opt.type, click.Path) and opt.type.exists
                 and os.path.isfile(value)):
             inputs.append(value)
+    command = ctx.command_path[len(ctx.find_root().command_path) + 1:]
+    path = os.path.join(out_dir, "manifest.json")
+    try:
+        with open(path) as fh:
+            prior = json.load(fh).get("command")
+    except (OSError, ValueError, AttributeError):
+        prior = None
+    if prior is not None and prior != command:
+        click.echo(f"warning: replacing the manifest of `{prior}` in "
+                   f"{out_dir} with that of `{command}`", err=True)
     manifest = {
-        "command": ctx.command_path[len(ctx.find_root().command_path) + 1:],
+        "command": command,
         "flags": flags,
         "input_hashes": {p: _sha256(p) for p in inputs},
         "seed": seed,
         "version": __version__,
         "wall_time_s": round(time.time() - started, 3),
     }
-    atomic_write_text(os.path.join(out_dir, "manifest.json"),
-                      json.dumps(manifest, indent=2))
+    atomic_write_text(path, json.dumps(manifest, indent=2))
 
 
 def _out_dir_of(path):

@@ -6,9 +6,9 @@ of each one: its one-hot indicator blocks (users, items, skills), what its
 history counters are keyed by (the row's skills or its item), the statistic
 (log(1+count) per nested time window, or raw all-time totals), whether
 history weights are per key or shared across keys, and its history blocks
-in order. The layout sizes, the family names and the one row builder
-(`row_builder`) all come from that table; the batch encoder and a fitted
-model's row score (`modelio.ModelFile.score`) both build rows through it.
+in order. Layout sizes, family names, the vectorized batch `encode_dataset`
+and the streaming `row_builder` of online scoring (`ModelFile.score`) all
+come from that table; an oracle test holds the two encoders to one CSR.
 Counters always reflect strictly prior interactions of the same student: a
 row is emitted before the counters are updated with its outcome.
 """
@@ -63,6 +63,11 @@ class Family:
         width = per * (n_windows if self.windowed else 1)
         return ([(name, sizes[name]) for name in self.indicators]
                 + [(name, width) for name in self.history])
+
+    def counting(self, windows):
+        """(widths, value of a count); totals count in one infinite window."""
+        return (windows.widths, math.log1p) if self.windowed else (
+            (math.inf,), float)
 
     def history_keys(self, item, skills):
         """Counter keys a row of `item` over `skills` reads and updates."""
@@ -205,13 +210,10 @@ def window_counts(history, query_time, windows):
     query time (equal times are earlier in input order, hence prior). An
     attempt at t' falls in window w iff query_time - t' < w (strict).
     """
-    times = [t for t, _ in history]
-    wins_prefix = [0]
-    for _, c in history:
-        wins_prefix.append(wins_prefix[-1] + int(c))
-    attempts, wins = _counts_from(times, wins_prefix, query_time,
-                                  windows.widths)
-    return tuple(attempts), tuple(wins)
+    counter = _Counter()
+    for t, c in history:
+        counter.push(t, c)
+    return tuple(map(tuple, counter.counts(query_time, windows.widths)))
 
 
 def _counts_from(times, wins_prefix, query_time, widths):
@@ -287,9 +289,7 @@ def row_builder(spec, layout):
     indicator. Zero values are dropped.
     """
     family = FAMILY_TABLE[spec.family]
-    # all-time totals are the counts of one infinite window
-    widths = spec.windows.widths if family.windowed else (math.inf,)
-    transform = math.log1p if family.windowed else float
+    widths, transform = family.counting(spec.windows)
     empty = _Counter()
     n_windows = len(widths)
     windows = range(n_windows)
@@ -338,41 +338,107 @@ def row_builder(spec, layout):
 def encode_dataset(dataset, spec):
     """Encode every interaction into a DesignMatrix, per-student chronological.
 
-    Counters are keyed as the family's table entry says and are updated
-    only after a row is emitted, so each row sees strictly prior history.
+    One numpy pass builds, bit for bit, the rows `row_builder` builds over
+    `_Counter`s pushed after each row. Raises EncodingError for an item
+    outside the q-matrix or a student whose rows are out of time order.
     """
     layout = build_layout(spec, dataset)
     family = FAMILY_TABLE[spec.family]
-    build = row_builder(spec, layout)
-    qm = dataset.qmatrix
+    students, qm = layout.students, dataset.qmatrix
+    item_pos = {j: p for p, j in enumerate(layout.items)}
+    skill_pos = {k: p for p, k in enumerate(layout.skills)}
+    rows = [r for s in students for r in dataset.interactions[s]]
+    n = len(rows)
+    user = np.repeat(np.arange(len(students)),
+                     [len(dataset.interactions[s]) for s in students])
+    item = np.array([item_pos.get(r.item, -1) for r in rows], dtype=np.int64)
+    t = np.array([r.timestamp for r in rows], dtype=np.float64)
+    y = np.array([r.correct for r in rows], dtype=np.int8)
+    if (item < 0).any():
+        bad = rows[np.argmax(item < 0)].item
+        raise EncodingError(f"item {bad!r} missing from q-matrix")
+    back = ~(np.diff(t) >= 0) & (user[1:] == user[:-1])
+    if back.any():
+        bad = students[user[np.argmax(back)]]
+        raise EncodingError(f"rows of student {bad!r} are not in time order")
 
-    data, indices, indptr = [], [], [0]
-    labels, row_students = [], []
-    for student in dataset.students:
-        counters: dict[str, _Counter] = {}
-        for r in dataset.interactions[student]:
-            if r.item not in qm or not qm.skills_of(r.item):
-                raise EncodingError(f"item {r.item!r} missing from q-matrix")
-            skills = sorted(qm.skills_of(r.item))
-            idx, val = build(counters, r.timestamp, student, r.item, skills)
-            indices.extend(idx)
-            data.extend(val)
-            indptr.append(len(indices))
-            labels.append(r.correct)
-            row_students.append(student)
-            # update counters after emitting the row
-            for key in family.history_keys(r.item, skills):
-                counters.setdefault(key, _Counter()).push(r.timestamp, r.correct)
+    # (row, skill) pairs, row-major, each row's skills in sorted order
+    n_tags = np.array([len(qm.skills_of(j)) for j in layout.items])
+    tag_skill = np.array([skill_pos[k] for j in layout.items
+                          for k in sorted(qm.skills_of(j))], dtype=np.int64)
+    pair_row = np.repeat(np.arange(n), n_tags[item])
+    rank = np.arange(len(pair_row)) - np.searchsorted(pair_row, pair_row)
+    pair_skill = tag_skill[(np.cumsum(n_tags) - n_tags)[item][pair_row] + rank]
+    blocks = {"users": (np.arange(n), user), "items": (np.arange(n), item),
+              "skills": (pair_row, pair_skill)}
+    segments = [(at, layout.offset(name) + pos, np.broadcast_to(1.0, pos.shape))
+                for name in family.indicators for at, pos in [blocks[name]]]
+    if family.history:
+        segments += _history_segments(family, spec, layout, user, t, y,
+                                      *blocks[family.key])
+    # segments are sorted by row, then column, and come in column-block
+    # order: each fills its rows' next free slots and is dropped once placed
+    indptr = np.concatenate(([0], np.cumsum(sum(
+        np.bincount(at, minlength=n) for at, _, _ in segments))))
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int64)
+    fill = indptr[:-1].copy()
+    while segments:
+        at, cols, vals = segments.pop(0)
+        counts = np.bincount(at, minlength=n)
+        pos = (fill - np.cumsum(counts) + counts)[at] + np.arange(len(at))
+        data[pos], indices[pos] = vals, cols
+        fill += counts
+    X = sparse.csr_matrix((data, indices, indptr),
+                          shape=(n, layout.n_features))
+    return DesignMatrix(X=X, y=y, layout=layout, spec=spec, students=[
+        s for s in students for _ in dataset.interactions[s]])
 
-    X = sparse.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(len(labels), layout.n_features),
-    )
-    return DesignMatrix(
-        X=X, y=np.asarray(labels, dtype=np.int8), students=row_students,
-        layout=layout, spec=spec,
-    )
+
+def _history_segments(family, spec, layout, user, t, y, key_row, key):
+    """The history blocks of `family` as (rows, columns, values) segments,
+    from (row, key) pairs in row-major order with each row's keys sorted."""
+    widths, transform = family.counting(spec.windows)
+    W = len(widths)
+    group = user[key_row] * (int(key.max(initial=0)) + 1) + key
+    counts = _prior_counts(widths, group, t[key_row], y[key_row])
+    table = np.array([transform(c) for c in range(counts.max(initial=0) + 1)])
+    segments = []
+    for name in family.history:
+        vals = table[np.asarray(_STATISTICS[name](*counts)).T]  # pair x window
+        at, base = key_row, layout.offset(name) + key * W
+        if not family.per_key:  # add each row's keys rank by rank from 0.0
+            rank = np.arange(len(key)) - np.searchsorted(key_row, key_row)
+            total = np.zeros((len(y), W))
+            for r in range(rank.max(initial=-1) + 1):
+                total[key_row[rank == r]] += vals[rank == r]
+            vals, at = total, np.arange(len(y))
+            base = np.full(len(y), layout.offset(name))
+        i, w = np.nonzero(vals)  # a zero count has value 0.0, and only it
+        segments.append((at[i], base[i] + w, vals[i, w]))
+        del vals, i, w
+    return segments
+
+
+def _prior_counts(widths, group, t, y):
+    """Attempts and wins, shape (2, windows, pairs), among the pairs before
+    each pair in its `group` (a group's pairs come in time order), counted
+    per window as `_counts_from` counts them."""
+    order = np.argsort(group, kind="stable")
+    group, times = group[order], t[order]
+    wins = np.concatenate(([0], np.cumsum(y[order], dtype=np.int64)))
+    here = np.arange(len(group))
+    start = np.searchsorted(group, group)
+    counts = np.empty((2, len(widths), len(group)), dtype=np.int32)
+    for w, width in enumerate(widths):
+        # bisect_right over [start, here) probing `_counts_from`'s predicate
+        lo, hi = start.copy(), here.copy()
+        while not math.isinf(width) and (lo < hi).any():
+            mid = (lo + hi) // 2
+            inside = times[mid] - times > -width
+            lo, hi = (np.where((lo < hi) & ~inside, mid + 1, lo),
+                      np.where((lo < hi) & inside, mid, hi))
+        counts[:, w, order] = here - lo, wins[here] - wins[lo]
+    return counts
 
 
 def spec_to_dict(spec):

@@ -50,6 +50,11 @@ class ModelFile:
 
         return score
 
+    @cached_property
+    def item_proxies(self):
+        """Memo of recall queries' item-bias proxy, by (skills, q-matrix)."""
+        return {}
+
 
 def atomic_write_text(path, text):
     """Write via a temp file in the same directory, then rename."""

@@ -130,6 +130,23 @@ class TestRecallProbability:
             expected = sigmoid(sum(truth.skill_w[k] for k in skills) + proxy)
             assert p == pytest.approx(float(expected))
 
+    def test_item_proxy_is_pooled_once_per_skill_set(self, truth_model,
+                                                     monkeypatch):
+        ds, truth, _ = truth_model
+        mf = truth.to_model_file(ds)
+        qm, scanned = truth.qmatrix, []
+        items_of = qm.items_of
+        monkeypatch.setattr(qm, "items_of",
+                            lambda k: scanned.append(k) or items_of(k))
+        skills = mf.layout.skills[:2]
+        p = [recall_probability(mf, {}, skills, t, qmatrix=qm)
+             for t in (0.0, 5.0, 9.0)]
+        assert scanned == skills and p[0] == p[1] == p[2]
+        # another q-matrix object is pooled on its own, to the same value
+        assert recall_probability(mf, {}, skills, 0.0,
+                                  qmatrix=QMatrix(qm.entries())) == p[0]
+        assert scanned == skills
+
     def test_future_events_ignored(self, truth_model):
         ds, truth, mf = truth_model
         student = ds.students[0]

@@ -374,3 +374,20 @@ def test_cv_writes_paired_deltas(tmp_path):
             for label, folds in metrics["folds"].items()}
     assert deltas["per_skill_vs_shared(d=0)"]["per_fold"] == [
         a - b for a, b in zip(aucs["das3h(d=0)"], aucs["das3h_1p(d=0)"])]
+
+
+def test_overwritten_manifest_warns_naming_the_replaced_command(tmp_path,
+                                                                 capsys):
+    out = tmp_path / "d"
+    assert run(["prepare", "--in", FIXTURE_PATH, "--min-interactions", "5",
+                "--out", str(out / "prepared.csv")]) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert run(["schedule-sim", "--horizon", "30", "--sessions", "3",
+                "--seeds", "1", "--out", str(out / "sim.csv")]) == 0
+    err = capsys.readouterr().err
+    assert "warning:" in err and "`prepare`" in err and "`schedule-sim`" in err
+    assert json.load(open(out / "manifest.json"))["command"] == "schedule-sim"
+    # the same command again replaces its own record without a warning
+    assert run(["schedule-sim", "--horizon", "30", "--sessions", "3",
+                "--seeds", "1", "--out", str(out / "sim.csv")]) == 0
+    assert "warning" not in capsys.readouterr().err

@@ -216,6 +216,96 @@ def recompute_row_from_scratch(dataset, spec, student, row_pos):
     return np.asarray(idx, dtype=np.int64), np.asarray(val)
 
 
+def streaming_encode(dataset, spec):
+    """Streaming reference of `encode_dataset`: one `row_builder` row per
+    interaction over per-student `_Counter`s, pushed after the row is
+    emitted. Returns the CSR, the labels and each row's student."""
+    from scipy import sparse
+
+    from skillmem.encoder import (FAMILY_TABLE, _Counter, build_layout,
+                                  row_builder)
+
+    layout = build_layout(spec, dataset)
+    family = FAMILY_TABLE[spec.family]
+    build = row_builder(spec, layout)
+    qm = dataset.qmatrix
+    data, indices, indptr, labels, row_students = [], [], [0], [], []
+    for student in dataset.students:
+        counters = {}
+        for r in dataset.interactions[student]:
+            skills = sorted(qm.skills_of(r.item))
+            idx, val = build(counters, r.timestamp, student, r.item, skills)
+            indices.extend(idx)
+            data.extend(val)
+            indptr.append(len(indices))
+            labels.append(r.correct)
+            row_students.append(student)
+            for key in family.history_keys(r.item, skills):
+                counters.setdefault(key, _Counter()).push(r.timestamp,
+                                                          r.correct)
+    X = sparse.csr_matrix(
+        (np.asarray(data), np.asarray(indices, dtype=np.int64),
+         np.asarray(indptr, dtype=np.int64)),
+        shape=(len(labels), layout.n_features))
+    return X, np.asarray(labels, dtype=np.int8), row_students
+
+
+# day offsets that sit on, just inside and just past window boundaries
+_BOUNDARY_DAYS = (0.0, 1 / 24, 0.04, 0.5, 1.0, 1 + 1 / 24, 2.0, 7.0, 7.5,
+                  30.0, 31.0, 0.1 + 0.2, 0.3)
+
+
+@st.composite
+def histories(draw):
+    """A multi-student, multi-skill Dataset with equal timestamps, gaps past
+    every finite window and students without rows."""
+    n_skills = draw(st.integers(1, 4))
+    skills = [f"k{k}" for k in range(n_skills)]
+    tags = draw(st.lists(st.sets(st.sampled_from(skills), min_size=1),
+                         min_size=1, max_size=5))
+    items = [f"i{j}" for j in range(len(tags))]
+    qm = QMatrix([(j, k) for j, ks in zip(items, tags) for k in ks])
+    step = st.one_of(st.sampled_from(_BOUNDARY_DAYS), st.floats(0, 40))
+    per_student = {}
+    for s in range(draw(st.integers(1, 4))):
+        gaps = draw(st.lists(step, max_size=12))
+        t, rows = draw(st.floats(0, 5)), []
+        for gap in gaps:
+            t += gap
+            rows.append(Interaction(f"u{s}", draw(st.sampled_from(items)), t,
+                                    draw(st.integers(0, 1))))
+        per_student[f"u{s}"] = rows
+    return Dataset(per_student, qm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(histories(), st.sampled_from([DEFAULT, WindowSet((0.1, 2.0, math.inf)),
+                                     WindowSet((math.inf,))]))
+def test_batch_encoder_matches_streaming_reference(dataset, windows):
+    """The vectorized batch path and the streaming `row_builder` path are two
+    readings of `FAMILY_TABLE`; they must agree byte for byte."""
+    for family in FAMILIES:
+        spec = ModelSpec(family, 1 if family == "mirtb" else 0, windows)
+        dm = encode_dataset(dataset, spec)
+        X, y, students = streaming_encode(dataset, spec)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(dm.X, name), getattr(X, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert dm.X.shape == X.shape
+        assert dm.y.dtype == y.dtype and np.array_equal(dm.y, y)
+        assert dm.students == students
+
+
+def test_rows_out_of_time_order_fail_naming_the_student():
+    qm = QMatrix([("i1", "k1")])
+    ds = Dataset({"u1": [Interaction("u1", "i1", 0.0, 1),
+                         Interaction("u1", "i1", 1.0, 1)],
+                  "u2": [Interaction("u2", "i1", 2.0, 1),
+                         Interaction("u2", "i1", 1.0, 0)]}, qm)
+    with pytest.raises(EncodingError, match="u2"):
+        encode_dataset(ds, ModelSpec("irt", 0))
+
+
 @pytest.mark.parametrize("family", ["das3h", "das3h_1p", "dash_kc",
                                     "dash_items", "pfa", "afm"])
 def test_no_leakage(fixture_dataset, family):
