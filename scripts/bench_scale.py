@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Scale ladder of the encode layer: corpus load and batch encoding.
 
-For each row count the script writes one synthetic prepared corpus (420 rows
-a student, 60 items, 10 skills), then times it in fresh child processes:
+For each row count the script writes one synthetic prepared corpus (seed 0,
+420 rows a student, 60 items, 10 skills) into a temporary directory, then
+times it in fresh child processes:
 `load_prepared` alone, and `load_prepared` followed by `encode_dataset` for
 each ablation family. A record holds wall and CPU seconds, rows/s, nnz and
 the child's peak RSS from `resource.getrusage` (so an encode record's peak
@@ -30,22 +31,20 @@ from importlib.metadata import version
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROWS_PER_STUDENT = 420
+SEED = 0
 
 
-def make_corpus(path, rows, seed):
-    """Write the prepared corpus of `rows` rows to `path` unless it exists;
-    print the ablation families as JSON."""
+def make_corpus(path, rows):
+    """Write the prepared corpus of `rows` rows to `path`; print the
+    ablation families as JSON."""
     from skillmem.corpus import save_dataset
     from skillmem.evaluation import ABLATION_PAIRS
     from skillmem.synth import SynthConfig, make_synthetic
 
-    if not os.path.exists(path):
-        ds, _ = make_synthetic(SynthConfig(
-            seed=int(seed), n_students=max(1, int(rows) // ROWS_PER_STUDENT),
-            n_items=60, n_skills=10,
-            interactions_per_student=ROWS_PER_STUDENT))
-        save_dataset(ds, path + ".tmp")
-        os.replace(path + ".tmp", path)
+    ds, _ = make_synthetic(SynthConfig(
+        seed=SEED, n_students=max(1, int(rows) // ROWS_PER_STUDENT),
+        n_items=60, n_skills=10, interactions_per_student=ROWS_PER_STUDENT))
+    save_dataset(ds, path)
     print(json.dumps(sorted({f for pair in ABLATION_PAIRS.values()
                              for f in pair})))
 
@@ -90,11 +89,9 @@ def child(src, *args):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rows", type=int, nargs="+", default=[50400, 504000])
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--label", default="change")
     ap.add_argument("--out", help="JSON file the run is written into")
     ap.add_argument("--src", default=os.path.join(HERE, "..", "src"))
-    ap.add_argument("--workdir", help="corpus cache (default: a temp dir)")
     ap.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
@@ -106,12 +103,9 @@ def main():
 
     records = []
     with tempfile.TemporaryDirectory() as tmp:
-        workdir = args.workdir or tmp
-        os.makedirs(workdir, exist_ok=True)
         for rows in args.rows:
-            path = os.path.join(workdir, f"corpus_{rows}_{args.seed}.csv")
-            families = child(args.src, "corpus", path, str(rows),
-                             str(args.seed))
+            path = os.path.join(tmp, f"corpus_{rows}.csv")
+            families = child(args.src, "corpus", path, str(rows))
             for family in ["-"] + families:
                 records.append(child(args.src, "measure", path, family))
                 print(json.dumps(records[-1]), flush=True)
@@ -125,7 +119,7 @@ def main():
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(),
                  "numpy": version("numpy"), "scipy": version("scipy")},
-        "seed": args.seed, "records": records}
+        "seed": SEED, "records": records}
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

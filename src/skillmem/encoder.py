@@ -374,8 +374,9 @@ def encode_dataset(dataset, spec):
     segments = [(at, layout.offset(name) + pos, np.broadcast_to(1.0, pos.shape))
                 for name in family.indicators for at, pos in [blocks[name]]]
     if family.history:
+        key_rank = rank if family.key == "skills" else np.zeros_like(item)
         segments += _history_segments(family, spec, layout, user, t, y,
-                                      *blocks[family.key])
+                                      *blocks[family.key], key_rank)
     # segments are sorted by row, then column, and come in column-block
     # order: each fills its rows' next free slots and is dropped once placed
     indptr = np.concatenate(([0], np.cumsum(sum(
@@ -394,9 +395,10 @@ def encode_dataset(dataset, spec):
         s for s in students for _ in dataset.interactions[s]])
 
 
-def _history_segments(family, spec, layout, user, t, y, key_row, key):
+def _history_segments(family, spec, layout, user, t, y, key_row, key, rank):
     """The history blocks of `family` as (rows, columns, values) segments,
-    from (row, key) pairs in row-major order with each row's keys sorted."""
+    from (row, key) pairs in row-major order, each row's keys sorted and
+    `rank` a pair's place among them."""
     widths, transform = family.counting(spec.windows)
     W = len(widths)
     group = user[key_row] * (int(key.max(initial=0)) + 1) + key
@@ -407,7 +409,6 @@ def _history_segments(family, spec, layout, user, t, y, key_row, key):
         vals = table[np.asarray(_STATISTICS[name](*counts)).T]  # pair x window
         at, base = key_row, layout.offset(name) + key * W
         if not family.per_key:  # add each row's keys rank by rank from 0.0
-            rank = np.arange(len(key)) - np.searchsorted(key_row, key_row)
             total = np.zeros((len(y), W))
             for r in range(rank.max(initial=-1) + 1):
                 total[key_row[rank == r]] += vals[rank == r]
