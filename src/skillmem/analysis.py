@@ -137,13 +137,15 @@ def history_counters(model, history, query_time):
     students = history.students
     if len(students) > 1:
         raise ConfigError(f"history spans several students: {students}")
-    family, qm = FAMILY_TABLE[model.spec.family], history.qmatrix
-    prior = sorted((r for r in history.iter_rows()
-                    if r.timestamp <= query_time), key=lambda r: r.timestamp)
+    family, h = FAMILY_TABLE[model.spec.family], history
+    tags = [sorted(h.qmatrix.skills_of(j)) for j in h.items]
+    prior = np.flatnonzero(h.timestamp <= query_time)
+    prior = prior[np.argsort(h.timestamp[prior], kind="stable")]
     counters = {}
-    for r in prior:
-        for key in family.history_keys(r.item, sorted(qm.skills_of(r.item))):
-            counters.setdefault(key, _Counter()).push(r.timestamp, r.correct)
+    for j, t, c in zip(h.item[prior].tolist(), h.timestamp[prior].tolist(),
+                       h.correct[prior].tolist()):
+        for key in family.history_keys(h.items[j], tags[j]):
+            counters.setdefault(key, _Counter()).push(t, c)
     return counters, (students[0] if students else None)
 
 

@@ -3,17 +3,25 @@
 Input files are delimiter-separated text with a header row. Each format tag
 maps the logical columns (user, item, timestamp, correct, skills) onto actual
 column names, fixes the timestamp unit, and says how the item id is built.
-Timestamps are converted to fractional days internally; `preprocess` rebases
-them to days since each student's first interaction. A row holds no skills of
-its own: the skills column (and any separate q-matrix file) feeds one
-`QMatrix`, and a row's skills are always `qmatrix.skills_of(row.item)`.
+A `Dataset` holds the log as numpy columns, one entry a row: int64 student
+codes into its sorted student names, int64 item codes into its sorted item
+ids, float64 timestamps in days and int8 `correct`. Rows are grouped by
+student code, so students come in sorted-name order, and each student's rows
+keep their input order; `preprocess` and `load_prepared` also sort each
+student's rows by time (stable), and `preprocess` rebases them to days since
+the student's first interaction. A row holds no skills of its own: the
+skills column (and any separate q-matrix file) feeds one `QMatrix`, and a
+row's skills are always `qmatrix.skills_of(item)`.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
+from array import array
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,19 +30,6 @@ from .errors import ConfigError, EmptyDatasetError, ParseError
 # Separator used to build a single item id out of KDD-style problem/step
 # pairs. Two characters, unlikely to occur in real ids.
 KDD_ITEM_SEP = "@@"
-
-
-@dataclass(frozen=True)
-class Interaction:
-    """One answer event: student s answered item j at time t, correctly or not.
-
-    The item's skills are those of the dataset's q-matrix.
-    """
-
-    student: str
-    item: str
-    timestamp: float  # days
-    correct: int
 
 
 class QMatrix:
@@ -56,14 +51,6 @@ class QMatrix:
     def skills(self):
         return sorted(self._items_of)
 
-    @property
-    def item_count(self):
-        return len(self._skills_of)
-
-    @property
-    def skill_count(self):
-        return len(self.skills)
-
     def skills_of(self, item):
         return self._skills_of.get(item, frozenset())
 
@@ -81,28 +68,90 @@ class QMatrix:
         return QMatrix((i, k) for (i, k) in self.entries() if i in keep)
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Per-student chronologically ordered interactions plus the q-matrix."""
+    """An interaction log as numpy columns sorted by (student, time).
 
-    interactions: dict[str, list[Interaction]]
+    Row i is student `students[student[i]]` answering item `items[item[i]]`
+    at `timestamp[i]` days, `correct[i]` being 0 or 1. Rows are grouped by
+    student code, each student's rows in time order once preprocessed (in
+    input order before). A student may be listed without rows.
+    """
+
+    students: list[str]
+    items: list[str]
+    student: np.ndarray  # int64 codes into `students`, non-decreasing
+    item: np.ndarray  # int64 codes into `items`
+    timestamp: np.ndarray  # float64 days
+    correct: np.ndarray  # int8
     qmatrix: QMatrix
 
-    @property
-    def students(self):
-        return sorted(self.interactions)
-
-    @property
-    def student_count(self):
-        return len(self.interactions)
+    @classmethod
+    def from_rows(cls, rows, qmatrix, students=()):
+        """The dataset of (student, item, timestamp, correct) rows, each
+        student's rows in the given order; `students` lists more names."""
+        rows = list(rows)
+        names, items, stamps, correct = (
+            map(list, zip(*rows)) if rows else ([], [], [], []))
+        students, codes = _code(names + list(students))
+        items, item = _code(items)
+        ds = cls(students, items, codes[:len(rows)], item,
+                 np.asarray(stamps, dtype=np.float64),
+                 np.asarray(correct, dtype=np.int8), qmatrix)
+        return ds.take(np.argsort(ds.student, kind="stable"))
 
     @property
     def n_interactions(self):
-        return sum(len(v) for v in self.interactions.values())
+        return len(self.timestamp)
 
-    def iter_rows(self):
-        for s in self.students:
-            yield from self.interactions[s]
+    def take(self, rows):
+        """The dataset of the rows at index `rows`, in that order."""
+        return replace(self, student=self.student[rows], item=self.item[rows],
+                       timestamp=self.timestamp[rows],
+                       correct=self.correct[rows])
+
+    def backwards(self):
+        """Mask of rows 1.. that come earlier in time than the row before
+        them of the same student."""
+        t = self.timestamp
+        return ~(np.diff(t) >= 0) & (self.student[1:] == self.student[:-1])
+
+    def tag_pairs(self):
+        """(row, skill, rank) of every (row, skill of its item) pair, row by
+        row, each row's skills in sorted order: `skill` indexes
+        `qmatrix.skills` and `rank` is the pair's place in its row."""
+        qm = self.qmatrix
+        skill_pos = {k: p for p, k in enumerate(qm.skills)}
+        tags = [sorted(qm.skills_of(j)) for j in self.items]
+        n_tags = np.array([len(ks) for ks in tags], dtype=np.int64)
+        tag_skill = np.array([skill_pos[k] for ks in tags for k in ks],
+                             dtype=np.int64)
+        row = np.repeat(np.arange(len(self.item)), n_tags[self.item])
+        rank = np.arange(len(row)) - np.searchsorted(row, row)
+        start = np.cumsum(n_tags) - n_tags
+        return row, tag_skill[start[self.item][row] + rank], rank
+
+
+def _code(values):
+    """Sorted distinct `values` and each value's position among them."""
+    names = sorted(set(values))
+    pos = dict(zip(names, range(len(names))))
+    return names, np.array([pos[v] for v in values], dtype=np.int64)
+
+
+class _Codes(dict):
+    """`codes[key]` is the number of distinct keys looked up before `key`."""
+
+    def __missing__(self, key):
+        self[key] = code = len(self)
+        return code
+
+
+def _compact(names, codes):
+    """`names` that some code points at, and the codes renumbered to them."""
+    used = np.bincount(codes, minlength=len(names)) > 0
+    return ([n for n, u in zip(names, used) if u],
+            (np.cumsum(used) - 1)[codes])
 
 
 @dataclass(frozen=True)
@@ -165,108 +214,121 @@ FORMATS = {
 def load_interactions(path, fmt="generic"):
     """Parse a delimited interaction log into a Dataset with raw day timestamps.
 
-    Every row's skills field adds its (item, skill) pairs to the q-matrix,
+    Every row's skills field adds its (item, skills) pairs to the q-matrix,
     so an item's skills are the union over its rows. Rows with an empty
     skills field are kept; `preprocess` removes those of untagged items.
+    Ids are stripped of surrounding blanks. A malformed row raises
+    ParseError naming its line.
     """
     if fmt not in FORMATS:
         raise ConfigError(f"unknown format tag {fmt!r}; known: {sorted(FORMATS)}")
     f = FORMATS[fmt]
-    per_student: dict[str, list[Interaction]] = {}
-    entries = set()
+    ids = [f.item] if f.item else [f.problem, f.step]
+    # distinct raw keys get codes in order of appearance; a row's item key is
+    # its (raw item id, raw skills field) pair
+    users, pairs, label_of = _Codes(), _Codes(), functools.cache(_label)
+    student, pair, stamps, correct = array("q"), array("q"), array("d"), array("b")
     with open(path, newline="") as fh:
         sample = fh.read(4096)
         fh.seek(0)
-        delim = "\t" if "\t" in sample.splitlines()[0] else ","
-        reader = csv.DictReader(fh, delimiter=delim)
-        needed = [f.user, f.timestamp, f.correct, f.skills]
-        needed += [f.item] if f.item else [f.problem, f.step]
-        missing = [c for c in needed if c not in (reader.fieldnames or [])]
+        delim = "\t" if "\t" in (sample.splitlines() or [""])[0] else ","
+        reader = csv.reader(fh, delimiter=delim)
+        col = {name: k for k, name in enumerate(next(reader, []))}
+        missing = [c for c in [f.user, f.timestamp, f.correct, f.skills] + ids
+                   if c not in col]
         if missing:
             raise ParseError(1, f"missing columns {missing} in header")
-        for line_no, row in enumerate(reader, start=2):
+        fields = itemgetter(col[f.user], col[f.timestamp], col[f.correct])
+        item_of, at = itemgetter(*(col[c] for c in ids)), col[f.skills]
+        for line_no, row in enumerate(filter(None, reader), start=2):
             try:
-                student = row[f.user].strip()
-                if f.item:
-                    item = row[f.item].strip()
-                else:
-                    item = row[f.problem].strip() + KDD_ITEM_SEP + row[f.step].strip()
-                ts = float(row[f.timestamp]) * f.seconds_per_unit / 86400.0
-                correct = int(row[f.correct])
-                if correct not in (0, 1):
-                    raise ValueError(f"correct must be 0/1, got {correct}")
-                raw_skills = (row[f.skills] or "").strip()
-                if raw_skills.lower() == "nan":
-                    raw_skills = ""
-            except (KeyError, ValueError, AttributeError) as exc:
+                user, ts, label = fields(row)
+                stamps.append(float(ts))
+                correct.append(label_of(label))
+                student.append(users[user])
+                pair.append(pairs[item_of(row),
+                                  row[at] if at < len(row) else ""])
+            except (IndexError, ValueError) as exc:
                 raise ParseError(line_no, str(exc)) from exc
-            per_student.setdefault(student, []).append(
-                Interaction(student, item, ts, correct))
-            entries.update((item, k) for k in raw_skills.split(f.skill_sep)
-                           if k)
-    return Dataset(per_student, QMatrix(entries))
+    students, student_of = _code([key.strip() for key in users])
+    names, entries = [], set()
+    for item, skills in pairs:
+        name = item.strip() if f.item else KDD_ITEM_SEP.join(
+            part.strip() for part in item)
+        skills = skills.strip()
+        names.append(name)
+        if skills.lower() != "nan":
+            entries.update((name, k) for k in skills.split(f.skill_sep) if k)
+    items, item_of_pair = _code(names)
+    ds = Dataset(students, items, student_of[np.frombuffer(student, np.int64)],
+                 item_of_pair[np.frombuffer(pair, np.int64)],
+                 np.frombuffer(stamps) * f.seconds_per_unit / 86400.0,
+                 np.frombuffer(correct, np.int8), QMatrix(entries))
+    return ds.take(np.argsort(ds.student, kind="stable"))
+
+
+def _label(text):
+    correct = int(text)
+    if correct not in (0, 1):
+        raise ValueError(f"correct must be 0/1, got {correct}")
+    return correct
 
 
 def preprocess(dataset, min_interactions=10):
     """Apply the standard cleaning pipeline.
 
     Order: drop rows of items the q-matrix does not tag, drop duplicate
-    (user, item, timestamp) rows keeping the first in file order, drop
+    (user, item, timestamp) rows keeping the first in row order, drop
     students with fewer than `min_interactions` remaining rows, then sort
     each student by time (stable, input order breaks ties) and rebase
     timestamps to days since the student's first remaining interaction.
     """
-    out: dict[str, list[Interaction]] = {}
-    for student in dataset.students:
-        rows = [r for r in dataset.interactions[student]
-                if dataset.qmatrix.skills_of(r.item)]
-        seen = set()
-        deduped = []
-        for r in rows:
-            key = (r.student, r.item, r.timestamp)
-            if key in seen:
-                continue
-            seen.add(key)
-            deduped.append(r)
-        if len(deduped) < min_interactions:
-            continue
-        deduped.sort(key=lambda r: r.timestamp)  # stable: ties keep input order
-        t0 = deduped[0].timestamp
-        out[student] = [replace(r, timestamp=r.timestamp - t0) for r in deduped]
-    if not out:
+    ds, qm = dataset, dataset.qmatrix
+    keep = np.array([bool(qm.skills_of(j)) for j in ds.items],
+                    dtype=bool)[ds.item]
+    # lexsort is stable: a key's rows stay in row order, the first one kept
+    order = np.lexsort((ds.timestamp, ds.item, ds.student))
+    dup = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for column in (ds.student, ds.item, ds.timestamp):
+        dup &= column[order[1:]] == column[order[:-1]]
+    keep[order[1:][dup]] = False
+    count = np.bincount(ds.student[keep], minlength=len(ds.students))
+    keep &= (count >= min_interactions)[ds.student]
+    if not keep.any():
         raise EmptyDatasetError("no interactions left after preprocessing")
-    items = {r.item for rows in out.values() for r in rows}
-    return Dataset(out, dataset.qmatrix.restricted_to(items))
+    rows = np.flatnonzero(keep)
+    ds = ds.take(rows[np.lexsort((ds.timestamp[rows], ds.student[rows]))])
+    students, student = _compact(ds.students, ds.student)
+    items, item = _compact(ds.items, ds.item)
+    t = ds.timestamp
+    return Dataset(students, items, student, item,
+                   t - t[np.searchsorted(student, student)], ds.correct,
+                   qm.restricted_to(items))
 
 
 def dataset_stats(dataset):
     """Corpus-level counts and the two temporal summary means."""
-    n = dataset.n_interactions
+    ds, n = dataset, dataset.n_interactions
     if n == 0:
         return StatsReport(0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, empty=True)
-    qm = dataset.qmatrix
-    correct = sum(r.correct for r in dataset.iter_rows())
+    qm, t = ds.qmatrix, ds.timestamp
     skills_per_item = np.mean([len(qm.skills_of(i)) for i in qm.items])
-    delays = []
-    periods = []
-    for s in dataset.students:
-        rows = dataset.interactions[s]
-        periods.append(rows[-1].timestamp - rows[0].timestamp)
-        last_seen: dict[str, float] = {}
-        for r in rows:
-            for k in qm.skills_of(r.item):
-                if k in last_seen:
-                    delays.append(r.timestamp - last_seen[k])
-                last_seen[k] = r.timestamp
+    first = np.flatnonzero(np.diff(ds.student, prepend=-1))
+    last = np.append(first[1:], n) - 1
+    # the gap between consecutive rows of a student on one skill
+    row, skill, _ = ds.tag_pairs()
+    group = ds.student[row] * len(qm.skills) + skill
+    order = np.argsort(group, kind="stable")
+    delays = np.diff(t[row[order]])[np.diff(group[order]) == 0]
     return StatsReport(
-        users=dataset.student_count,
-        items=qm.item_count,
-        skills=qm.skill_count,
+        users=len(ds.students),
+        items=len(qm.items),
+        skills=len(qm.skills),
         interactions=n,
-        mean_correctness=correct / n,
+        mean_correctness=int(ds.correct.sum()) / n,
         skills_per_item=float(skills_per_item),
-        mean_skill_delay=float(np.mean(delays)) if delays else 0.0,
-        mean_study_period=float(np.mean(periods)),
+        mean_skill_delay=float(np.mean(delays)) if len(delays) else 0.0,
+        mean_study_period=float(np.mean(t[last] - t[first])),
     )
 
 
@@ -288,21 +350,26 @@ def student_kfold(dataset, k, seed):
 def save_dataset(dataset, path):
     """Write a dataset in the canonical `generic` text format (days); each
     row's skills field is its item's sorted q-matrix skills."""
-    qm = dataset.qmatrix
-    tags = {item: "~".join(sorted(qm.skills_of(item))) for item in qm.items}
+    ds, qm = dataset, dataset.qmatrix
+    tags = ["~".join(sorted(qm.skills_of(j))) for j in ds.items]
+
+    def per_row(names, codes):
+        return np.array(names, dtype=object)[codes].tolist()
+
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["user", "item", "timestamp", "correct", "skills"])
-        for r in dataset.iter_rows():
-            w.writerow([r.student, r.item, repr(r.timestamp), r.correct,
-                        tags.get(r.item, "")])
+        w.writerows(zip(per_row(ds.students, ds.student),
+                        per_row(ds.items, ds.item),
+                        map(repr, ds.timestamp.tolist()), ds.correct.tolist(),
+                        per_row(tags, ds.item)))
 
 
 def load_prepared(path):
     """Load a dataset previously written by `save_dataset` (already clean)."""
     ds = load_interactions(path, fmt="generic")
-    for s in ds.interactions:
-        ds.interactions[s].sort(key=lambda r: r.timestamp)
+    if ds.backwards().any():
+        ds = ds.take(np.lexsort((ds.timestamp, ds.student)))
     return ds
 
 

@@ -344,31 +344,22 @@ def encode_dataset(dataset, spec):
     """
     layout = build_layout(spec, dataset)
     family = FAMILY_TABLE[spec.family]
-    students, qm = layout.students, dataset.qmatrix
+    students = layout.students
     item_pos = {j: p for p, j in enumerate(layout.items)}
-    skill_pos = {k: p for p, k in enumerate(layout.skills)}
-    rows = [r for s in students for r in dataset.interactions[s]]
-    n = len(rows)
-    user = np.repeat(np.arange(len(students)),
-                     [len(dataset.interactions[s]) for s in students])
-    item = np.array([item_pos.get(r.item, -1) for r in rows], dtype=np.int64)
-    t = np.array([r.timestamp for r in rows], dtype=np.float64)
-    y = np.array([r.correct for r in rows], dtype=np.int8)
+    user, t, y = dataset.student, dataset.timestamp, dataset.correct
+    n = len(y)
+    item = np.array([item_pos.get(j, -1) for j in dataset.items],
+                    dtype=np.int64)[dataset.item]
     if (item < 0).any():
-        bad = rows[np.argmax(item < 0)].item
+        bad = dataset.items[dataset.item[np.argmax(item < 0)]]
         raise EncodingError(f"item {bad!r} missing from q-matrix")
-    back = ~(np.diff(t) >= 0) & (user[1:] == user[:-1])
+    back = dataset.backwards()
     if back.any():
         bad = students[user[np.argmax(back)]]
         raise EncodingError(f"rows of student {bad!r} are not in time order")
 
     # (row, skill) pairs, row-major, each row's skills in sorted order
-    n_tags = np.array([len(qm.skills_of(j)) for j in layout.items])
-    tag_skill = np.array([skill_pos[k] for j in layout.items
-                          for k in sorted(qm.skills_of(j))], dtype=np.int64)
-    pair_row = np.repeat(np.arange(n), n_tags[item])
-    rank = np.arange(len(pair_row)) - np.searchsorted(pair_row, pair_row)
-    pair_skill = tag_skill[(np.cumsum(n_tags) - n_tags)[item][pair_row] + rank]
+    pair_row, pair_skill, rank = dataset.tag_pairs()
     blocks = {"users": (np.arange(n), user), "items": (np.arange(n), item),
               "skills": (pair_row, pair_skill)}
     segments = [(at, layout.offset(name) + pos, np.broadcast_to(1.0, pos.shape))
@@ -391,8 +382,8 @@ def encode_dataset(dataset, spec):
         fill += counts
     X = sparse.csr_matrix((data, indices, indptr),
                           shape=(n, layout.n_features))
-    return DesignMatrix(X=X, y=y, layout=layout, spec=spec, students=[
-        s for s in students for _ in dataset.interactions[s]])
+    return DesignMatrix(X=X, y=y, layout=layout, spec=spec, students=np.array(
+        students, dtype=object)[user].tolist())
 
 
 def _history_segments(family, spec, layout, user, t, y, key_row, key, rank):

@@ -169,10 +169,11 @@ def cross_validate(dataset, specs, k=5, seed=0, glm_config=None,
     given, along with the design matrix it was trained on.
     """
     folds = student_kfold(dataset, k, seed)
+    fold_of_row = np.array([folds.fold_of_student[s]
+                            for s in dataset.students])[dataset.student]
     table = MetricsTable(k=k, seed=seed)
     for spec in specs:
         dm = encode_dataset(dataset, spec)
-        fold_of_row = np.array([folds.fold_of_student[s] for s in dm.students])
         for fold in range(k):
             test_mask = fold_of_row == fold
             train_mask = ~test_mask

@@ -37,7 +37,10 @@ class LinearParams:
 
 
 def sigmoid(x):
-    """Overflow-safe logistic function, elementwise."""
+    """Overflow-safe logistic function, elementwise; a float for a scalar."""
+    if isinstance(x, float):
+        e = float(np.exp(-abs(x)))
+        return (1.0 if x >= 0 else e) / (1.0 + e)
     x = np.asarray(x, dtype=float)
     ex = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
@@ -58,19 +61,30 @@ def loss_and_gradient(params, X, y):
 
     Returns (loss, grad_weights, grad_intercept).
     """
-    n, d = X.shape
+    loss, grad = _objective(X, np.asarray(y, dtype=float), params.l2_strength)(
+        np.append(params.weights, params.intercept))
+    return loss, grad[:-1], float(grad[-1])
+
+
+def _objective(X, y, l2):
+    """theta = (weights, intercept) -> (loss, gradient) of
+    `loss_and_gradient`; `X.T` is built once, not per call."""
+    (n, d), XT = X.shape, X.T
     if len(y) != n:
         raise FitError(f"row count {n} != label count {len(y)}")
-    y = np.asarray(y, dtype=float)
-    z = X @ params.weights + params.intercept
-    # mean NLL = mean(log(1+exp(z)) - y*z)
-    loss = float(np.mean(_log1pexp(z) - y * z))
-    loss += 0.5 * params.l2_strength * float(params.weights @ params.weights)
-    p = sigmoid(z)
-    resid = (p - y) / n
-    grad_w = np.asarray(X.T @ resid).ravel() + params.l2_strength * params.weights
-    grad_b = float(resid.sum())
-    return loss, grad_w, grad_b
+
+    def objective(theta):
+        w = theta[:d]
+        z = X @ w + theta[d]
+        # mean NLL = mean(log(1+exp(z)) - y*z)
+        loss = float(np.mean(_log1pexp(z) - y * z)) + 0.5 * l2 * float(w @ w)
+        resid = (sigmoid(z) - y) / n
+        grad = np.empty(d + 1)
+        np.add(np.asarray(XT @ resid).ravel(), l2 * w, out=grad[:d])
+        grad[d] = resid.sum()
+        return loss, grad
+
+    return objective
 
 
 def fit_logistic(X, y, config=None):
@@ -85,16 +99,11 @@ def fit_logistic(X, y, config=None):
         if not np.all(np.isfinite(X)):
             raise FitError("non-finite values in feature matrix")
     y = np.asarray(y, dtype=float)
-    n, d = X.shape
-
-    def objective(theta):
-        p = LinearParams(theta[:d], theta[d], config.l2_strength)
-        loss, gw, gb = loss_and_gradient(p, X, y)
-        return loss, np.concatenate([gw, [gb]])
-
+    d = X.shape[1]
     theta0 = np.zeros(d + 1)
     res = optimize.minimize(
-        objective, theta0, jac=True, method="L-BFGS-B",
+        _objective(X, y, config.l2_strength), theta0, jac=True,
+        method="L-BFGS-B",
         options={
             "maxiter": config.max_iterations,
             "gtol": config.tolerance,

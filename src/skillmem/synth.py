@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Dataset, Interaction, QMatrix
+from .corpus import Dataset, QMatrix
 from .encoder import ModelSpec, WindowSet, _Counter, build_layout
 from .glm import LinearParams, sigmoid
 from .modelio import ModelFile
@@ -59,7 +59,7 @@ class SyntheticModel:
     def __post_init__(self):
         # the truth's own layout: its students and items, no rows
         self._score = self.to_model_file(
-            Dataset(dict.fromkeys(self.user_w, ()), self.qmatrix)).score
+            Dataset.from_rows((), self.qmatrix, self.user_w)).score
 
     def prob(self, student, item, counters, t, skills=None):
         """True probability of a correct answer to `item` at time `t`, given
@@ -147,15 +147,12 @@ def make_synthetic(config=None):
         qmatrix=qm,
     )
 
-    interactions = {}
+    rows = []
     for s in students:
         times = _draw_session_times(rng, config.interactions_per_student,
                                     config.horizon_days)
         counters = {}
-        rows = []
         for t in times.tolist():
             item = items[int(rng.integers(config.n_items))]
-            rows.append(Interaction(s, item, t,
-                                    truth.respond(s, item, counters, t, rng)))
-        interactions[s] = rows
-    return Dataset(interactions, qm), truth
+            rows.append((s, item, t, truth.respond(s, item, counters, t, rng)))
+    return Dataset.from_rows(rows, qm), truth

@@ -1,4 +1,5 @@
 import os
+from collections import namedtuple
 
 import pytest
 
@@ -7,6 +8,16 @@ from skillmem.synth import SynthConfig, make_synthetic
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "..", "data",
                             "fixture_small.csv")
+
+Row = namedtuple("Row", "student item timestamp correct")
+
+
+def rows_of(dataset, student=None):
+    """The dataset's rows as `Row`s in row order, all or one student's."""
+    rows = [Row(dataset.students[s], dataset.items[j], t, c) for s, j, t, c
+            in zip(dataset.student.tolist(), dataset.item.tolist(),
+                   dataset.timestamp.tolist(), dataset.correct.tolist())]
+    return [r for r in rows if student in (None, r.student)]
 
 
 @pytest.fixture(scope="session")

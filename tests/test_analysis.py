@@ -5,7 +5,8 @@ import pytest
 
 from skillmem.analysis import (forgetting_slope, history_counters,
                                recall_probability, slope_report)
-from skillmem.corpus import Dataset, Interaction, QMatrix, load_interactions
+from conftest import Row, rows_of
+from skillmem.corpus import Dataset, QMatrix, load_interactions
 from skillmem.encoder import ModelSpec, build_layout, encode_dataset
 from skillmem.errors import ConfigError
 from skillmem.fm import FMFit, FMParams, _scores_matrix, probit
@@ -18,10 +19,7 @@ LOG2 = math.log(2.0)
 
 def history(rows, qmatrix):
     """A history Dataset of `rows`, grouped by student."""
-    by_student = {}
-    for r in rows:
-        by_student.setdefault(r.student, []).append(r)
-    return Dataset(by_student, qmatrix)
+    return Dataset.from_rows(rows, qmatrix)
 
 
 def linear_das3h_model(dataset, fill=0.0):
@@ -108,7 +106,7 @@ class TestRecallProbability:
         skill = mf.layout.skills[0]
         item = next(i for i in mf.layout.items
                     if skill in truth.qmatrix.skills_of(i))
-        wins = [Interaction(student, item, float(t) * 0.2, 1)
+        wins = [Row(student, item, float(t) * 0.2, 1)
                 for t in range(5)]
         counters, who = history_counters(
             mf, history(wins, QMatrix([(item, skill)])), 1.1)
@@ -152,8 +150,8 @@ class TestRecallProbability:
         student = ds.students[0]
         skill = mf.layout.skills[0]
         qm = QMatrix([(mf.layout.items[0], skill)])
-        hist = [Interaction(student, mf.layout.items[0], 1.0, 1)]
-        future = hist + [Interaction(student, mf.layout.items[0], 9.0, 1)]
+        hist = [Row(student, mf.layout.items[0], 1.0, 1)]
+        future = hist + [Row(student, mf.layout.items[0], 9.0, 1)]
         c1, s1 = history_counters(mf, history(hist, qm), 5.0)
         c2, s2 = history_counters(mf, history(future, qm), 5.0)
         assert s1 == s2 == student
@@ -179,7 +177,7 @@ class TestRecallProbability:
                        lay.offset("attempts") + (i2 + 1) * W] = 0.0
         mf2 = ModelFile(spec=mf.spec, layout=lay, params=params,
                         training_config={})
-        hist = [Interaction("x", lay.items[0], 0.5, 1)]
+        hist = [Row("x", lay.items[0], 0.5, 1)]
         counters, _ = history_counters(
             mf2, history(hist, QMatrix([(lay.items[0], k1)])), 2.0)
         single = recall_probability(mf2, counters, [k1], 2.0)
@@ -196,7 +194,7 @@ class TestRecallProbability:
         a, b = ds.students[0], ds.students[1]
         skill = mf.layout.skills[0]
         item = mf.layout.items[0]
-        hist = [Interaction(a, item, 1.0, 1), Interaction(b, item, 0.5, 0)]
+        hist = [Row(a, item, 1.0, 1), Row(b, item, 0.5, 0)]
         with pytest.raises(ConfigError, match=f"{a}.*{b}"):
             history_counters(mf, history(hist, QMatrix([(item, skill)])), 5.0)
 
@@ -206,8 +204,8 @@ class TestRecallProbability:
         student = ds.students[0]
         skill = mf.layout.skills[0]
         item = sorted(truth.qmatrix.items_of(skill))[0]
-        hist = history([Interaction(student, item, 3.0, 1),
-                        Interaction(student, item, 4.0, 0)], truth.qmatrix)
+        hist = history([Row(student, item, 3.0, 1),
+                        Row(student, item, 4.0, 0)], truth.qmatrix)
         counters, who = history_counters(mf, hist, 1.0)
         assert counters == {} and who == student
         assert history_counters(mf, history([], truth.qmatrix), 1.0) == (
@@ -246,7 +244,7 @@ def test_online_recall_matches_batch_encoder(fixture_dataset, family, dim):
     mf = _seeded_model(dm.spec, dm.layout)
     qm = fixture_dataset.qmatrix
     student = fixture_dataset.students[0]
-    rows = fixture_dataset.interactions[student]
+    rows = rows_of(fixture_dataset, student)
     assert dm.students[:len(rows)] == [student] * len(rows)
     X = dm.X[:len(rows)]
     if dim == 0:
@@ -279,7 +277,7 @@ def test_online_recall_of_an_item_tagged_differently_across_rows(
     dm = encode_dataset(log, ModelSpec(family, 0))
     mf = _seeded_model(dm.spec, dm.layout)
     batch = sigmoid(dm.X @ mf.params.weights + mf.params.intercept)
-    rows = log.interactions["s0"]
+    rows = rows_of(log, "s0")
     for r, row in enumerate(rows):
         counters, _ = history_counters(mf, history(rows[:r], log.qmatrix),
                                        row.timestamp)

@@ -1,5 +1,6 @@
 import os
 import runpy
+import tempfile
 import textwrap
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillmem.corpus import (FoldAssignment, dataset_stats, load_interactions,
-                             preprocess, student_kfold)
+import reference_corpus as reference
+from conftest import FIXTURE_PATH, rows_of
+from skillmem.corpus import (FORMATS, FoldAssignment, dataset_stats,
+                             load_interactions, load_prepared, preprocess,
+                             save_dataset, student_kfold)
 from skillmem.errors import ConfigError, EmptyDatasetError, ParseError
-from conftest import FIXTURE_PATH
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -28,7 +31,7 @@ def test_parse_three_rows(tmp_path):
     """)
     ds = load_interactions(path, "assist12")
     assert ds.n_interactions == 3
-    assert ds.interactions["u1"][1].timestamp == pytest.approx(1.0)
+    assert rows_of(ds, "u1")[1].timestamp == pytest.approx(1.0)
     assert ds.qmatrix.skills_of("i2") == {"k1", "k2"}
     assert ds.qmatrix.items_of("k1") == {"i1", "i2"}
     assert ds.qmatrix.skills == ["k1", "k2"]
@@ -46,7 +49,7 @@ def test_empty_skill_retained_at_load_removed_in_preprocess(tmp_path):
     assert "inan" not in ds.qmatrix
     clean = preprocess(ds, min_interactions=10)
     assert clean.n_interactions == 10
-    assert all(r.item != "inan" for r in clean.iter_rows())
+    assert all(r.item != "inan" for r in rows_of(clean))
 
 
 def test_kdd_item_concatenation_roundtrip(tmp_path):
@@ -59,11 +62,11 @@ def test_kdd_item_concatenation_roundtrip(tmp_path):
         u2,P9,S9,60000,0,b~~c
     """)
     ds = load_interactions(path, "kddcup")
-    items = {r.item for r in ds.iter_rows()}
+    items = {r.item for r in rows_of(ds)}
     assert items == {"P1@@S2", "P1@@S3", "P2@@S1", "P9@@S9"}
     assert ds.qmatrix.skills_of("P9@@S9") == {"b", "c"}
     # milliseconds to days
-    assert ds.interactions["u1"][1].timestamp == pytest.approx(60000 / 86400000)
+    assert rows_of(ds, "u1")[1].timestamp == pytest.approx(60000 / 86400000)
 
 
 def test_malformed_row_names_line(tmp_path):
@@ -74,6 +77,11 @@ def test_malformed_row_names_line(tmp_path):
     """)
     with pytest.raises(ParseError, match="line 3"):
         load_interactions(path, "assist12")
+
+
+def test_empty_file_fails_typed(tmp_path):
+    with pytest.raises(ParseError, match="^line 1: missing columns"):
+        load_interactions(write(tmp_path, ""))
 
 
 def test_unknown_format_tag(tmp_path):
@@ -99,7 +107,7 @@ def test_min_interactions_filter(tmp_path):
 def test_timestamp_rebasing(tmp_path):
     rows = ["u1,i1,100,1,k1", "u1,i2,101.5,0,k1"]
     ds = preprocess(_mkds(tmp_path, rows), min_interactions=2)
-    ts = [r.timestamp for r in ds.interactions["u1"]]
+    ts = [r.timestamp for r in rows_of(ds, "u1")]
     assert ts == [0.0, 1.5]
 
 
@@ -107,15 +115,15 @@ def test_duplicate_tuples_keep_first(tmp_path):
     rows = ["u1,i1,0,1,k1", "u1,i1,0,0,k1", "u1,i2,1,1,k1"]
     ds = preprocess(_mkds(tmp_path, rows), min_interactions=1)
     assert ds.n_interactions == 2
-    assert ds.interactions["u1"][0].correct == 1  # first copy kept
+    assert rows_of(ds, "u1")[0].correct == 1  # first copy kept
 
 
 def test_preprocess_idempotent(tmp_path):
     rows = [f"u1,i{k},{100 + 3 * k},{k % 2},k1~k2" for k in range(12)]
     once = preprocess(_mkds(tmp_path, rows), min_interactions=10)
     twice = preprocess(once, min_interactions=10)
-    assert [(r.item, r.timestamp, r.correct) for r in once.iter_rows()] == \
-        [(r.item, r.timestamp, r.correct) for r in twice.iter_rows()]
+    assert [(r.item, r.timestamp, r.correct) for r in rows_of(once)] == \
+        [(r.item, r.timestamp, r.correct) for r in rows_of(twice)]
 
 
 def test_empty_after_filter(tmp_path):
@@ -128,14 +136,14 @@ def test_rebasing_preserves_pairwise_gaps(tmp_path):
     raw = [50.0, 52.5, 60.0, 61.0, 70.0, 71.5, 80.0, 81.0, 90.0, 99.0]
     rows = [f"u1,i{k},{t},1,k1" for k, t in enumerate(raw)]
     ds = preprocess(_mkds(tmp_path, rows), min_interactions=10)
-    ts = [r.timestamp for r in ds.interactions["u1"]]
+    ts = [r.timestamp for r in rows_of(ds, "u1")]
     for i in range(len(raw) - 1):
         assert ts[i + 1] - ts[i] == pytest.approx(raw[i + 1] - raw[i])
 
 
 def test_every_item_has_skill_after_preprocess(fixture_dataset):
     qm = fixture_dataset.qmatrix
-    for r in fixture_dataset.iter_rows():
+    for r in rows_of(fixture_dataset):
         assert len(qm.skills_of(r.item)) >= 1
 
 
@@ -151,7 +159,7 @@ def test_stats_single_student(tmp_path):
 
 def test_stats_empty_flag():
     from skillmem.corpus import Dataset, QMatrix
-    rep = dataset_stats(Dataset({}, QMatrix([])))
+    rep = dataset_stats(Dataset.from_rows((), QMatrix([])))
     assert rep.empty and rep.interactions == 0
 
 
@@ -177,7 +185,7 @@ def test_kfold_partitions(fixture_dataset):
 @given(n=st.integers(5, 60), k=st.integers(2, 5), seed=st.integers(0, 1000))
 def test_kfold_balance_property(n, k, seed):
     from skillmem.corpus import Dataset, QMatrix
-    ds = Dataset({f"s{i}": [] for i in range(n)}, QMatrix([]))
+    ds = Dataset.from_rows((), QMatrix([]), [f"s{i}" for i in range(n)])
     folds = student_kfold(ds, k, seed)
     sizes = [len(folds.students_in(f)) for f in range(k)]
     assert sum(sizes) == n
@@ -200,3 +208,73 @@ def test_make_fixture_reproduces_bundled_fixture(tmp_path):
         with open(out + suffix, "rb") as a, \
                 open(FIXTURE_PATH + suffix, "rb") as b:
             assert a.read() == b.read(), suffix
+
+
+_IDS = {"user": ["s1", "s2", "s10", " s2", "s9"],
+        "item": ["i1", "i2", "i10", "i2 "],
+        "problem": ["P1", "P10", " P2"], "step": ["S1", "S2 "]}
+_SKILLS = {"~": ["", "nan", "NaN", "k1", "k1~k2", "k2~", " k10 "],
+           "~~": ["", "nan", "a", "a~~b", "b~~"]}
+
+
+@st.composite
+def raw_logs(draw):
+    """(format, file text, min_interactions) of a raw log with duplicate
+    rows, equal timestamps, untagged items, empty and `nan` skills fields
+    and ids that sort differently as strings and as numbers."""
+    fmt = draw(st.sampled_from(["generic", "assist12", "kddcup"]))
+    f = FORMATS[fmt]
+    ids = [f.user] + ([f.item] if f.item else [f.problem, f.step])
+    header = ids + [f.timestamp, f.correct, f.skills]
+    stamp = st.sampled_from([0, 1, 1.5, 2, 3600.25, 86400, 1e5])
+    row = st.tuples(*(st.sampled_from(_IDS[c]) for c in ids), stamp,
+                    st.integers(0, 1), st.sampled_from(_SKILLS[f.skill_sep]))
+    rows = draw(st.lists(row, max_size=40))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=8)) if rows else []
+    lines = [",".join(header)] + [",".join(map(str, r)) for r in rows]
+    return fmt, "\n".join(lines) + "\n", draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_logs())
+def test_columnar_chain_matches_row_reference(log):
+    """load -> preprocess -> save -> load equals the row-object reference
+    row for row, and the saved files byte for byte."""
+    fmt, text, min_interactions = log
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, ours, theirs = (os.path.join(tmp, n) for n in ("raw", "a", "b"))
+        with open(raw, "w") as fh:
+            fh.write(text)
+        ds, ref = load_interactions(raw, fmt), reference.load_interactions(
+            raw, fmt)
+        assert rows_of(ds) == reference.rows(ref)
+        assert ds.qmatrix.entries() == ref[1].entries()
+        try:
+            ref = reference.preprocess(ref, min_interactions)
+        except EmptyDatasetError:
+            with pytest.raises(EmptyDatasetError):
+                preprocess(ds, min_interactions)
+            return
+        ds = preprocess(ds, min_interactions)
+        assert rows_of(ds) == reference.rows(ref)
+        assert ds.qmatrix.entries() == ref[1].entries()
+        save_dataset(ds, ours)
+        reference.save_dataset(ref, theirs)
+        with open(ours, "rb") as a, open(theirs, "rb") as b:
+            assert a.read() == b.read()
+        assert rows_of(load_prepared(ours)) == reference.rows(
+            reference.load_prepared(theirs))
+
+
+@pytest.mark.parametrize("bad", ["u1,i1,x,1,k1", "u1,i1,0,2,k1", "u1,i1"])
+@pytest.mark.parametrize("at", [0, 5, 9])
+def test_parse_error_names_the_line(tmp_path, bad, at):
+    # a bad timestamp, a label that is not 0/1 and a row too short for its
+    # timestamp, at the first, a middle and the last data line
+    rows = [f"u1,i{k},{k},1,k1" for k in range(10)]
+    rows[at] = bad
+    path = write(tmp_path, "user,item,timestamp,correct,skills\n"
+                 + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match=f"^line {at + 2}: ") as err:
+        load_interactions(path)
+    assert err.value.line_no == at + 2

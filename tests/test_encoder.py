@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillmem.corpus import Dataset, Interaction, QMatrix
+from conftest import Row, rows_of
+from skillmem.corpus import Dataset, QMatrix
 from skillmem.encoder import (DEFAULT_WINDOWS, FAMILIES, ModelSpec,
                               WindowSet, encode_dataset, feature_layout,
                               load_design, save_design, window_counts)
@@ -141,9 +142,8 @@ class TestLayout:
 def _toy_dataset():
     """One student, one single-skill item, two attempts 0.5 days apart."""
     qm = QMatrix([("i1", "k1")])
-    rows = [Interaction("u1", "i1", 0.0, 1),
-            Interaction("u1", "i1", 0.5, 0)]
-    return Dataset({"u1": rows}, qm)
+    rows = [Row("u1", "i1", 0.0, 1), Row("u1", "i1", 0.5, 0)]
+    return Dataset.from_rows(rows, qm)
 
 
 class TestEncodeDataset:
@@ -183,8 +183,7 @@ class TestEncodeDataset:
 
     def test_missing_item_error(self):
         qm = QMatrix([("i1", "k1")])
-        rows = [Interaction("u1", "i2", 0.0, 1)]
-        ds = Dataset({"u1": rows}, qm)
+        ds = Dataset.from_rows([Row("u1", "i2", 0.0, 1)], qm)
         with pytest.raises(EncodingError, match="i2"):
             encode_dataset(ds, ModelSpec("irt", 0))
 
@@ -203,7 +202,7 @@ def recompute_row_from_scratch(dataset, spec, student, row_pos):
 
     layout = build_layout(spec, dataset)
     family = FAMILY_TABLE[spec.family]
-    rows = dataset.interactions[student]
+    rows = rows_of(dataset, student)
     counters = {}
     for r in rows[:row_pos]:
         for key in family.history_keys(
@@ -232,7 +231,7 @@ def streaming_encode(dataset, spec):
     data, indices, indptr, labels, row_students = [], [], [0], [], []
     for student in dataset.students:
         counters = {}
-        for r in dataset.interactions[student]:
+        for r in rows_of(dataset, student):
             skills = sorted(qm.skills_of(r.item))
             idx, val = build(counters, r.timestamp, student, r.item, skills)
             indices.extend(idx)
@@ -266,16 +265,15 @@ def histories(draw):
     items = [f"i{j}" for j in range(len(tags))]
     qm = QMatrix([(j, k) for j, ks in zip(items, tags) for k in ks])
     step = st.one_of(st.sampled_from(_BOUNDARY_DAYS), st.floats(0, 40))
-    per_student = {}
-    for s in range(draw(st.integers(1, 4))):
+    rows, students = [], [f"u{s}" for s in range(draw(st.integers(1, 4)))]
+    for s in range(len(students)):
         gaps = draw(st.lists(step, max_size=12))
-        t, rows = draw(st.floats(0, 5)), []
+        t = draw(st.floats(0, 5))
         for gap in gaps:
             t += gap
-            rows.append(Interaction(f"u{s}", draw(st.sampled_from(items)), t,
-                                    draw(st.integers(0, 1))))
-        per_student[f"u{s}"] = rows
-    return Dataset(per_student, qm)
+            rows.append(Row(f"u{s}", draw(st.sampled_from(items)), t,
+                            draw(st.integers(0, 1))))
+    return Dataset.from_rows(rows, qm, students)
 
 
 @settings(max_examples=150, deadline=None)
@@ -298,10 +296,9 @@ def test_batch_encoder_matches_streaming_reference(dataset, windows):
 
 def test_rows_out_of_time_order_fail_naming_the_student():
     qm = QMatrix([("i1", "k1")])
-    ds = Dataset({"u1": [Interaction("u1", "i1", 0.0, 1),
-                         Interaction("u1", "i1", 1.0, 1)],
-                  "u2": [Interaction("u2", "i1", 2.0, 1),
-                         Interaction("u2", "i1", 1.0, 0)]}, qm)
+    ds = Dataset.from_rows([Row("u1", "i1", 0.0, 1), Row("u1", "i1", 1.0, 1),
+                            Row("u2", "i1", 2.0, 1), Row("u2", "i1", 1.0, 0)],
+                           qm)
     with pytest.raises(EncodingError, match="u2"):
         encode_dataset(ds, ModelSpec("irt", 0))
 

@@ -136,19 +136,17 @@ class TestCrossValidate:
             == [(None, None)] * 2
 
     def test_single_class_fold_warns(self):
-        from skillmem.corpus import Dataset, Interaction, QMatrix
+        from skillmem.corpus import Dataset, QMatrix
         qm = QMatrix([("i1", "k1")])
-        interactions = {}
+        rows = []
         for i in range(4):
             s = f"u{i}"
             # students u0/u1 answer everything right: their folds may be
             # single-class
             label = 1 if i < 2 else i % 2
-            interactions[s] = [
-                Interaction(s, "i1", float(t), label if i < 2 else t % 2)
-                for t in range(6)
-            ]
-        ds = Dataset(interactions, qm)
+            rows += [(s, "i1", float(t), label if i < 2 else t % 2)
+                     for t in range(6)]
+        ds = Dataset.from_rows(rows, qm)
         with pytest.warns(UserWarning, match="single-class"):
             table = cross_validate(ds, [ModelSpec("irt", 0)], k=4, seed=0)
         folds = table.results["irt(d=0)"]

@@ -151,18 +151,15 @@ class TestFitLogistic:
         rng = np.random.default_rng(4)
         abilities = {"good": 2.0, "weak": -2.0}
         difficulties = {"easy": -0.5, "hard": 0.5}
-        from skillmem.corpus import Dataset, Interaction, QMatrix
+        from skillmem.corpus import Dataset, QMatrix
         qm = QMatrix([("easy", "k"), ("hard", "k")])
-        interactions = {}
+        rows = []
         for s, a in abilities.items():
-            rows = []
             for t in range(200):
                 j = "easy" if t % 2 == 0 else "hard"
                 p = sigmoid(a - difficulties[j])
-                rows.append(Interaction(s, j, float(t),
-                                        int(rng.uniform() < p)))
-            interactions[s] = rows
-        ds = Dataset(interactions, qm)
+                rows.append((s, j, float(t), int(rng.uniform() < p)))
+        ds = Dataset.from_rows(rows, qm)
         dm = encode_dataset(ds, ModelSpec("irt", 0))
         params = fit_logistic(dm.X, dm.y, FitConfig(l2_strength=1e-4))
         off = dm.layout.offset("users")

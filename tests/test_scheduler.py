@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from skillmem.analysis import history_counters, recall_probability
-from skillmem.corpus import Dataset, Interaction, QMatrix
+from skillmem.corpus import Dataset, QMatrix
 from skillmem.errors import ConfigError, SchedulingError
 from skillmem.scheduler import (SchedulerConfig, next_item, next_skill,
                                 random_policy, simulate_policy,
@@ -38,8 +38,8 @@ class TestNextSkill:
         k0 = skills[0]
         item = next(i for i in mf.layout.items
                     if k0 in truth.qmatrix.skills_of(i))
-        hist = Dataset({"s": [Interaction("s", item, 0.1 * t, 1)
-                              for t in range(8)]}, truth.qmatrix)
+        hist = Dataset.from_rows([("s", item, 0.1 * t, 1) for t in range(8)],
+                                 truth.qmatrix)
         counters, _ = history_counters(mf, hist, 1.0)
         recalls = {k: recall_probability(mf, counters, [k], 1.0,
                                          qmatrix=truth.qmatrix)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import rows_of
 from skillmem.encoder import ModelSpec, _Counter, encode_dataset
 from skillmem.glm import sigmoid
 from skillmem.synth import SynthConfig, make_synthetic
@@ -22,7 +23,7 @@ def test_truth_scores_rows_as_the_encoder_does(generated):
     streamed = []
     for s in ds.students:
         counters = {}
-        for r in ds.interactions[s]:
+        for r in rows_of(ds, s):
             streamed.append(truth.prob(s, r.item, counters, r.timestamp))
             for k in ds.qmatrix.skills_of(r.item):
                 counters.setdefault(k, _Counter()).push(r.timestamp,
