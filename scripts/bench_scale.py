@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Scale ladder of the corpus and encode layers, source trees alternated.
+"""Scale ladder of the corpus, encode and fit layers, source trees alternated.
 
 For each row count the script writes one synthetic corpus (seed 0, 420 rows
 a student, 60 items, 10 skills) into a temporary directory. Each layer is
 then timed in a fresh child process of every source tree: the corpus layers
 `load_interactions`, `preprocess` (of the loaded file), `save_dataset` (of
 the preprocessed corpus) and `load_prepared`, and `encode_dataset` of each
-ablation family on the loaded corpus. A layer's inputs are built untimed in
-its child first. A record holds wall and CPU seconds, rows/s, nnz and the
-child's peak RSS from `resource.getrusage`, so a layer's peak includes the
-inputs it was handed. Linux carries a process's RSS high-water mark over
+ablation family on the loaded corpus, and `glm.fit_logistic` of das3h on
+the training rows of fold 0 (5 student folds, seed 0) at l2=1e-5 with the
+default iteration cap. A layer's inputs are built untimed in its child
+first; the fit's design is encoded once per row count, in a child of the
+first tree, and saved, so that its child holds only the design it fits. A
+record holds wall and CPU seconds, rows/s, nnz and the child's peak RSS from
+`resource.getrusage`, so a layer's peak includes the inputs it was handed; a
+fit's record adds its iterations, `converged` and the norm of the full
+gradient at its result. Linux carries a process's RSS high-water mark over
 `exec`, so the parent process imports neither numpy nor the package: a
 child starts from that small footprint, not from the generator's.
 
@@ -19,7 +24,7 @@ child starts from that small footprint, not from the generator's.
 `--src LABEL=PATH` names a source tree to measure (default: this
 checkout's `src`, labelled `change`). Rounds alternate which tree runs
 first; the file holds every record and, per tree and layer, the median,
-minimum and maximum over the rounds.
+minimum and maximum of wall and CPU seconds and peak RSS over the rounds.
 """
 
 import argparse
@@ -38,6 +43,8 @@ ROWS_PER_STUDENT = 420
 SEED = 0
 CORPUS_LAYERS = ("load_interactions", "preprocess", "save_dataset",
                  "load_prepared")
+FIT_LAYER = "glm.fit_logistic.das3h"
+FIT_L2 = 1e-5
 
 
 def make_corpus(path, rows):
@@ -55,16 +62,43 @@ def make_corpus(path, rows):
                              for f in pair})))
 
 
+def fit_design(path):
+    """Save the das3h design of fold 0's training rows of the corpus at
+    `path` to `path + ".fit.npz"`; print its shape and nnz as JSON."""
+    import numpy as np
+
+    from skillmem.corpus import load_prepared, student_kfold
+    from skillmem.encoder import ModelSpec, encode_dataset
+
+    ds = load_prepared(path)
+    dm = encode_dataset(ds, ModelSpec("das3h", 0))
+    folds = student_kfold(ds, 5, SEED)
+    train = np.array([folds.fold_of_student[s]
+                      for s in ds.students])[ds.student] != 0
+    X = dm.X[train]
+    np.savez(path + ".fit.npz", data=X.data, indices=X.indices,
+             indptr=X.indptr, shape=X.shape, y=dm.y[train])
+    print(json.dumps({"shape": X.shape, "nnz": int(X.nnz)}))
+
+
 def measure(path, layer):
-    """Time `layer` ("corpus.<function>" or "encoder.encode_dataset.<family>")
-    on the corpus at `path`; print the record as JSON."""
+    """Time `layer` ("corpus.<function>", "encoder.encode_dataset.<family>"
+    or `FIT_LAYER`) on the corpus at `path`; print the record as JSON."""
     import resource
 
-    from skillmem import corpus
+    import numpy as np
+    from scipy import sparse
+
+    from skillmem import corpus, glm
     from skillmem.encoder import ModelSpec, encode_dataset
 
     def raw():
         return corpus.load_interactions(path)
+
+    def fit_inputs():
+        with np.load(path + ".fit.npz") as z:
+            return sparse.csr_matrix((z["data"], z["indices"], z["indptr"]),
+                                     shape=tuple(z["shape"])), z["y"]
 
     family = layer.rpartition(".")[2]
     setup, run = {
@@ -73,6 +107,8 @@ def measure(path, layer):
         "corpus.save_dataset": (lambda: corpus.preprocess(raw()),
                                 lambda ds: corpus.save_dataset(ds, path + ".out")),
         "corpus.load_prepared": (lambda: path, corpus.load_prepared),
+        FIT_LAYER: (fit_inputs, lambda Xy: glm.fit_logistic(
+            *Xy, glm.FitConfig(l2_strength=FIT_L2))),
     }.get(layer, (lambda: corpus.load_prepared(path),
                   lambda ds: encode_dataset(ds, ModelSpec(family, 0))))
     arg = setup()
@@ -82,6 +118,12 @@ def measure(path, layer):
     record = {"layer": layer, "wall_s": round(wall, 4), "cpu_s": round(cpu, 4)}
     if layer.startswith("encoder."):
         record.update(nnz=int(out.X.nnz), features=out.layout.n_features)
+    if layer == FIT_LAYER:
+        _, grad_w, grad_b = glm.loss_and_gradient(out, *arg)
+        record.update(nnz=int(arg[0].nnz), features=arg[0].shape[1],
+                      n_iter=out.n_iter, converged=out.converged,
+                      grad_norm=float(np.linalg.norm(np.append(grad_w,
+                                                               grad_b))))
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     record["peak_rss_mb"] = round(peak_kb / 1024, 1)
     print(json.dumps(record))
@@ -113,7 +155,8 @@ def main():
     if args.child:
         src, step, *rest = args.child
         sys.path.insert(0, os.path.abspath(src))
-        return {"corpus": make_corpus, "measure": measure}[step](*rest)
+        return {"corpus": make_corpus, "fit_design": fit_design,
+                "measure": measure}[step](*rest)
     if not args.out:
         ap.error("--out is required")
     trees = [s.split("=", 1) for s in
@@ -124,8 +167,10 @@ def main():
         for rows in args.rows:
             path = os.path.join(tmp, f"corpus_{rows}.csv")
             families = child(trees[0][1], "corpus", path, str(rows))
+            child(trees[0][1], "fit_design", path)
             layers = ([f"corpus.{fn}" for fn in CORPUS_LAYERS]
-                      + [f"encoder.encode_dataset.{f}" for f in families])
+                      + [f"encoder.encode_dataset.{f}" for f in families]
+                      + [FIT_LAYER])
             for r in range(args.rounds):
                 for label, src in trees[::1 if r % 2 == 0 else -1]:
                     for layer in layers:
@@ -141,7 +186,7 @@ def main():
         for rec in recs:
             groups.setdefault(f"{rec['layer']}@{rec['rows']}", []).append(rec)
         summary[label] = {key: {m: spread([rec[m] for rec in group])
-                                for m in ("wall_s", "peak_rss_mb")}
+                                for m in ("wall_s", "cpu_s", "peak_rss_mb")}
                           for key, group in groups.items()}
     doc = {"host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                     "python": platform.python_version(),

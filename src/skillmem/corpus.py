@@ -240,7 +240,7 @@ def load_interactions(path, fmt="generic"):
             raise ParseError(1, f"missing columns {missing} in header")
         fields = itemgetter(col[f.user], col[f.timestamp], col[f.correct])
         item_of, at = itemgetter(*(col[c] for c in ids)), col[f.skills]
-        for line_no, row in enumerate(filter(None, reader), start=2):
+        for row in filter(None, reader):
             try:
                 user, ts, label = fields(row)
                 stamps.append(float(ts))
@@ -249,7 +249,7 @@ def load_interactions(path, fmt="generic"):
                 pair.append(pairs[item_of(row),
                                   row[at] if at < len(row) else ""])
             except (IndexError, ValueError) as exc:
-                raise ParseError(line_no, str(exc)) from exc
+                raise ParseError(reader.line_num, str(exc)) from exc
     students, student_of = _code([key.strip() for key in users])
     names, entries = [], set()
     for item, skills in pairs:

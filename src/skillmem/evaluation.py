@@ -70,6 +70,8 @@ class FoldResult:
     n_test: int
     converged: bool | None = None  # L-BFGS only; None for Gibbs folds
     n_iter: int | None = None
+    final_loss: float | None = None
+    grad_norm: float | None = None
 
 
 @dataclass
@@ -196,7 +198,9 @@ def cross_validate(dataset, specs, k=5, seed=0, glm_config=None,
                 fold=fold, auc=fold_auc, nll=nll(probs, y_test),
                 acc=accuracy(probs, y_test), n_test=int(test_mask.sum()),
                 converged=fitted.converged if linear else None,
-                n_iter=fitted.n_iter if linear else None))
+                n_iter=fitted.n_iter if linear else None,
+                final_loss=fitted.final_loss if linear else None,
+                grad_norm=fitted.grad_norm if linear else None))
             if model_sink is not None:
                 model_sink(spec.label, fold, fitted, dm)
     return table

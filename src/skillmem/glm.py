@@ -4,13 +4,34 @@ The objective is the per-row mean negative log-likelihood plus an L2 penalty
 on the weights (the intercept is unpenalized). The penalty is not rescaled by
 the row count so that duplicating every row leaves the optimum unchanged.
 Optimization uses L-BFGS with an analytic gradient.
+
+Two things keep a fit from wasting work without changing one bit of it:
+
+- L-BFGS-B runs with one thread of the OpenBLAS that scipy's wheel bundles
+  (`scipy.libs/libscipy_openblas-*.so`, a separate copy from numpy's). Its
+  BLAS calls are on vectors of length d + 1, far too small to share out,
+  yet a second OpenBLAS thread spins between them and doubles the fit's CPU
+  time. The count is set to one around `optimize.minimize` and restored
+  after it, also when it raises; where scipy's library or its symbols are
+  not found, nothing is changed.
+- The gradient's product `X.T @ resid` runs on `X.T` converted to CSR once
+  per fit, not on the CSC view of the CSR design. Each output is then a
+  sum held in a register rather than a scatter-add into memory, over the
+  same rows in the same ascending order, so it is bit-equal. It costs a
+  second copy of the design's nonzeros for the length of the fit.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy import optimize, sparse
 
 from .errors import FitError
@@ -30,6 +51,9 @@ class LinearParams:
     l2_strength: float
     converged: bool = True
     n_iter: int = 0
+    # L-BFGS's final penalized loss and gradient norm; None when not fitted
+    final_loss: float | None = None
+    grad_norm: float | None = None
 
     @property
     def n_features(self):
@@ -48,12 +72,9 @@ def sigmoid(x):
 
 
 def _log1pexp(x):
-    """log(1 + exp(x)) without overflow."""
-    out = np.empty_like(x)
-    big = x > 30
-    out[big] = x[big]
-    out[~big] = np.log1p(np.exp(x[~big]))
-    return out
+    """log(1 + exp(x)), taken as x above 30; exp overflows only there."""
+    with np.errstate(over="ignore"):
+        return np.where(x > 30, x, np.log1p(np.exp(x)))
 
 
 def loss_and_gradient(params, X, y):
@@ -68,8 +89,8 @@ def loss_and_gradient(params, X, y):
 
 def _objective(X, y, l2):
     """theta = (weights, intercept) -> (loss, gradient) of
-    `loss_and_gradient`; `X.T` is built once, not per call."""
-    (n, d), XT = X.shape, X.T
+    `loss_and_gradient`; `X.T` is built once, as CSR for a sparse `X`."""
+    (n, d), XT = X.shape, (X.T.tocsr() if sparse.issparse(X) else X.T)
     if len(y) != n:
         raise FitError(f"row count {n} != label count {len(y)}")
 
@@ -77,7 +98,8 @@ def _objective(X, y, l2):
         w = theta[:d]
         z = X @ w + theta[d]
         # mean NLL = mean(log(1+exp(z)) - y*z)
-        loss = float(np.mean(_log1pexp(z) - y * z)) + 0.5 * l2 * float(w @ w)
+        loss = (float((_log1pexp(z) - y * z).sum() / n)
+                + 0.5 * l2 * float(w @ w))
         resid = (sigmoid(z) - y) / n
         grad = np.empty(d + 1)
         np.add(np.asarray(XT @ resid).ravel(), l2 * w, out=grad[:d])
@@ -85,6 +107,44 @@ def _objective(X, y, l2):
         return loss, grad
 
     return objective
+
+
+@functools.cache
+def _scipy_openblas():
+    """(get, set) of the thread count of the OpenBLAS bundled with scipy,
+    when that library is loaded; None otherwise. Looked up once."""
+    pkg = os.path.dirname(scipy.__file__)
+    # where scipy's Linux and Windows wheels, and its macOS wheels, put it
+    paths = (glob.glob(os.path.join(pkg + ".libs", "*openblas*"))
+             + glob.glob(os.path.join(pkg, ".dylibs", "*openblas*")))
+    for path in sorted(paths):
+        try:  # RTLD_NOLOAD: find the loaded copy, never load another
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+            get = lib.scipy_openblas_get_num_threads
+            set_ = lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with scipy's OpenBLAS on one thread, then restore the
+    count it had. The count is process-wide, so fits must not overlap."""
+    blas = _scipy_openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
 
 
 def fit_logistic(X, y, config=None):
@@ -101,21 +161,24 @@ def fit_logistic(X, y, config=None):
     y = np.asarray(y, dtype=float)
     d = X.shape[1]
     theta0 = np.zeros(d + 1)
-    res = optimize.minimize(
-        _objective(X, y, config.l2_strength), theta0, jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": config.max_iterations,
-            "gtol": config.tolerance,
-            "ftol": 1e-14,
-        },
-    )
+    objective = _objective(X, y, config.l2_strength)
+    with _one_blas_thread():
+        res = optimize.minimize(
+            objective, theta0, jac=True, method="L-BFGS-B",
+            options={
+                "maxiter": config.max_iterations,
+                "gtol": config.tolerance,
+                "ftol": 1e-14,
+            },
+        )
     return LinearParams(
         weights=res.x[:d].copy(),
         intercept=float(res.x[d]),
         l2_strength=config.l2_strength,
         converged=bool(res.success),
         n_iter=int(res.nit),
+        final_loss=float(res.fun),
+        grad_norm=float(np.linalg.norm(res.jac)),
     )
 
 

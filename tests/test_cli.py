@@ -182,6 +182,10 @@ def test_model_roundtrip(tmp_path, fixture_dataset):
     assert np.allclose(back.params.weights, params.weights)
     assert back.spec.family == "das3h"
     assert back.layout.blocks == dm.layout.blocks
+    # fit diagnostics go to metrics.json, not into the model file
+    with open(path) as fh:
+        assert sorted(json.load(fh)["linear"]) == [
+            "converged", "intercept", "l2_strength", "n_iter", "weights"]
 
 
 def test_fm_model_roundtrip(tmp_path, fixture_dataset):

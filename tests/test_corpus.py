@@ -278,3 +278,13 @@ def test_parse_error_names_the_line(tmp_path, bad, at):
     with pytest.raises(ParseError, match=f"^line {at + 2}: ") as err:
         load_interactions(path)
     assert err.value.line_no == at + 2
+
+
+def test_parse_error_counts_blank_lines(tmp_path):
+    # the error names the physical line, blank lines included
+    path = tmp_path / "data.csv"
+    path.write_text("user,item,timestamp,correct,skills\n\n"
+                    "u1,i1,notatime,1,k1\nu1,i2,1,1,k1\n")
+    with pytest.raises(ParseError, match="^line 3: ") as err:
+        load_interactions(str(path))
+    assert err.value.line_no == 3

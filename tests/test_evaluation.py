@@ -135,6 +135,19 @@ class TestCrossValidate:
         assert [(f["converged"], f["n_iter"]) for f in folds["mirtb(d=1)"]] \
             == [(None, None)] * 2
 
+    def test_linear_folds_report_final_loss_and_gradient_norm(
+            self, fixture_dataset):
+        from skillmem.fm import GibbsConfig
+        table = cross_validate(
+            fixture_dataset, [ModelSpec("das3h", 0), ModelSpec("mirtb", 1)],
+            k=2, seed=0, glm_config=FitConfig(l2_strength=0.01),
+            gibbs_config=GibbsConfig(iterations=2, seed=0))
+        folds = json.loads(table.to_json())["folds"]
+        for f in folds["das3h(d=0)"]:
+            assert f["final_loss"] > 0 and 0 <= f["grad_norm"] < 1e-3
+        assert [(f["final_loss"], f["grad_norm"])
+                for f in folds["mirtb(d=1)"]] == [(None, None)] * 2
+
     def test_single_class_fold_warns(self):
         from skillmem.corpus import Dataset, QMatrix
         qm = QMatrix([("i1", "k1")])

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize, sparse
 
+import reference_glm as reference
+from skillmem import glm
 from skillmem.encoder import ModelSpec, encode_dataset
 from skillmem.errors import FitError
 from skillmem.glm import (FitConfig, LinearParams, fit_logistic,
@@ -180,3 +184,94 @@ class TestPredictProba:
         params = LinearParams(np.zeros(3), 0.7, 0.0)
         row = sparse.csr_matrix((1, 3))
         assert predict_proba(params, row) == pytest.approx([sigmoid(0.7)])
+
+
+@st.composite
+def objective_cases(draw):
+    """(X, y, l2, thetas): a CSR or dense design whose rows include logits
+    near 30.5, 35, -35 and 800 (exp overflows there) and a zero row,
+    and three points to evaluate at; at the second and third the intercept
+    is 0, so the zero row's logit is exactly 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(0, 30)), draw(st.integers(1, 8))
+    density = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    scale = draw(st.sampled_from([0.01, 1.0, 30.0, 1e3]))
+    intercept = draw(st.sampled_from([-1.5, 0.0, 2.0]))
+    w = rng.normal(size=d)
+    X = rng.normal(scale=scale, size=(n, d)) * (rng.uniform(size=(n, d))
+                                                < density)
+    j = int(np.argmax(np.abs(w)))
+    extremes = np.zeros((5, d))
+    logits = np.array([30.5, 35.0, -35.0, 800.0])
+    extremes[:4, j] = (logits - intercept) / w[j]
+    X = np.vstack([X, extremes])[rng.permutation(n + 5)]
+    y = rng.integers(0, 2, size=n + 5).astype(float)
+    thetas = [np.append(w, intercept), np.append(w, 0.0), np.zeros(d + 1)]
+    l2 = draw(st.sampled_from([0.0, 1e-5, 1.0]))
+    return (X if draw(st.booleans()) else sparse.csr_matrix(X)), y, l2, thetas
+
+
+class TestObjectiveMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(objective_cases())
+    def test_loss_and_gradient_bits(self, case):
+        X, y, l2, thetas = case
+        ours, ref = glm._objective(X, y, l2), reference.objective(X, y, l2)
+        for theta in thetas:
+            (loss, grad), (ref_loss, ref_grad) = ours(theta), ref(theta)
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_fit_equals_lbfgs_on_reference(self, small_synth):
+        dm = encode_dataset(small_synth[0], ModelSpec("das3h", 0))
+        cfg = FitConfig(l2_strength=1e-3, max_iterations=60)
+        params = fit_logistic(dm.X, dm.y, cfg)
+        res = optimize.minimize(
+            reference.objective(dm.X, dm.y.astype(float), cfg.l2_strength),
+            np.zeros(dm.X.shape[1] + 1), jac=True, method="L-BFGS-B",
+            options={"maxiter": cfg.max_iterations, "gtol": cfg.tolerance,
+                     "ftol": 1e-14})
+        assert params.weights.tobytes() == res.x[:-1].tobytes()
+        assert params.intercept == res.x[-1]
+        assert (params.n_iter, params.converged) == (res.nit, res.success)
+        assert params.final_loss == res.fun
+        assert params.grad_norm == np.linalg.norm(res.jac)
+
+
+@pytest.mark.skipif(glm._scipy_openblas() is None,
+                    reason="scipy's bundled OpenBLAS is not loaded here "
+                           "(no scipy_openblas thread-count symbols)")
+class TestBlasThreads:
+    def test_one_thread_in_the_fit_restored_after(self, monkeypatch):
+        get_threads = glm._scipy_openblas()[0]
+        before, during = get_threads(), []
+        objective = glm._objective
+
+        def counting(*args):
+            f = objective(*args)
+
+            def counted(theta):
+                during.append(get_threads())
+                return f(theta)
+            return counted
+
+        monkeypatch.setattr(glm, "_objective", counting)
+        rng = np.random.default_rng(0)
+        _, X, y = random_instance(rng, n=30)
+        fit_logistic(X, y, FitConfig(l2_strength=0.1))
+        assert during and set(during) == {1}
+        assert get_threads() == before
+
+    def test_restored_when_the_fit_raises(self, monkeypatch):
+        get_threads = glm._scipy_openblas()[0]
+        before = get_threads()
+
+        def failing(*args):
+            def objective(theta):
+                raise RuntimeError("objective failed")
+            return objective
+
+        monkeypatch.setattr(glm, "_objective", failing)
+        with pytest.raises(RuntimeError, match="objective failed"):
+            fit_logistic(np.eye(3), np.array([1, 0, 1]))
+        assert get_threads() == before
