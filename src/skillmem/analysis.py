@@ -12,7 +12,6 @@ history `Dataset`, whose q-matrix tags its items.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,6 +22,7 @@ from .encoder import FAMILY_TABLE, _Counter
 from .errors import ConfigError
 from .fm import probit
 from .glm import LinearParams, sigmoid
+from .modelio import atomic_open
 
 LOG2 = math.log(2.0)
 
@@ -40,22 +40,15 @@ class SlopeEntry:
 @dataclass
 class SlopeReport:
     entries: list[SlopeEntry] = field(default_factory=list)
-    pair_mode: str = "adjacent"
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["skill_id", "mean_drop_pct", "std", "n_folds",
                         "n_pairs", "unseen"])
             for e in self.entries:
                 w.writerow([e.skill, e.mean_drop_pct, e.std_pct, e.n_folds,
                             e.n_pairs, int(e.unseen)])
-
-    def to_json(self):
-        return json.dumps({
-            "pair_mode": self.pair_mode,
-            "entries": [e.__dict__ for e in self.entries],
-        }, indent=2)
 
 
 def _window_weight_pairs(params, layout, skill_idx, W):
@@ -67,20 +60,16 @@ def _window_weight_pairs(params, layout, skill_idx, W):
             for w in range(W)]
 
 
-def forgetting_slope(models, layouts, skill, pair_mode="adjacent"):
+def forgetting_slope(models, layouts, skill):
     """Mean correctness-probability drop (percentage points) when one win
-    leaves a single time window, for one skill, averaged over window
-    transitions and over the per-fold models.
+    ages from window w into w+1, for one skill, averaged over the adjacent
+    window transitions and over the per-fold models.
 
     Reference operating point: one win / one attempt present in every window,
     user and item biases at their fitted means, the skill's own easiness bias
-    active. `pair_mode` is "adjacent" (a win ages from window w into w+1) or
-    "all" (every ordered window pair, the win leaving all windows between).
+    active.
     """
-    if pair_mode not in ("adjacent", "all"):
-        raise ConfigError(f"unknown pair_mode {pair_mode!r}")
     per_fold = []
-    n_pairs = 0
     seen = False
     for params, layout in zip(models, layouts):
         if not isinstance(params, LinearParams):
@@ -98,14 +87,8 @@ def forgetting_slope(models, layouts, skill, pair_mode="adjacent"):
         beta = params.weights[layout.offset("skills") + k]
         z = (params.intercept + user_mean + item_mean + beta
              + LOG2 * sum(pair_w))
-        drops = []
-        if pair_mode == "adjacent":
-            transitions = [(w, w + 1) for w in range(W - 1)]
-        else:
-            transitions = [(w1, w2) for w1 in range(W) for w2 in range(w1 + 1, W)]
-        for w1, w2 in transitions:
-            delta = LOG2 * sum(pair_w[w1:w2])
-            drops.append(sigmoid(z) - sigmoid(z - delta))
+        drops = [sigmoid(z) - sigmoid(z - LOG2 * pair_w[w])
+                 for w in range(W - 1)]
         n_pairs = len(drops)
         per_fold.append(100.0 * float(np.mean(drops)))
     if not seen:
@@ -120,12 +103,10 @@ def forgetting_slope(models, layouts, skill, pair_mode="adjacent"):
     )
 
 
-def slope_report(models, layouts, pair_mode="adjacent"):
+def slope_report(models, layouts):
     skills = sorted({k for lay in layouts for k in lay.skills})
     return SlopeReport(
-        entries=[forgetting_slope(models, layouts, k, pair_mode) for k in skills],
-        pair_mode=pair_mode,
-    )
+        entries=[forgetting_slope(models, layouts, k) for k in skills])
 
 
 def history_counters(model, history, query_time):
@@ -150,7 +131,7 @@ def history_counters(model, history, query_time):
 
 
 def recall_probability(model, counters, skills, query_time, item=None,
-                       student=None, qmatrix=None):
+                       student=None, *, qmatrix):
     """Probability of answering correctly a virtual item over `skills` at
     `query_time`, given one student's `counters` (family key -> `_Counter`
     of answers at or before `query_time`).
@@ -158,9 +139,9 @@ def recall_probability(model, counters, skills, query_time, item=None,
     The row is scored by `model.score`, which builds it by the family's
     table entry as batch encoding does. A `student` outside the layout (or
     None) has no user bias. When `item` is None, the item bias is proxied
-    by the mean fitted bias over the items tagged with the queried skills
-    (all items if no q-matrix is supplied), pooled once per model and
-    q-matrix in `model.item_proxies`. An FM model answers with the
+    by the mean fitted bias over the layout items that `qmatrix` tags with
+    the queried skills, pooled once per model and q-matrix in
+    `model.item_proxies`. An FM model answers with the
     probit of its posterior-mean score, whereas cross-validation scores
     held-out rows by the probit probabilities averaged over the kept chain;
     the two differ when the posterior is spread out.
@@ -178,12 +159,9 @@ def recall_probability(model, counters, skills, query_time, item=None,
         if item not in layout.items:
             raise ConfigError(f"item {item!r} not in model")
     elif pooled not in model.item_proxies:
-        off, size = layout.blocks["items"]
-        if qmatrix is not None:
-            tagged = set().union(*map(qmatrix.items_of, skills))
-            pool = [i for i, it in enumerate(layout.items) if it in tagged]
-        else:
-            pool = list(range(size))
+        off = layout.offset("items")
+        tagged = set().union(*map(qmatrix.items_of, skills))
+        pool = [i for i, it in enumerate(layout.items) if it in tagged]
         weights = (params.weights if model.kind == "linear"
                    else params.posterior_mean.linear_weights)
         model.item_proxies[pooled] = (

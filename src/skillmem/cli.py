@@ -2,8 +2,8 @@
 
 Every subcommand that writes outputs also writes a run manifest (flags,
 input hashes, seed, version, wall time) next to them, built from the
-command's own parameters, and all files go through atomic temp-then-rename
-writes.
+command's own parameters, and every file is written through
+`modelio.atomic_open`, a temp file renamed over its target.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .corpus import (QMatrix, dataset_stats, load_interactions, load_prepared,
 from .encoder import (FAMILIES, ModelSpec, WindowSet, encode_dataset,
                       load_design, save_design)
 from .errors import SkillmemError
-from .modelio import ModelFile, atomic_write_text, load_model, save_model
+from .modelio import ModelFile, atomic_open, load_model, save_model
 
 
 def _family(name):
@@ -90,7 +90,8 @@ def write_manifest(out_dir, seed, started, read=()):
         "version": __version__,
         "wall_time_s": round(time.time() - started, 3),
     }
-    atomic_write_text(path, json.dumps(manifest, indent=2))
+    with atomic_open(path) as fh:
+        json.dump(manifest, fh, indent=2)
 
 
 def _out_dir_of(path):
@@ -125,10 +126,8 @@ def prepare(in_path, fmt, min_interactions, qmatrix_path, out_path):
     ds = preprocess(ds, min_interactions)
     out_dir = _out_dir_of(out_path)
     save_dataset(ds, out_path)
-    report = dataset_stats(ds)
-    atomic_write_text(out_path + ".stats.json", report.to_json())
     write_manifest(out_dir, seed=None, started=started)
-    click.echo(report.to_json())
+    click.echo(dataset_stats(ds).to_json())
 
 
 @main.command()
@@ -169,14 +168,13 @@ def train(encoded, l2, iters, seed, out_path):
     """Fit a model on an encoded design matrix, at the dim of its spec."""
     started = time.time()
     dm = load_design(encoded)
+    params, _ = evaluation.fit_model(
+        dm, None, glm.FitConfig(l2_strength=l2),
+        fm_mod.GibbsConfig(iterations=iters, seed=seed))
     if dm.spec.dim == 0:
-        params = glm.fit_logistic(dm.X, dm.y, glm.FitConfig(l2_strength=l2))
         training_config = {"l2": l2, "converged": params.converged}
         seed = None
     else:
-        cfg = fm_mod.GibbsConfig(iterations=iters, seed=seed)
-        params = fm_mod.fit_fm_gibbs(dm.X, dm.y, dm.spec.dim, cfg,
-                                     groups=dm.layout.group_of_feature())
         training_config = {"iterations": iters, "seed": seed}
     out_dir = _out_dir_of(out_path)
     save_model(ModelFile(spec=dm.spec, layout=dm.layout, params=params,
@@ -221,9 +219,8 @@ def cv(in_path, models, dims, folds, seed, l2, iters, out_dir):
         glm_config=glm.FitConfig(l2_strength=l2),
         gibbs_config=fm_mod.GibbsConfig(iterations=iters, seed=seed),
         model_sink=sink)
-    atomic_write_text(os.path.join(out_dir, "metrics.json"), table.to_json())
-    atomic_write_text(os.path.join(out_dir, "metrics.txt"),
-                      table.format_table() + "\n")
+    with atomic_open(os.path.join(out_dir, "metrics.json")) as fh:
+        fh.write(table.to_json())
     write_manifest(out_dir, seed=seed, started=started)
     click.echo(table.format_table())
 
@@ -235,10 +232,8 @@ def analyze():
 
 @analyze.command()
 @click.option("--model-dir", required=True, type=click.Path(exists=True))
-@click.option("--pairs", default="adjacent",
-              type=click.Choice(["adjacent", "all"]), show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-def slopes(model_dir, pairs, out_path):
+def slopes(model_dir, out_path):
     """Forgetting-curve slopes from per-fold dim=0 das3h models."""
     started = time.time()
     models, layouts, read = [], [], []
@@ -253,10 +248,9 @@ def slopes(model_dir, pairs, out_path):
             read.append(path)
     if not models:
         raise click.UsageError("no linear das3h models found in --model-dir")
-    report = analysis_mod.slope_report(models, layouts, pair_mode=pairs)
+    report = analysis_mod.slope_report(models, layouts)
     out_dir = _out_dir_of(out_path)
     report.write_csv(out_path)
-    atomic_write_text(out_path + ".json", report.to_json())
     write_manifest(out_dir, seed=None, started=started, read=read)
     click.echo(f"slopes for {len(report.entries)} skills -> {out_path}")
 

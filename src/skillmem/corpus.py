@@ -26,6 +26,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ConfigError, EmptyDatasetError, ParseError
+from .modelio import atomic_open
 
 # Separator used to build a single item id out of KDD-style problem/step
 # pairs. Two characters, unlikely to occur in real ids.
@@ -356,7 +357,7 @@ def save_dataset(dataset, path):
     def per_row(names, codes):
         return np.array(names, dtype=object)[codes].tolist()
 
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["user", "item", "timestamp", "correct", "skills"])
         w.writerows(zip(per_row(ds.students, ds.student),
@@ -374,7 +375,7 @@ def load_prepared(path):
 
 
 def load_qmatrix_triplets(path):
-    """Optional separate q-matrix file: one (item_id, skill_id) pair per row."""
+    """A separate q-matrix file: one (item, skill) pair per row, neither blank."""
     entries = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -383,7 +384,7 @@ def load_qmatrix_triplets(path):
             fh.seek(0)
             reader = csv.reader(fh)
         for row in reader:
-            if len(row) < 2:
-                continue
-            entries.add((row[0].strip(), row[1].strip()))
+            item, skill = (cell.strip() for cell in (row + ["", ""])[:2])
+            if item and skill:
+                entries.add((item, skill))
     return QMatrix(entries)

@@ -451,13 +451,14 @@ def save_design(dm, path):
     loads with `allow_pickle=False`. The layout and the spec go to a JSON
     sidecar at `path + ".json"`.
     """
+    from .modelio import atomic_open  # modelio imports this module
     X = dm.X
     # a file handle keeps numpy from appending ".npz" to the path
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         np.savez(fh, data=X.data, indices=X.indices, indptr=X.indptr,
                  shape=np.asarray(X.shape, dtype=np.int64), y=dm.y,
                  students=np.asarray(dm.students, dtype=str))
-    with open(path + ".json", "w") as fh:
+    with atomic_open(path + ".json") as fh:
         json.dump({"layout": dm.layout.to_dict(),
                    "spec": spec_to_dict(dm.spec)}, fh)
 

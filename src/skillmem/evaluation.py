@@ -148,19 +148,20 @@ class MetricsTable:
         return "\n".join(lines)
 
 
-def _fit_and_score(dm, train_mask, test_mask, glm_config, gibbs_config):
-    """Fit one model on the train rows, return test probabilities."""
-    X_train = dm.X[train_mask]
-    y_train = dm.y[train_mask]
-    X_test = dm.X[test_mask]
+def fit_model(dm, rows, glm_config, gibbs_config, eval_rows=None):
+    """Fit `dm`'s `rows` (None: all) at its spec's dim, by L-BFGS at dim 0
+    and Gibbs sampling above; returns the `LinearParams` or `FMFit` and the
+    predicted probabilities of the `eval_rows` (None without them)."""
+    X, y = (dm.X, dm.y) if rows is None else (dm.X[rows], dm.y[rows])
+    eval_X = None if eval_rows is None else dm.X[eval_rows]
     if dm.spec.dim == 0:
-        params = glm.fit_logistic(X_train, y_train, glm_config)
-        return glm.predict_proba(params, X_test), params
-    cfg = gibbs_config or fm_mod.GibbsConfig()
-    fit = fm_mod.fit_fm_gibbs(
-        X_train, y_train, dm.spec.dim, cfg,
-        groups=dm.layout.group_of_feature(), eval_X=X_test)
-    return fit.eval_probs, fit
+        params = glm.fit_logistic(X, y, glm_config)
+        return params, (None if eval_X is None
+                        else glm.predict_proba(params, eval_X))
+    fit = fm_mod.fit_fm_gibbs(X, y, dm.spec.dim, gibbs_config,
+                              groups=dm.layout.group_of_feature(),
+                              eval_X=eval_X)
+    return fit, fit.eval_probs
 
 
 def cross_validate(dataset, specs, k=5, seed=0, glm_config=None,
@@ -178,11 +179,9 @@ def cross_validate(dataset, specs, k=5, seed=0, glm_config=None,
         dm = encode_dataset(dataset, spec)
         for fold in range(k):
             test_mask = fold_of_row == fold
-            train_mask = ~test_mask
-            probs, fitted = _fit_and_score(dm, train_mask, test_mask,
-                                           glm_config, gibbs_config)
-            linear = isinstance(fitted, glm.LinearParams)
-            if linear and not fitted.converged:
+            fitted, probs = fit_model(dm, ~test_mask, glm_config,
+                                      gibbs_config, eval_rows=test_mask)
+            if fitted.converged is False:
                 warnings.warn(
                     f"{spec.label} fold {fold}: L-BFGS stopped after "
                     f"{fitted.n_iter} iterations without converging")
@@ -197,10 +196,8 @@ def cross_validate(dataset, specs, k=5, seed=0, glm_config=None,
             table.add(spec.label, FoldResult(
                 fold=fold, auc=fold_auc, nll=nll(probs, y_test),
                 acc=accuracy(probs, y_test), n_test=int(test_mask.sum()),
-                converged=fitted.converged if linear else None,
-                n_iter=fitted.n_iter if linear else None,
-                final_loss=fitted.final_loss if linear else None,
-                grad_norm=fitted.grad_norm if linear else None))
+                converged=fitted.converged, n_iter=fitted.n_iter,
+                final_loss=fitted.final_loss, grad_norm=fitted.grad_norm))
             if model_sink is not None:
                 model_sink(spec.label, fold, fitted, dm)
     return table

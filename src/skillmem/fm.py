@@ -4,9 +4,10 @@ Bayesian FM with a probit link: binary labels are handled through truncated
 normal latent responses (unit noise variance), and every weight and embedding
 component carries a normal prior N(mu_g, 1/lambda_g) whose (mu_g, lambda_g)
 are sampled per feature group under hyperpriors mu ~ N(0,1), lambda ~ Gamma(1,1).
-Held-out rows passed to the fit get per-sample probit probabilities
-averaged over the post-burn-in chain; a saved model keeps the posterior mean,
-and one row is scored at that mean by `fm_score`.
+The first half of the sweeps is burn-in. Held-out rows passed to the fit
+get per-sample probit probabilities averaged over the second half; a saved
+model keeps the posterior mean, and one row is scored at that mean by
+`fm_score`.
 
 Each sweep draws the latents, the global bias, the group hyperparameters,
 then the linear weights and each embedding factor in column order, as a
@@ -31,19 +32,13 @@ from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 from .errors import FitError
 
+INIT_STDEV = 0.1  # sd of the embeddings' initial draws
+
 
 @dataclass
 class GibbsConfig:
-    iterations: int = 300
+    iterations: int = 300  # sweeps; the first iterations // 2 are burn-in
     seed: int = 0
-    burn_in: int | None = None  # defaults to iterations // 2
-    init_stdev: float = 0.1
-
-    def resolved_burn_in(self):
-        b = self.iterations // 2 if self.burn_in is None else self.burn_in
-        if b >= self.iterations:
-            raise FitError(f"burn_in {b} must be < iterations {self.iterations}")
-        return b
 
 
 @dataclass
@@ -65,6 +60,8 @@ class FMFit:
     posterior_mean: FMParams
     final_sample: FMParams
     eval_probs: np.ndarray | None = None  # chain-averaged probs for eval rows
+    # an L-BFGS fit's diagnostics (`LinearParams`); a Gibbs chain has none
+    converged = n_iter = final_loss = grad_norm = None
 
 
 def fm_score(params, row):
@@ -203,7 +200,9 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
         raise FitError(f"{groups.size} groups for {N} feature columns")
     if eval_X is not None and eval_X.shape[1] != N:
         raise FitError(f"eval_X has {eval_X.shape[1]} columns, X has {N}")
-    burn_in = config.resolved_burn_in()
+    if config.iterations < 1:
+        raise FitError(f"iterations must be >= 1, got {config.iterations}")
+    burn_in = config.iterations // 2
     rng = np.random.default_rng(config.seed)
     positive = y > 0
 
@@ -214,7 +213,7 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
     runs = _column_runs(Xc, group_index)
 
     w = np.zeros(N)
-    V = rng.normal(0.0, config.init_stdev, size=(N, d))
+    V = rng.normal(0.0, INIT_STDEV, size=(N, d))
     mu0 = 0.0
 
     # per-group (mu, lambda) for w, and per-(group, factor) for V

@@ -3,7 +3,8 @@
 The objective is the per-row mean negative log-likelihood plus an L2 penalty
 on the weights (the intercept is unpenalized). The penalty is not rescaled by
 the row count so that duplicating every row leaves the optimum unchanged.
-Optimization uses L-BFGS with an analytic gradient.
+Optimization uses L-BFGS with an analytic gradient, to a gradient tolerance
+of `GTOL`.
 
 Two things keep a fit from wasting work without changing one bit of it:
 
@@ -36,12 +37,13 @@ from scipy import optimize, sparse
 
 from .errors import FitError
 
+GTOL = 1e-6  # L-BFGS-B's projected-gradient tolerance
+
 
 @dataclass
 class FitConfig:
     l2_strength: float = 1.0
     max_iterations: int = 500
-    tolerance: float = 1e-6
 
 
 @dataclass
@@ -89,8 +91,8 @@ def loss_and_gradient(params, X, y):
 
 def _objective(X, y, l2):
     """theta = (weights, intercept) -> (loss, gradient) of
-    `loss_and_gradient`; `X.T` is built once, as CSR for a sparse `X`."""
-    (n, d), XT = X.shape, (X.T.tocsr() if sparse.issparse(X) else X.T)
+    `loss_and_gradient` over a sparse `X`; `X.T` is built once, as CSR."""
+    (n, d), XT = X.shape, X.T.tocsr()
     if len(y) != n:
         raise FitError(f"row count {n} != label count {len(y)}")
 
@@ -148,16 +150,11 @@ def _one_blas_thread():
 
 
 def fit_logistic(X, y, config=None):
-    """Deterministic batch fit; raises FitError on non-finite features."""
+    """Deterministic batch fit of `X` as CSR; FitError on non-finite values."""
     config = config or FitConfig()
-    if sparse.issparse(X):
-        if not np.all(np.isfinite(X.data)):
-            raise FitError("non-finite values in feature matrix")
-        X = X.tocsr()
-    else:
-        X = np.asarray(X, dtype=float)
-        if not np.all(np.isfinite(X)):
-            raise FitError("non-finite values in feature matrix")
+    X = sparse.csr_matrix(X)
+    if not np.all(np.isfinite(X.data)):
+        raise FitError("non-finite values in feature matrix")
     y = np.asarray(y, dtype=float)
     d = X.shape[1]
     theta0 = np.zeros(d + 1)
@@ -167,7 +164,7 @@ def fit_logistic(X, y, config=None):
             objective, theta0, jac=True, method="L-BFGS-B",
             options={
                 "maxiter": config.max_iterations,
-                "gtol": config.tolerance,
+                "gtol": GTOL,
                 "ftol": 1e-14,
             },
         )

@@ -1,10 +1,10 @@
-"""Model file serialization: one JSON container for linear and FM models."""
+"""Model files (one JSON container for linear and FM models); atomic writes."""
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,17 +56,19 @@ class ModelFile:
         return {}
 
 
-def atomic_write_text(path, text):
-    """Write via a temp file in the same directory, then rename."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+@contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """`open(path, mode, **kwargs)` for writing, as a new temp file beside
+    `path` that replaces it if the block exits cleanly and is removed if it
+    raises; created with the permissions a plain `open` gives."""
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, mode.replace("w", "x"), **kwargs)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -110,7 +112,8 @@ def save_model(model, path):
             "posterior_mean": _fm_params_to_dict(fit.posterior_mean),
             "final_sample": _fm_params_to_dict(fit.final_sample),
         }
-    atomic_write_text(path, json.dumps(doc))
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc))
 
 
 def load_model(path):

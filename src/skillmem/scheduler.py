@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import recall_probability
 from .errors import ConfigError, SchedulingError
+from .modelio import atomic_open
 
 
 @dataclass
@@ -42,8 +43,6 @@ def next_skill(recall, config):
 def next_item(skill, recall, config):
     """Among the q-matrix items covering `skill`, minimize the mean distance
     of the item's skills' `recall` from the threshold; ties -> lowest id."""
-    if config.qmatrix is None:
-        raise ConfigError("scheduler needs a q-matrix for item selection")
     eligible = sorted(config.qmatrix.items_of(skill))
     if not eligible:
         raise SchedulingError(f"no item covers skill {skill!r}")
@@ -90,7 +89,7 @@ class SimulationResult:
         return float(np.mean(self.per_seed[policy]))
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["policy", "seed_index", "mean_end_recall"])
             for policy, vals in self.per_seed.items():

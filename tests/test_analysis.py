@@ -63,14 +63,6 @@ class TestForgettingSlope:
             entry = forgetting_slope([params], [layout], skill)
             assert entry.mean_drop_pct >= 0.0
 
-    def test_all_pairs_mode_counts(self, small_synth):
-        ds, _ = small_synth
-        params, layout, _ = linear_das3h_model(ds, fill=0.1)
-        W = layout.size("wins") // len(layout.skills)
-        entry = forgetting_slope([params], [layout], layout.skills[0],
-                                 pair_mode="all")
-        assert entry.n_pairs == W * (W - 1) // 2
-
     def test_unseen_skill_warns(self, small_synth):
         ds, _ = small_synth
         params, layout, _ = linear_das3h_model(ds)
@@ -98,7 +90,7 @@ class TestRecallProbability:
     def test_empty_skill_set_rejected(self, truth_model):
         ds, truth, mf = truth_model
         with pytest.raises(ConfigError):
-            recall_probability(mf, {}, [], 1.0)
+            recall_probability(mf, {}, [], 1.0, qmatrix=truth.qmatrix)
 
     def test_recent_wins_beat_idle(self, truth_model):
         ds, truth, mf = truth_model
@@ -180,14 +172,16 @@ class TestRecallProbability:
         hist = [Row("x", lay.items[0], 0.5, 1)]
         counters, _ = history_counters(
             mf2, history(hist, QMatrix([(lay.items[0], k1)])), 2.0)
-        single = recall_probability(mf2, counters, [k1], 2.0)
-        both = recall_probability(mf2, counters, [k1, k2], 2.0)
+        # every item tagged with both skills: both queries pool all items
+        every = QMatrix([(i, k) for i in lay.items for k in (k1, k2)])
+        single = recall_probability(mf2, counters, [k1], 2.0, qmatrix=every)
+        both = recall_probability(mf2, counters, [k1, k2], 2.0, qmatrix=every)
         assert single == pytest.approx(both)
 
     def test_unknown_skill_rejected(self, truth_model):
         ds, truth, mf = truth_model
         with pytest.raises(ConfigError):
-            recall_probability(mf, {}, ["ghost"], 0.0)
+            recall_probability(mf, {}, ["ghost"], 0.0, qmatrix=truth.qmatrix)
 
     def test_history_of_several_students_rejected(self, truth_model):
         ds, truth, mf = truth_model
@@ -297,6 +291,7 @@ def test_fm_recall_of_an_empty_row(fixture_dataset):
     point = mf.params.posterior_mean
     off, size = layout.blocks["items"]
     proxy = float(np.mean(point.linear_weights[off:off + size]))
-    p = recall_probability(mf, {}, layout.skills[:1], 3.0)
+    every = QMatrix([(i, layout.skills[0]) for i in layout.items])
+    p = recall_probability(mf, {}, layout.skills[:1], 3.0, qmatrix=every)
     assert p == pytest.approx(float(probit(point.global_bias + proxy)),
                               rel=0, abs=1e-12)

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -9,9 +10,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from skillmem import fm, glm, modelio
+from skillmem.analysis import slope_report
 from skillmem.cli import main, run
+from skillmem.corpus import save_dataset
+from skillmem.encoder import ModelSpec, encode_dataset, load_design, save_design
 from skillmem.errors import ConfigError
-from skillmem.modelio import load_model
+from skillmem.modelio import ModelFile, atomic_open, load_model, save_model
+from skillmem.scheduler import SimulationResult
 from conftest import FIXTURE_PATH
 
 REPO = os.path.join(os.path.dirname(__file__), "..")
@@ -168,6 +174,76 @@ def test_atomic_outputs_no_tmp_left(runner, tmp_path):
     assert leftovers == []
 
 
+class _FailingFile:
+    """A file whose first write stores half of its data, then raises."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _writers(dataset):
+    """name -> (file the failing write targets, write of the artifact to a
+    path) for each writer of an artifact."""
+    das3h = encode_dataset(dataset, ModelSpec("das3h", 0))
+    params = glm.LinearParams(np.zeros(das3h.layout.n_features), 0.0, 0.0)
+    model = ModelFile(spec=das3h.spec, layout=das3h.layout, params=params,
+                      training_config={})
+    return {
+        "save_dataset": ("", lambda p: save_dataset(dataset, p)),
+        "save_design": ("", lambda p: save_design(das3h, p)),
+        "design_sidecar": (".json", lambda p: save_design(das3h, p)),
+        "save_model": ("", lambda p: save_model(model, p)),
+        "slopes_csv": ("", lambda p: slope_report(
+            [params], [das3h.layout]).write_csv(p)),
+        "simulation_csv": ("", lambda p: SimulationResult(
+            {"random": [0.5, 0.25]}).write_csv(p)),
+    }
+
+
+@pytest.mark.parametrize("writer", ["save_dataset", "save_design",
+                                    "design_sidecar", "save_model",
+                                    "slopes_csv", "simulation_csv"])
+def test_a_write_raising_midway_keeps_the_old_file(tmp_path, monkeypatch,
+                                                   fixture_dataset, writer):
+    suffix, write = _writers(fixture_dataset)[writer]
+    path = str(tmp_path / "artifact")
+    write(path)
+    old = {f: (tmp_path / f).read_bytes() for f in os.listdir(tmp_path)}
+
+    def failing_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return _FailingFile(fh) if file.startswith(path + suffix + ".") else fh
+
+    monkeypatch.setattr(modelio, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(path)
+    assert {f: (tmp_path / f).read_bytes()
+            for f in os.listdir(tmp_path)} == old
+
+
+def test_atomic_open_creates_files_as_open_does(tmp_path):
+    with open(tmp_path / "plain", "w") as fh:
+        fh.write("x")
+    with atomic_open(str(tmp_path / "atomic")) as fh:
+        fh.write("x")
+    modes = [stat.S_IMODE(os.stat(tmp_path / f).st_mode)
+             for f in ("plain", "atomic")]
+    assert modes[0] == modes[1]
+
+
 def test_model_roundtrip(tmp_path, fixture_dataset):
     from skillmem import glm
     from skillmem.encoder import ModelSpec, encode_dataset
@@ -260,6 +336,44 @@ def test_train_records_seed_only_for_gibbs(tmp_path):
                                                "manifest.json")))
         assert config.get("seed") == recorded
         assert manifest["seed"] == recorded
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_train_writes_the_model_of_a_direct_fit(tmp_path, dim):
+    # the file `train` writes holds the bytes of the design's direct fit
+    # by the family's solver, saved with the same training config
+    design = str(tmp_path / "design.npz")
+    assert run(["encode", "--in", FIXTURE_PATH, "--dim", str(dim),
+                "--out", design]) == 0
+    model = str(tmp_path / "model.json")
+    assert run(["train", "--encoded", design, "--l2", "0.01", "--iters", "6",
+                "--seed", "3", "--out", model]) == 0
+    dm = load_design(design)
+    if dim == 0:
+        params = glm.fit_logistic(dm.X, dm.y, glm.FitConfig(l2_strength=0.01))
+        config = {"l2": 0.01, "converged": params.converged}
+    else:
+        params = fm.fit_fm_gibbs(dm.X, dm.y, dim,
+                                 fm.GibbsConfig(iterations=6, seed=3),
+                                 groups=dm.layout.group_of_feature())
+        config = {"iterations": 6, "seed": 3}
+    direct = str(tmp_path / "direct.json")
+    save_model(ModelFile(spec=dm.spec, layout=dm.layout, params=params,
+                         training_config=config), direct)
+    with open(model, "rb") as a, open(direct, "rb") as b:
+        assert a.read() == b.read()
+
+
+def test_cv_and_slopes_write_only_their_outputs(tmp_path):
+    cv = tmp_path / "cv"
+    assert run(["cv", "--in", FIXTURE_PATH, "--models", "das3h",
+                "--folds", "2", "--l2", "0.01", "--out", str(cv)]) == 0
+    assert sorted(os.listdir(cv)) == ["manifest.json", "metrics.json",
+                                      "models"]
+    slopes = tmp_path / "slopes"
+    assert run(["analyze", "slopes", "--model-dir", str(cv / "models"),
+                "--out", str(slopes / "slopes.csv")]) == 0
+    assert sorted(os.listdir(slopes)) == ["manifest.json", "slopes.csv"]
 
 
 def test_train_has_no_dim_override(tmp_path, fitted_inputs):

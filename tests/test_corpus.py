@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 import reference_corpus as reference
 from conftest import FIXTURE_PATH, rows_of
 from skillmem.corpus import (FORMATS, FoldAssignment, dataset_stats,
-                             load_interactions, load_prepared, preprocess,
-                             save_dataset, student_kfold)
+                             load_interactions, load_prepared,
+                             load_qmatrix_triplets, preprocess, save_dataset,
+                             student_kfold)
 from skillmem.errors import ConfigError, EmptyDatasetError, ParseError
 
 
@@ -288,3 +289,11 @@ def test_parse_error_counts_blank_lines(tmp_path):
     with pytest.raises(ParseError, match="^line 3: ") as err:
         load_interactions(str(path))
     assert err.value.line_no == 3
+
+
+def test_qmatrix_file_rows_with_a_blank_id_tag_nothing(tmp_path):
+    # a blank item or skill, after stripping, is skipped as a blank skills
+    # field of the log is; a row without a second cell too
+    path = tmp_path / "qm.csv"
+    path.write_text("item,skill\ni1,k1\ni2,\n,k3\n  , k4\ni5,  \ni6\n")
+    assert load_qmatrix_triplets(str(path)).entries() == {("i1", "k1")}

@@ -6,9 +6,9 @@ from scipy import sparse
 
 from skillmem.errors import FitError
 from skillmem.evaluation import auc
-from skillmem.fm import (FMFit, FMParams, GibbsConfig, _column_runs,
-                         _draw_truncnorm, _scores_matrix, fit_fm_gibbs,
-                         fm_score, probit)
+from skillmem.fm import (INIT_STDEV, FMFit, FMParams, GibbsConfig,
+                         _column_runs, _draw_truncnorm, _scores_matrix,
+                         fit_fm_gibbs, fm_score, probit)
 
 
 def brute_force_score(params, idx, val):
@@ -121,13 +121,13 @@ def column_by_column_gibbs(X, y, d, config, groups=None, eval_X=None):
     Xc = X.tocsc()
     n, N = X.shape
     positive = np.asarray(y) > 0
-    burn_in = config.resolved_burn_in()
+    burn_in = config.iterations // 2
     groups = np.zeros(N, dtype=np.int64) if groups is None else np.asarray(groups)
     group_ids = np.unique(groups)
     group_cols = {g: np.where(groups == g)[0] for g in group_ids}
 
     w = np.zeros(N)
-    V = rng.normal(0.0, config.init_stdev, size=(N, d))
+    V = rng.normal(0.0, INIT_STDEV, size=(N, d))
     mu0 = 0.0
     mu_w = {g: 0.0 for g in group_ids}
     lam_w = {g: 1.0 for g in group_ids}
@@ -343,7 +343,7 @@ class TestGibbs:
         X = sparse.csr_matrix(np.ones((4, 2)))
         with pytest.raises(FitError):
             fit_fm_gibbs(X, np.array([1, 0, 1, 0]), d=1,
-                         config=GibbsConfig(iterations=10, burn_in=10))
+                         config=GibbsConfig(iterations=0))
 
     def test_predictions_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(7)
