@@ -8,9 +8,16 @@ then timed in a fresh child process of every source tree: the corpus layers
 the preprocessed corpus) and `load_prepared`, and `encode_dataset` of each
 ablation family on the loaded corpus, and `glm.fit_logistic` of das3h on
 the training rows of fold 0 (5 student folds, seed 0) at l2=1e-5 with the
-default iteration cap. A layer's inputs are built untimed in its child
-first; the fit's design is encoded once per row count, in a child of the
-first tree, and saved, so that its child holds only the design it fits. A
+default iteration cap. Two online layers follow: `synth.make_synthetic` of
+the ladder's corpus itself, and `analysis.recall_probability`, the ten
+recalls of one threshold pick (one per skill, no item, no student, a day
+after the last answer) on the corpus's ground-truth model, for a student
+whose counters replay the corpus's longest history; its record holds the
+time of 2,000 such picks after one untimed pick, with `pick_ms` and
+`recalls_per_s` in place of rows/s. A layer's inputs are built untimed in
+its child first; the fit's design is encoded once per row count, in a
+child of the first tree, and saved, so that its child holds only the
+design it fits. A
 record holds wall and CPU seconds, rows/s, nnz and the child's peak RSS from
 `resource.getrusage`, so a layer's peak includes the inputs it was handed; a
 fit's record adds its iterations, `converged` and the norm of the full
@@ -45,6 +52,18 @@ CORPUS_LAYERS = ("load_interactions", "preprocess", "save_dataset",
                  "load_prepared")
 FIT_LAYER = "glm.fit_logistic.das3h"
 FIT_L2 = 1e-5
+SYNTH_LAYER = "synth.make_synthetic"
+RECALL_LAYER = "analysis.recall_probability"
+PICKS = 2000
+
+
+def ladder_config(rows):
+    """The generator of the ladder's corpus of `rows` rows."""
+    from skillmem.synth import SynthConfig
+
+    return SynthConfig(
+        seed=SEED, n_students=max(1, int(rows) // ROWS_PER_STUDENT),
+        n_items=60, n_skills=10, interactions_per_student=ROWS_PER_STUDENT)
 
 
 def make_corpus(path, rows):
@@ -52,11 +71,9 @@ def make_corpus(path, rows):
     families as JSON."""
     from skillmem.corpus import save_dataset
     from skillmem.evaluation import ABLATION_PAIRS
-    from skillmem.synth import SynthConfig, make_synthetic
+    from skillmem.synth import make_synthetic
 
-    ds, _ = make_synthetic(SynthConfig(
-        seed=SEED, n_students=max(1, int(rows) // ROWS_PER_STUDENT),
-        n_items=60, n_skills=10, interactions_per_student=ROWS_PER_STUDENT))
+    ds, _ = make_synthetic(ladder_config(rows))
     save_dataset(ds, path)
     print(json.dumps(sorted({f for pair in ABLATION_PAIRS.values()
                              for f in pair})))
@@ -81,9 +98,39 @@ def fit_design(path):
     print(json.dumps({"shape": X.shape, "nnz": int(X.nnz)}))
 
 
-def measure(path, layer):
-    """Time `layer` ("corpus.<function>", "encoder.encode_dataset.<family>"
-    or `FIT_LAYER`) on the corpus at `path`; print the record as JSON."""
+def pick_inputs(rows):
+    """(one threshold pick's ten recalls as a function, its skill count) on
+    the ground truth of the corpus of `rows` rows, the counters replaying
+    its longest history."""
+    import numpy as np
+
+    from skillmem.analysis import recall_probability
+    from skillmem.encoder import _Counter
+    from skillmem.synth import make_synthetic
+
+    ds, truth = make_synthetic(ladder_config(rows))
+    model, qmatrix = truth.to_model_file(ds), truth.qmatrix
+    longest = ds.student == np.bincount(ds.student).argmax()
+    counters = {}
+    for j, t, c in zip(ds.item[longest].tolist(),
+                       ds.timestamp[longest].tolist(),
+                       ds.correct[longest].tolist()):
+        for k in sorted(qmatrix.skills_of(ds.items[j])):
+            counters.setdefault(k, _Counter()).push(t, c)
+    now, skills = float(ds.timestamp[longest].max()) + 1.0, qmatrix.skills
+
+    def pick():
+        for k in skills:
+            recall_probability(model, counters, [k], now, qmatrix=qmatrix)
+
+    pick()  # pools the item proxies, as a scheduler's first pick does
+    return pick, len(skills)
+
+
+def measure(path, layer, rows):
+    """Time `layer` ("corpus.<function>", "encoder.encode_dataset.<family>",
+    `FIT_LAYER`, `SYNTH_LAYER` or `RECALL_LAYER`) on the corpus of `rows`
+    rows at `path`; print the record as JSON."""
     import resource
 
     import numpy as np
@@ -91,6 +138,7 @@ def measure(path, layer):
 
     from skillmem import corpus, glm
     from skillmem.encoder import ModelSpec, encode_dataset
+    from skillmem.synth import make_synthetic
 
     def raw():
         return corpus.load_interactions(path)
@@ -109,6 +157,9 @@ def measure(path, layer):
         "corpus.load_prepared": (lambda: path, corpus.load_prepared),
         FIT_LAYER: (fit_inputs, lambda Xy: glm.fit_logistic(
             *Xy, glm.FitConfig(l2_strength=FIT_L2))),
+        SYNTH_LAYER: (lambda: ladder_config(rows), make_synthetic),
+        RECALL_LAYER: (lambda: pick_inputs(rows),
+                       lambda inputs: [inputs[0]() for _ in range(PICKS)]),
     }.get(layer, (lambda: corpus.load_prepared(path),
                   lambda ds: encode_dataset(ds, ModelSpec(family, 0))))
     arg = setup()
@@ -124,6 +175,11 @@ def measure(path, layer):
                       n_iter=out.n_iter, converged=out.converged,
                       grad_norm=float(np.linalg.norm(np.append(grad_w,
                                                                grad_b))))
+    if layer == RECALL_LAYER:
+        record.update(picks=PICKS, pick_ms=round(1e3 * wall / PICKS, 4),
+                      recalls_per_s=round(PICKS * arg[1] / wall))
+    else:
+        record["rows_per_s"] = round(int(rows) / wall)
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     record["peak_rss_mb"] = round(peak_kb / 1024, 1)
     print(json.dumps(record))
@@ -170,13 +226,13 @@ def main():
             child(trees[0][1], "fit_design", path)
             layers = ([f"corpus.{fn}" for fn in CORPUS_LAYERS]
                       + [f"encoder.encode_dataset.{f}" for f in families]
-                      + [FIT_LAYER])
+                      + [FIT_LAYER, SYNTH_LAYER, RECALL_LAYER])
             for r in range(args.rounds):
                 for label, src in trees[::1 if r % 2 == 0 else -1]:
                     for layer in layers:
-                        record = child(src, "measure", path, layer)
-                        record.update(rows=rows, round=r,
-                                      rows_per_s=round(rows / record["wall_s"]))
+                        record = child(src, "measure", path, layer,
+                                       str(rows))
+                        record.update(rows=rows, round=r)
                         records[label].append(record)
                         print(label, json.dumps(record), flush=True)
 

@@ -149,24 +149,31 @@ def recall_probability(model, counters, skills, query_time, item=None,
     skills = sorted(set(skills))
     if not skills:
         raise ConfigError("empty skill set")
-    layout, params = model.layout, model.params
-    unknown = [k for k in skills if k not in layout.skills]
-    if unknown:
+    if not model.skill_ids.issuperset(skills):
+        unknown = [k for k in skills if k not in model.skill_ids]
         raise ConfigError(f"skills not in model: {unknown}")
 
-    pooled = tuple(skills), qmatrix
     if item is not None:
-        if item not in layout.items:
+        if item not in model.layout.items:
             raise ConfigError(f"item {item!r} not in model")
-    elif pooled not in model.item_proxies:
-        off = layout.offset("items")
-        tagged = set().union(*map(qmatrix.items_of, skills))
-        pool = [i for i, it in enumerate(layout.items) if it in tagged]
-        weights = (params.weights if model.kind == "linear"
-                   else params.posterior_mean.linear_weights)
-        model.item_proxies[pooled] = (
-            float(np.mean(weights[off + np.asarray(pool)])) if pool else 0.0)
-    proxy = 0.0 if item is not None else model.item_proxies[pooled]
+        proxy = 0.0
+    else:
+        pooled = tuple(skills), qmatrix
+        proxy = model.item_proxies.get(pooled)
+        if proxy is None:
+            proxy = model.item_proxies[pooled] = _item_proxy(model, skills,
+                                                             qmatrix)
 
     z = model.score(counters, query_time, student, item, skills) + proxy
     return float(sigmoid(z) if model.kind == "linear" else probit(z))
+
+
+def _item_proxy(model, skills, qmatrix):
+    """Mean fitted bias of the layout items `qmatrix` tags with `skills`."""
+    layout, params = model.layout, model.params
+    off = layout.offset("items")
+    tagged = set().union(*map(qmatrix.items_of, skills))
+    pool = [i for i, it in enumerate(layout.items) if it in tagged]
+    weights = (params.weights if model.kind == "linear"
+               else params.posterior_mean.linear_weights)
+    return float(np.mean(weights[off + np.asarray(pool)])) if pool else 0.0

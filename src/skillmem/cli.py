@@ -27,7 +27,7 @@ from .corpus import (QMatrix, dataset_stats, load_interactions, load_prepared,
                      load_qmatrix_triplets, preprocess, save_dataset)
 from .encoder import (FAMILIES, ModelSpec, WindowSet, encode_dataset,
                       load_design, save_design)
-from .errors import SkillmemError
+from .errors import ConfigError, SkillmemError
 from .modelio import ModelFile, atomic_open, load_model, save_model
 
 
@@ -40,8 +40,11 @@ def _family(name):
 
 
 def _windows(text):
-    widths = tuple(math.inf if w.strip().lower() in ("inf", "+inf") else float(w)
-                   for w in text.split(","))
+    try:
+        widths = tuple(math.inf if w.strip().lower() in ("inf", "+inf")
+                       else float(w) for w in text.split(","))
+    except ValueError:
+        raise ConfigError(f"window widths must be numbers: {text!r}") from None
     return WindowSet(widths)
 
 

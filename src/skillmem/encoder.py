@@ -15,6 +15,7 @@ row is emitted before the counters are updated with its outcome.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import zipfile
@@ -102,6 +103,8 @@ class WindowSet:
 
     def __post_init__(self):
         w = self.widths
+        if any(math.isnan(x) or x <= 0 for x in w):
+            raise ConfigError(f"window widths must be positive numbers: {w}")
         if not w or any(b <= a for a, b in zip(w, w[1:])):
             raise ConfigError(f"window widths must be strictly increasing: {w}")
         if not math.isinf(w[-1]):
@@ -219,18 +222,31 @@ def window_counts(history, query_time, windows):
 def _counts_from(times, wins_prefix, query_time, widths):
     """Count attempts/wins with elapsed = query_time - t < width (strict).
 
-    The elapsed values are computed per element so the boundary behaves
-    exactly like the definition (thresholding `t > query_time - width` is
-    not float-equivalent): on non-decreasing times, a binary search probes
-    `t - query_time`, exactly `-(query_time - t)`, against `-width`.
+    The window test is the definition's, `t - query_time > -width` (exactly
+    `-(query_time - t) > -width`); thresholding `t > query_time - width` is
+    not float-equivalent. Both tests are monotone on non-decreasing times,
+    so a finite window is found by the C `bisect_right(times, query_time -
+    width)` and a walk from there, backward over the times before it that
+    pass the exact test and forward over those after it that fail, to the
+    first time that passes. The walk covers only times a few ulps from the
+    boundary (and their repeats), so a query costs one bisection and a
+    short walk per finite window, and nothing is set up per call.
     """
     n = len(times)
+    if not n:
+        return [0] * len(widths), [0] * len(widths)
+    total = wins_prefix[n]
     attempts, wins = [], []
     for w in widths:
-        cnt = n if math.isinf(w) else n - bisect_right(
-            times, -w, key=lambda t: t - query_time)
-        attempts.append(cnt)
-        wins.append(wins_prefix[n] - wins_prefix[n - cnt])
+        lo = 0
+        if w < math.inf:
+            lo = bisect_right(times, query_time - w)
+            while lo and times[lo - 1] - query_time > -w:
+                lo -= 1
+            while lo < n and not times[lo] - query_time > -w:
+                lo += 1
+        attempts.append(n - lo)
+        wins.append(total - wins_prefix[lo])
     return attempts, wins
 
 
@@ -284,48 +300,65 @@ def row_builder(spec, layout):
     (indices, values) in index order, from the counter state before the
     row's own outcome. `counters` maps the family's history keys to
     `_Counter`s of one student; `skills` is the row's sorted skill list.
-    The student's and the item's positions are looked up by id; a student
+    The student's and the item's columns are looked up by id; a student
     or item outside the layout, or None (a virtual query), gets no
-    indicator. Zero values are dropped.
+    indicator. Zero values are dropped. Block offsets, the id-to-column
+    maps and each history key's column base are bound here, once per
+    call, so a row costs its id lookups, one `_counts_from` per history
+    key (a bisection and a short walk per finite window) and its values.
     """
     family = FAMILY_TABLE[spec.family]
     widths, transform = family.counting(spec.windows)
     empty = _Counter()
     n_windows = len(widths)
     windows = range(n_windows)
-    user_pos = {s: i for i, s in enumerate(layout.students)}
-    item_pos = {j: i for i, j in enumerate(layout.items)}
-    skill_pos = {k: i for i, k in enumerate(layout.skills)}
-    indicators = [(name, layout.offset(name)) for name in family.indicators]
+    per_key, history_keys = family.per_key, family.history_keys
+    ids = {"users": layout.students, "items": layout.items,
+           "skills": layout.skills}
+    # per indicator block, in layout order: the row's one id it reads (0 the
+    # student, 1 the item, None each of the row's skills) and id -> column
+    indicators = [({"users": 0, "items": 1}.get(name),
+                   {k: layout.offset(name) + p for p, k in enumerate(ids[name])})
+                  for name in family.indicators]
+    key_base = {k: p * n_windows for p, k in enumerate(ids[family.key])}
     history = [(layout.offset(name), _STATISTICS[name])
                for name in family.history]
 
     def build(counters, query_time, student, item, skills):
-        pos = {"users": (user_pos.get(student),),
-               "items": (item_pos.get(item),),
-               "skills": [skill_pos[k] for k in skills]}
         idx, val = [], []
-        for name, off in indicators:
-            for p in pos[name]:
-                if p is not None:
-                    idx.append(off + p)
+        for one, cols in indicators:
+            if one is None:
+                for k in skills:
+                    idx.append(cols[k])
                     val.append(1.0)
-        counts = [counters.get(key, empty).counts(query_time, widths)
-                  for key in family.history_keys(item, skills)]
-        if family.per_key:
+            else:
+                col = cols.get(item if one else student)
+                if col is not None:
+                    idx.append(col)
+                    val.append(1.0)
+        if not history:
+            return idx, val
+        keys = history_keys(item, skills)
+        counts = []
+        for key in keys:
+            c = counters.get(key, empty)
+            counts.append(_counts_from(c.times, c.wins_prefix, query_time,
+                                       widths))
+        if per_key:
+            bases = [key_base[k] for k in keys]
             for off, stat in history:
-                for p, (a, c) in zip(pos[family.key], counts):
-                    base = off + p * n_windows
+                for base, (a, c) in zip(bases, counts):
+                    base += off
                     for w, n in enumerate(stat(a, c)):
                         if n:
                             idx.append(base + w)
                             val.append(transform(n))
         else:
             for off, stat in history:
-                per_key = [stat(a, c) for a, c in counts]
+                per_key_values = [stat(a, c) for a, c in counts]
                 for w in windows:
                     v = 0.0
-                    for n in per_key:
+                    for n in per_key_values:
                         v += transform(n[w])
                     if v != 0.0:
                         idx.append(off + w)
@@ -447,28 +480,33 @@ def save_design(dm, path):
     """Write a design as one uncompressed `.npz` archive at exactly `path`.
 
     It holds the CSR `data`, `indices`, `indptr` and `shape`, the int8
-    labels `y` and each row's student as a unicode array `students`, so it
-    loads with `allow_pickle=False`. The layout and the spec go to a JSON
-    sidecar at `path + ".json"`.
+    labels `y`, each row's student as a unicode array `students` and the
+    sha256 of its sidecar's bytes as `sidecar_sha256`, so it loads with
+    `allow_pickle=False`. The layout and the spec go to a JSON sidecar at
+    `path + ".json"`, written after the archive; the digest ties the two
+    files together, so a crash between the two writes cannot pair the new
+    archive with an old sidecar.
     """
     from .modelio import atomic_open  # modelio imports this module
     X = dm.X
+    sidecar = json.dumps({"layout": dm.layout.to_dict(),
+                          "spec": spec_to_dict(dm.spec)}).encode()
     # a file handle keeps numpy from appending ".npz" to the path
     with atomic_open(path, "wb") as fh:
         np.savez(fh, data=X.data, indices=X.indices, indptr=X.indptr,
                  shape=np.asarray(X.shape, dtype=np.int64), y=dm.y,
-                 students=np.asarray(dm.students, dtype=str))
-    with atomic_open(path + ".json") as fh:
-        json.dump({"layout": dm.layout.to_dict(),
-                   "spec": spec_to_dict(dm.spec)}, fh)
+                 students=np.asarray(dm.students, dtype=str),
+                 sidecar_sha256=np.asarray(hashlib.sha256(sidecar).hexdigest()))
+    with atomic_open(path + ".json", "wb") as fh:
+        fh.write(sidecar)
 
 
 def load_design(path):
     """Read a design written by `save_design`, arrays bit for bit.
 
     Raises EncodingError naming `path` when the file is not such an archive,
-    its sidecar is missing or the array lengths disagree with `shape`, `y`
-    or the layout.
+    its sidecar is missing or is not the one written with it, or the array
+    lengths disagree with `shape`, `y` or the layout.
     """
     try:
         npz = np.load(path, allow_pickle=False)
@@ -476,14 +514,20 @@ def load_design(path):
             raise ValueError("a single array, not an archive")
         with npz:
             a = {name: npz[name] for name in ("data", "indices", "indptr",
-                                              "shape", "y", "students")}
+                                              "shape", "y", "students",
+                                              "sidecar_sha256")}
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         raise EncodingError(f"{path} is not a design archive") from None
     try:
-        with open(path + ".json") as fh:
-            sidecar = json.load(fh)
+        with open(path + ".json", "rb") as fh:
+            raw = fh.read()
+        torn = hashlib.sha256(raw).hexdigest() != str(a["sidecar_sha256"])
+        sidecar = None if torn else json.loads(raw)
     except (OSError, ValueError) as exc:
         raise EncodingError(f"{path}: cannot read its sidecar: {exc}") from None
+    if torn:
+        raise EncodingError(f"{path}: its sidecar {path}.json was not "
+                            "written with it")
     layout = LayoutDescriptor.from_dict(sidecar["layout"])
     shape, indptr = a["shape"], a["indptr"]
     if not (shape.shape == (2,) and shape[1] == layout.n_features

@@ -51,6 +51,11 @@ class ModelFile:
         return score
 
     @cached_property
+    def skill_ids(self):
+        """The layout's skills as a set, for recall queries' check."""
+        return frozenset(self.layout.skills)
+
+    @cached_property
     def item_proxies(self):
         """Memo of recall queries' item-bias proxy, by (skills, q-matrix)."""
         return {}

@@ -73,8 +73,8 @@ class SyntheticModel:
         """Draw the answer to `item` at `t`, push it to the counters of the
         item's skills and return it."""
         skills = sorted(self.qmatrix.skills_of(item))
-        correct = int(rng.uniform() < self.prob(student, item, counters, t,
-                                                skills))
+        p = sigmoid(self._score(counters, t, student, item, skills))
+        correct = int(rng.uniform() < p)
         for k in skills:
             counters.setdefault(k, _Counter()).push(t, correct)
         return correct

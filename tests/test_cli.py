@@ -15,7 +15,7 @@ from skillmem.analysis import slope_report
 from skillmem.cli import main, run
 from skillmem.corpus import save_dataset
 from skillmem.encoder import ModelSpec, encode_dataset, load_design, save_design
-from skillmem.errors import ConfigError
+from skillmem.errors import ConfigError, EncodingError
 from skillmem.modelio import ModelFile, atomic_open, load_model, save_model
 from skillmem.scheduler import SimulationResult
 from conftest import FIXTURE_PATH
@@ -232,6 +232,51 @@ def test_a_write_raising_midway_keeps_the_old_file(tmp_path, monkeypatch,
         write(path)
     assert {f: (tmp_path / f).read_bytes()
             for f in os.listdir(tmp_path)} == old
+
+
+def test_a_torn_design_pair_fails_to_load(tmp_path, monkeypatch,
+                                          fixture_dataset):
+    # the archive of a dim-1 design lands, then its sidecar write raises
+    # and leaves the dim-0 sidecar beside it; the shapes agree
+    path = str(tmp_path / "design.npz")
+    dm = encode_dataset(fixture_dataset, ModelSpec("das3h", 0))
+    save_design(dm, path)
+    dm.spec = ModelSpec("das3h", 1)
+
+    def failing_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return _FailingFile(fh) if file.startswith(path + ".json.") else fh
+
+    monkeypatch.setattr(modelio, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_design(dm, path)
+    assert json.load(open(path + ".json"))["spec"]["dim"] == 0
+    with pytest.raises(EncodingError, match="not written with it"):
+        load_design(path)
+
+
+@pytest.mark.parametrize("windows", ["nan,inf", "1,nan,inf", "0,inf",
+                                     "-1,inf", "abc,inf"])
+def test_encode_rejects_bad_window_widths(tmp_path, capsys, windows):
+    out = str(tmp_path / "design.npz")
+    assert run(["encode", "--in", FIXTURE_PATH, "--windows", windows,
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "window widths" in err
+    assert not os.path.exists(out)
+
+
+def test_load_model_rejects_a_zero_window(tmp_path, fixture_dataset):
+    dm = encode_dataset(fixture_dataset, ModelSpec("das3h", 0))
+    params = glm.fit_logistic(dm.X, dm.y, glm.FitConfig(l2_strength=0.01))
+    path = tmp_path / "m.json"
+    save_model(ModelFile(spec=dm.spec, layout=dm.layout, params=params,
+                         training_config={}), str(path))
+    doc = json.loads(path.read_text())
+    doc["spec"]["windows"] = [0, "inf"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="m.json.*positive"):
+        load_model(str(path))
 
 
 def test_atomic_open_creates_files_as_open_does(tmp_path):

@@ -30,6 +30,39 @@ def brute_force_window_counts(history, query_time, windows):
     return tuple(attempts), tuple(wins)
 
 
+@st.composite
+def spread_histories(draw):
+    """(history, query time): up to 40 answers in [0, 50] days, queried up
+    to 60 days after the last one."""
+    raw = sorted(draw(st.lists(st.tuples(st.floats(0, 50), st.booleans()),
+                               max_size=40)), key=lambda p: p[0])
+    hist = [(t, int(c)) for t, c in raw]
+    return hist, (hist[-1][0] if hist else 0.0) + draw(st.floats(0, 60))
+
+
+@st.composite
+def boundary_histories(draw):
+    """(history, query time): answers a few ulps on either side of
+    `query - width` for the finite default widths, some of them repeated,
+    at query times up to 1e6 days, where `t > query - width` and
+    `t - query > -width` disagree: either way round below about twice the
+    width, where `t - query` rounds, and only one way above it. The query
+    is drawn uniformly: `query - width` is exact for the round values that
+    `st.floats` favours, and then the two tests agree."""
+    rnd = draw(st.randoms(use_true_random=True))
+    query = rnd.uniform(0.0, draw(st.sampled_from((64.0, 1e6))))
+    hist = []
+    for _ in range(draw(st.integers(1, 24))):
+        t = query - draw(st.sampled_from(DEFAULT.widths[:-1]))
+        ulps = draw(st.integers(-3, 3))
+        for _ in range(abs(ulps)):
+            t = math.nextafter(t, math.copysign(math.inf, ulps))
+        hist += [(min(t, query), int(draw(st.booleans())))
+                 ] * draw(st.integers(1, 3))
+    hist.sort(key=lambda p: p[0])
+    return hist, query
+
+
 class TestWindowCounts:
     def test_empty_history(self):
         a, c = window_counts([], 5.0, DEFAULT)
@@ -62,12 +95,9 @@ class TestWindowCounts:
             == ((1, 1), (1, 1))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.floats(0, 50), st.booleans()), max_size=40),
-           st.floats(0, 60))
-    def test_matches_oracle(self, raw, extra):
-        raw.sort(key=lambda p: p[0])
-        hist = [(t, int(c)) for t, c in raw]
-        query = (hist[-1][0] if hist else 0.0) + extra
+    @given(st.one_of(spread_histories(), boundary_histories()))
+    def test_matches_oracle(self, case):
+        hist, query = case
         assert window_counts(hist, query, DEFAULT) == \
             brute_force_window_counts(hist, query, DEFAULT)
 
@@ -91,6 +121,13 @@ class TestWindowSet:
     def test_missing_inf(self):
         with pytest.raises(ConfigError):
             WindowSet((1.0, 7.0))
+
+    @pytest.mark.parametrize("widths", [(math.nan, math.inf),
+                                        (1.0, math.nan, math.inf),
+                                        (0.0, math.inf), (-1.0, math.inf)])
+    def test_nan_or_non_positive(self, widths):
+        with pytest.raises(ConfigError, match="positive"):
+            WindowSet(widths)
 
 
 class TestModelSpec:
