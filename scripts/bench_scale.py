@@ -8,19 +8,21 @@ then timed in a fresh child process of every source tree: the corpus layers
 the preprocessed corpus) and `load_prepared`, and `encode_dataset` of each
 ablation family on the loaded corpus, and `glm.fit_logistic` of das3h on
 the training rows of fold 0 (5 student folds, seed 0) at l2=1e-5 with the
-default iteration cap. Two online layers follow: `synth.make_synthetic` of
+default iteration cap, and `fm.fit_fm_gibbs` of das3h at d=5 on the same
+rows for 4 sweeps (seed 0), whose record adds `s_per_sweep`. Two online
+layers follow: `synth.make_synthetic` of
 the ladder's corpus itself, and `analysis.recall_probability`, the ten
 recalls of one threshold pick (one per skill, no item, no student, a day
 after the last answer) on the corpus's ground-truth model, for a student
 whose counters replay the corpus's longest history; its record holds the
 time of 2,000 such picks after one untimed pick, with `pick_ms` and
 `recalls_per_s` in place of rows/s. A layer's inputs are built untimed in
-its child first; the fit's design is encoded once per row count, in a
-child of the first tree, and saved, so that its child holds only the
+its child first; the fits' design is encoded once per row count, in a
+child of the first tree, and saved, so that a fit's child holds only the
 design it fits. A
 record holds wall and CPU seconds, rows/s, nnz and the child's peak RSS from
 `resource.getrusage`, so a layer's peak includes the inputs it was handed; a
-fit's record adds its iterations, `converged` and the norm of the full
+GLM fit's record adds its iterations, `converged` and the norm of the full
 gradient at its result. Linux carries a process's RSS high-water mark over
 `exec`, so the parent process imports neither numpy nor the package: a
 child starts from that small footprint, not from the generator's.
@@ -52,6 +54,9 @@ CORPUS_LAYERS = ("load_interactions", "preprocess", "save_dataset",
                  "load_prepared")
 FIT_LAYER = "glm.fit_logistic.das3h"
 FIT_L2 = 1e-5
+FM_LAYER = "fm.fit_fm_gibbs.das3h"
+FM_DIM = 5
+FM_SWEEPS = 4
 SYNTH_LAYER = "synth.make_synthetic"
 RECALL_LAYER = "analysis.recall_probability"
 PICKS = 2000
@@ -81,7 +86,8 @@ def make_corpus(path, rows):
 
 def fit_design(path):
     """Save the das3h design of fold 0's training rows of the corpus at
-    `path` to `path + ".fit.npz"`; print its shape and nnz as JSON."""
+    `path`, with its feature groups, to `path + ".fit.npz"`; print its shape
+    and nnz as JSON."""
     import numpy as np
 
     from skillmem.corpus import load_prepared, student_kfold
@@ -94,7 +100,8 @@ def fit_design(path):
                       for s in ds.students])[ds.student] != 0
     X = dm.X[train]
     np.savez(path + ".fit.npz", data=X.data, indices=X.indices,
-             indptr=X.indptr, shape=X.shape, y=dm.y[train])
+             indptr=X.indptr, shape=X.shape, y=dm.y[train],
+             groups=dm.layout.group_of_feature())
     print(json.dumps({"shape": X.shape, "nnz": int(X.nnz)}))
 
 
@@ -129,14 +136,14 @@ def pick_inputs(rows):
 
 def measure(path, layer, rows):
     """Time `layer` ("corpus.<function>", "encoder.encode_dataset.<family>",
-    `FIT_LAYER`, `SYNTH_LAYER` or `RECALL_LAYER`) on the corpus of `rows`
-    rows at `path`; print the record as JSON."""
+    `FIT_LAYER`, `FM_LAYER`, `SYNTH_LAYER` or `RECALL_LAYER`) on the corpus
+    of `rows` rows at `path`; print the record as JSON."""
     import resource
 
     import numpy as np
     from scipy import sparse
 
-    from skillmem import corpus, glm
+    from skillmem import corpus, fm, glm
     from skillmem.encoder import ModelSpec, encode_dataset
     from skillmem.synth import make_synthetic
 
@@ -145,8 +152,9 @@ def measure(path, layer, rows):
 
     def fit_inputs():
         with np.load(path + ".fit.npz") as z:
-            return sparse.csr_matrix((z["data"], z["indices"], z["indptr"]),
-                                     shape=tuple(z["shape"])), z["y"]
+            return (sparse.csr_matrix((z["data"], z["indices"], z["indptr"]),
+                                      shape=tuple(z["shape"])),
+                    z["y"], z["groups"])
 
     family = layer.rpartition(".")[2]
     setup, run = {
@@ -155,8 +163,11 @@ def measure(path, layer, rows):
         "corpus.save_dataset": (lambda: corpus.preprocess(raw()),
                                 lambda ds: corpus.save_dataset(ds, path + ".out")),
         "corpus.load_prepared": (lambda: path, corpus.load_prepared),
-        FIT_LAYER: (fit_inputs, lambda Xy: glm.fit_logistic(
-            *Xy, glm.FitConfig(l2_strength=FIT_L2))),
+        FIT_LAYER: (fit_inputs, lambda a: glm.fit_logistic(
+            *a[:2], glm.FitConfig(l2_strength=FIT_L2))),
+        FM_LAYER: (fit_inputs, lambda a: fm.fit_fm_gibbs(
+            *a[:2], FM_DIM, fm.GibbsConfig(iterations=FM_SWEEPS, seed=SEED),
+            groups=a[2])),
         SYNTH_LAYER: (lambda: ladder_config(rows), make_synthetic),
         RECALL_LAYER: (lambda: pick_inputs(rows),
                        lambda inputs: [inputs[0]() for _ in range(PICKS)]),
@@ -170,11 +181,14 @@ def measure(path, layer, rows):
     if layer.startswith("encoder."):
         record.update(nnz=int(out.X.nnz), features=out.layout.n_features)
     if layer == FIT_LAYER:
-        _, grad_w, grad_b = glm.loss_and_gradient(out, *arg)
+        _, grad_w, grad_b = glm.loss_and_gradient(out, *arg[:2])
         record.update(nnz=int(arg[0].nnz), features=arg[0].shape[1],
                       n_iter=out.n_iter, converged=out.converged,
                       grad_norm=float(np.linalg.norm(np.append(grad_w,
                                                                grad_b))))
+    if layer == FM_LAYER:
+        record.update(nnz=int(arg[0].nnz), features=arg[0].shape[1],
+                      sweeps=FM_SWEEPS, s_per_sweep=round(wall / FM_SWEEPS, 4))
     if layer == RECALL_LAYER:
         record.update(picks=PICKS, pick_ms=round(1e3 * wall / PICKS, 4),
                       recalls_per_s=round(PICKS * arg[1] / wall))
@@ -226,7 +240,7 @@ def main():
             child(trees[0][1], "fit_design", path)
             layers = ([f"corpus.{fn}" for fn in CORPUS_LAYERS]
                       + [f"encoder.encode_dataset.{f}" for f in families]
-                      + [FIT_LAYER, SYNTH_LAYER, RECALL_LAYER])
+                      + [FIT_LAYER, FM_LAYER, SYNTH_LAYER, RECALL_LAYER])
             for r in range(args.rounds):
                 for label, src in trees[::1 if r % 2 == 0 else -1]:
                     for layer in layers:

@@ -48,6 +48,13 @@ def _windows(text):
     return WindowSet(widths)
 
 
+def _dims(text):
+    try:
+        return [int(d) for d in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"dims must be integers: {text!r}") from None
+
+
 def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -198,11 +205,11 @@ def train(encoded, l2, iters, seed, out_path):
 def cv(in_path, models, dims, folds, seed, l2, iters, out_dir):
     """Student-level k-fold cross-validation over model families."""
     started = time.time()
+    dim_list, glm_config = _dims(dims), glm.FitConfig(l2_strength=l2)
     ds = load_prepared(in_path)
     specs = []
     for fam in models.split(","):
-        for d in dims.split(","):
-            d = int(d)
+        for d in dim_list:
             family = _family(fam)
             if family == "irt" and d > 0:
                 family = "mirtb"
@@ -219,7 +226,7 @@ def cv(in_path, models, dims, folds, seed, l2, iters, out_dir):
 
     table = evaluation.cross_validate(
         ds, specs, k=folds, seed=seed,
-        glm_config=glm.FitConfig(l2_strength=l2),
+        glm_config=glm_config,
         gibbs_config=fm_mod.GibbsConfig(iterations=iters, seed=seed),
         model_sink=sink)
     with atomic_open(os.path.join(out_dir, "metrics.json")) as fh:

@@ -5,9 +5,9 @@ normal latent responses (unit noise variance), and every weight and embedding
 component carries a normal prior N(mu_g, 1/lambda_g) whose (mu_g, lambda_g)
 are sampled per feature group under hyperpriors mu ~ N(0,1), lambda ~ Gamma(1,1).
 The first half of the sweeps is burn-in. Held-out rows passed to the fit
-get per-sample probit probabilities averaged over the second half; a saved
-model keeps the posterior mean, and one row is scored at that mean by
-`fm_score`.
+get per-sample probit probabilities averaged over the second half. The fit
+returns the posterior mean, a saved model holds only that, and one row is
+scored at that mean by `fm_score`.
 
 Each sweep draws the latents, the global bias, the group hyperparameters,
 then the linear weights and each embedding factor in column order, as a
@@ -20,6 +20,11 @@ vectorized draw per run, with its noise taken from the generator in column
 order, gives the same chain as drawing the columns one by one. The cost of a
 sweep grows with nnz and the number of runs, not with the number of users
 and items.
+
+The sweep keeps one residual per row, e = z - score for the latent z: every
+draw updates e in place, and the score is derived once per sweep as z - e,
+for the next sweep's latent draw (equal to a separately kept score up to
+rounding).
 """
 
 from __future__ import annotations
@@ -55,10 +60,9 @@ class FMParams:
 
 @dataclass
 class FMFit:
-    """Result of a Gibbs run: posterior mean and final sample."""
+    """Result of a Gibbs run: the posterior mean."""
 
     posterior_mean: FMParams
-    final_sample: FMParams
     eval_probs: np.ndarray | None = None  # chain-averaged probs for eval rows
     # an L-BFGS fit's diagnostics (`LinearParams`); a Gibbs chain has none
     converged = n_iter = final_loss = grad_norm = None
@@ -156,15 +160,15 @@ def _column_runs(Xc, group_index):
     return runs
 
 
-def _draw_run(rng, coef, run, h, lam, mu, e, scores):
+def _draw_run(rng, coef, run, h, lam, mu, e):
     """Draw coef[run.cols] from their full conditionals in one step.
 
     The score is linear in each coefficient with per-nonzero slope `h`; the
     prior of column j is N(mu[j], 1/lam[j]). The run's columns touch
     disjoint rows, so each conditional reads `e` only at rows that no other
     column of the run changes, and one batched draw gives the same chain as
-    drawing the columns one after another. `e` and `scores` are updated in
-    place; returns the change of the coefficient at each nonzero.
+    drawing the columns one after another. `e` is updated in place; returns
+    the change of the coefficient at each nonzero.
     """
     k = len(run.cols)
     old = coef[run.cols]
@@ -174,9 +178,7 @@ def _draw_run(rng, coef, run, h, lam, mu, e, scores):
     new = mean + (1.0 / np.sqrt(prec)) * rng.standard_normal(k)
     coef[run.cols] = new
     delta = (new - old)[run.local]
-    step = h * delta
-    e[run.rows] -= step
-    scores[run.rows] += step
+    e[run.rows] -= h * delta
     return delta
 
 
@@ -224,8 +226,7 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
 
     scores = _scores_matrix(FMParams(mu0, w, V), X)
     Q = np.asarray(X @ V)  # (n, d), maintained incrementally
-    z = _draw_truncnorm(rng, scores, positive)
-    e = z - scores
+    _draw_truncnorm(rng, scores, positive)  # discarded; fixes the RNG stream
 
     sum_mu, sum_w, sum_V = 0.0, np.zeros(N), np.zeros((N, d))
     n_kept = 0
@@ -241,7 +242,6 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
         mean = (np.sum(e) + n * mu0) / prec
         mu_new = rng.normal(mean, 1.0 / np.sqrt(prec))
         e -= mu_new - mu0
-        scores += mu_new - mu0
         mu0 = mu_new
 
         # hyperparameters per group
@@ -266,7 +266,7 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
         # linear weights: the score's slope in w_j is x_ij
         for run in runs:
             _draw_run(rng, w, run, run.vals, lam_w[run.groups],
-                      mu_w[run.groups], e, scores)
+                      mu_w[run.groups], e)
 
         # embeddings: the slope in V_jf is x_ij * (Q_if - x_ij V_jf)
         for f in range(d):
@@ -274,8 +274,9 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
             for run in runs:
                 h = run.vals * (qf[run.rows] - run.vals * vf[run.cols][run.local])
                 delta = _draw_run(rng, vf, run, h, lam_v[run.groups, f],
-                                  mu_v[run.groups, f], e, scores)
+                                  mu_v[run.groups, f], e)
                 qf[run.rows] += run.vals * delta
+        scores = z - e
 
         if not (np.isfinite(mu0) and np.all(np.isfinite(w)) and np.all(np.isfinite(V))):
             raise FitError(f"divergent Gibbs chain at iteration {it}")
@@ -293,11 +294,8 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
         "mu_w": {int(g): float(v) for g, v in zip(group_ids, mu_w)},
         "lambda_w": {int(g): float(v) for g, v in zip(group_ids, lam_w)},
     }
-    posterior_mean = FMParams(sum_mu / n_kept, sum_w / n_kept, sum_V / n_kept,
-                              hyperparams=hyper)
-    final_sample = FMParams(mu0, w.copy(), V.copy(), hyperparams=hyper)
     return FMFit(
-        posterior_mean=posterior_mean,
-        final_sample=final_sample,
+        posterior_mean=FMParams(sum_mu / n_kept, sum_w / n_kept,
+                                sum_V / n_kept, hyperparams=hyper),
         eval_probs=None if eval_X is None else eval_prob_sum / n_kept,
     )

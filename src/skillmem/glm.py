@@ -35,7 +35,7 @@ import numpy as np
 import scipy
 from scipy import optimize, sparse
 
-from .errors import FitError
+from .errors import ConfigError, FitError
 
 GTOL = 1e-6  # L-BFGS-B's projected-gradient tolerance
 
@@ -44,6 +44,14 @@ GTOL = 1e-6  # L-BFGS-B's projected-gradient tolerance
 class FitConfig:
     l2_strength: float = 1.0
     max_iterations: int = 500
+
+    def __post_init__(self):
+        if not (np.isfinite(self.l2_strength) and self.l2_strength >= 0):
+            raise ConfigError(f"l2 strength must be finite and >= 0, "
+                              f"got {self.l2_strength}")
+        if self.max_iterations < 1:
+            raise ConfigError(f"max_iterations must be >= 1, "
+                              f"got {self.max_iterations}")
 
 
 @dataclass

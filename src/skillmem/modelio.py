@@ -1,4 +1,7 @@
-"""Model files (one JSON container for linear and FM models); atomic writes."""
+"""Model files (one JSON container for linear and FM models); atomic writes.
+
+An FM model file holds the posterior mean only, under `fm.posterior_mean`;
+a `final_sample` block that files from older versions carry is ignored."""
 
 from __future__ import annotations
 
@@ -112,11 +115,8 @@ def save_model(model, path):
             "n_iter": p.n_iter,
         }
     else:
-        fit = model.params
         doc["fm"] = {
-            "posterior_mean": _fm_params_to_dict(fit.posterior_mean),
-            "final_sample": _fm_params_to_dict(fit.final_sample),
-        }
+            "posterior_mean": _fm_params_to_dict(model.params.posterior_mean)}
     with atomic_open(path) as fh:
         fh.write(json.dumps(doc))
 
@@ -142,11 +142,7 @@ def load_model(path):
                 n_iter=int(L["n_iter"]),
             )
         else:
-            F = doc["fm"]
-            params = FMFit(
-                posterior_mean=_fm_params_from_dict(F["posterior_mean"]),
-                final_sample=_fm_params_from_dict(F["final_sample"]),
-            )
+            params = FMFit(_fm_params_from_dict(doc["fm"]["posterior_mean"]))
     except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{path} is not a model file: "
                           f"{type(exc).__name__}: {exc}") from None

@@ -104,8 +104,17 @@ def simulate_policy(generator, policies, session_times, horizon, seeds):
     probability and pushed to the per-skill `_Counter`s that the policy
     reads. The student is in no layout, so has no user bias. For each seed
     every policy sees the same student; the report holds the mean true
-    recall over all skills at the horizon.
+    recall over all skills at the horizon. Raises ConfigError for no seeds,
+    decreasing session times or a horizon before the last session.
     """
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigError("no seeds to simulate")
+    if np.any(np.diff(session_times) < 0):
+        raise ConfigError("session times must not decrease")
+    if len(session_times) and horizon < session_times[-1]:
+        raise ConfigError(f"horizon {horizon} is before the last session "
+                          f"at {session_times[-1]}")
     skills = generator.qmatrix.skills
     per_seed = {name: [] for name in policies}
     for seed in seeds:

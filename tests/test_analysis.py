@@ -220,7 +220,7 @@ def _seeded_model(spec, layout):
     else:
         point = FMParams(0.3, rng.normal(size=n),
                          0.3 * rng.normal(size=(n, spec.dim)))
-        params = FMFit(posterior_mean=point, final_sample=point)
+        params = FMFit(posterior_mean=point)
     return ModelFile(spec=spec, layout=layout, params=params,
                      training_config={})
 

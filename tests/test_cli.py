@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from skillmem import fm, glm, modelio
-from skillmem.analysis import slope_report
+from skillmem.analysis import recall_probability, slope_report
 from skillmem.cli import main, run
 from skillmem.corpus import save_dataset
 from skillmem.encoder import ModelSpec, encode_dataset, load_design, save_design
@@ -317,13 +317,51 @@ def test_fm_model_roundtrip(tmp_path, fixture_dataset):
     fit = fm_mod.fit_fm_gibbs(dm.X, dm.y, 2,
                               fm_mod.GibbsConfig(iterations=10, seed=0),
                               groups=dm.layout.group_of_feature())
-    path = str(tmp_path / "m.json")
+    path = tmp_path / "m.json"
     save_model(ModelFile(spec=dm.spec, layout=dm.layout, params=fit,
-                         training_config={}), path)
-    back = load_model(path)
+                         training_config={}), str(path))
+    back = load_model(str(path))
     assert back.kind == "fm"
     assert np.allclose(back.params.posterior_mean.embeddings,
                        fit.posterior_mean.embeddings)
+    doc = json.loads(path.read_text())
+    assert list(doc["fm"]) == ["posterior_mean"]
+    # a file that also holds a final sample (as older versions wrote) loads,
+    # and its final sample is ignored
+    legacy = tmp_path / "legacy.json"
+    final = dict(doc["fm"]["posterior_mean"], global_bias=5.0)
+    legacy.write_text(json.dumps(
+        dict(doc, fm=dict(doc["fm"], final_sample=final))))
+    qm = fixture_dataset.qmatrix
+    p = [recall_probability(load_model(str(f)), {}, qm.skills[:1], 3.0,
+                            qmatrix=qm) for f in (path, legacy)]
+    assert p[0] == p[1] and 0.0 < p[0] < 1.0
+
+
+@pytest.mark.parametrize("options,reason", [
+    (["--dims", "0,abc"], "dims must be integers"),
+    (["--l2", "nan"], "l2 strength must be finite"),
+    (["--l2", "-1"], "l2 strength must be finite"),
+], ids=["dims-abc", "l2-nan", "l2-negative"])
+def test_cv_rejects_bad_fit_options(tmp_path, capsys, options, reason):
+    out = tmp_path / "cv"
+    assert run(["cv", "--in", FIXTURE_PATH, *options, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("options,reason", [
+    (["--seeds", "0"], "no seeds"),
+    (["--horizon", "-5", "--seeds", "2"], "session times must not decrease"),
+], ids=["no-seeds", "negative-horizon"])
+def test_schedule_sim_rejects_impossible_runs(tmp_path, capsys, options,
+                                              reason):
+    out = tmp_path / "sim.csv"
+    assert run(["schedule-sim", *options, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("text,reason", [

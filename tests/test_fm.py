@@ -210,7 +210,6 @@ def column_by_column_gibbs(X, y, d, config, groups=None, eval_X=None):
 
     return FMFit(
         posterior_mean=FMParams(sum_mu / n_kept, sum_w / n_kept, sum_V / n_kept),
-        final_sample=FMParams(mu0, w.copy(), V.copy()),
         eval_probs=None if eval_X is None else eval_prob_sum / n_kept,
     )
 
@@ -240,13 +239,12 @@ class TestBlockedScan:
         cfg = GibbsConfig(iterations=16, seed=5)
         got = fit_fm_gibbs(X, y, 2, cfg, groups=groups, eval_X=X[:60])
         ref = column_by_column_gibbs(X, y, 2, cfg, groups=groups, eval_X=X[:60])
-        for kind in ("posterior_mean", "final_sample"):
-            a, b = getattr(got, kind), getattr(ref, kind)
-            assert abs(a.global_bias - b.global_bias) < 1e-12
-            np.testing.assert_allclose(a.linear_weights, b.linear_weights,
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_allclose(a.embeddings, b.embeddings,
-                                       rtol=0, atol=1e-12)
+        a, b = got.posterior_mean, ref.posterior_mean
+        assert abs(a.global_bias - b.global_bias) < 1e-12
+        np.testing.assert_allclose(a.linear_weights, b.linear_weights,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.embeddings, b.embeddings,
+                                   rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.eval_probs, ref.eval_probs,
                                    rtol=0, atol=1e-12)
 
@@ -306,8 +304,8 @@ class TestGibbs:
         assert a.posterior_mean.global_bias == b.posterior_mean.global_bias
         assert np.array_equal(a.posterior_mean.linear_weights,
                               b.posterior_mean.linear_weights)
-        assert np.array_equal(a.final_sample.embeddings,
-                              b.final_sample.embeddings)
+        assert np.array_equal(a.posterior_mean.embeddings,
+                              b.posterior_mean.embeddings)
 
     def test_label_noise_auc_near_half(self):
         rng = np.random.default_rng(6)

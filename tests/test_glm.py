@@ -9,7 +9,7 @@ from scipy import optimize, sparse
 import reference_glm as reference
 from skillmem import glm
 from skillmem.encoder import ModelSpec, encode_dataset
-from skillmem.errors import FitError
+from skillmem.errors import ConfigError, FitError
 from skillmem.glm import (FitConfig, LinearParams, fit_logistic,
                           loss_and_gradient, predict_proba, sigmoid)
 
@@ -107,6 +107,14 @@ class TestLossAndGradient:
                 return loss_and_gradient(p, X, y)[0]
             mid = lam * t1 + (1 - lam) * t2
             assert loss_of(mid) <= lam * loss_of(t1) + (1 - lam) * loss_of(t2) + 1e-10
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"l2_strength": math.nan}, {"l2_strength": math.inf},
+    {"l2_strength": -1.0}, {"max_iterations": 0}])
+def test_fit_config_rejects_impossible_values(kwargs):
+    with pytest.raises(ConfigError):
+        FitConfig(**kwargs)
 
 
 class TestFitLogistic:

@@ -163,6 +163,18 @@ class TestSimulate:
         r = np.array(res.per_seed["random"])
         assert t.mean() >= r.mean()
 
+    @pytest.mark.parametrize("times,horizon,seeds,reason", [
+        ([0.0, 1.0], 5.0, range(0), "no seeds"),
+        ([0.0, -2.0, -4.0], 5.0, range(2), "must not decrease"),
+        ([0.0, 4.0, 8.0], 5.0, range(2), "before the last session"),
+    ], ids=["no-seeds", "decreasing-times", "horizon-too-early"])
+    def test_impossible_runs_fail_typed(self, setup, times, horizon, seeds,
+                                        reason):
+        ds, truth, mf, cfg = setup
+        pols = {"random": random_policy(truth.qmatrix.items)}
+        with pytest.raises(ConfigError, match=reason):
+            simulate_policy(truth, pols, times, horizon, seeds=seeds)
+
     def test_csv_output(self, setup, tmp_path):
         ds, truth, mf, cfg = setup
         pols = {"random": random_policy(truth.qmatrix.items)}
