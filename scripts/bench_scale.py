@@ -122,7 +122,7 @@ def pick_inputs(rows):
     for j, t, c in zip(ds.item[longest].tolist(),
                        ds.timestamp[longest].tolist(),
                        ds.correct[longest].tolist()):
-        for k in sorted(qmatrix.skills_of(ds.items[j])):
+        for k in qmatrix.skills_of(ds.items[j]):
             counters.setdefault(k, _Counter()).push(t, c)
     now, skills = float(ds.timestamp[longest].max()) + 1.0, qmatrix.skills
 

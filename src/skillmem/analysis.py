@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import atomic_open
 from .encoder import FAMILY_TABLE, _Counter
 from .errors import ConfigError
 from .fm import probit
 from .glm import LinearParams, sigmoid
-from .modelio import atomic_open
 
 LOG2 = math.log(2.0)
 
@@ -51,15 +51,6 @@ class SlopeReport:
                             e.n_pairs, int(e.unseen)])
 
 
-def _window_weight_pairs(params, layout, skill_idx, W):
-    """(win_weight + attempt_weight) per window for one skill, dim=0 das3h."""
-    w_off = layout.offset("wins")
-    a_off = layout.offset("attempts")
-    base = skill_idx * W
-    return [params.weights[w_off + base + w] + params.weights[a_off + base + w]
-            for w in range(W)]
-
-
 def forgetting_slope(models, layouts, skill):
     """Mean correctness-probability drop (percentage points) when one win
     ages from window w into w+1, for one skill, averaged over the adjacent
@@ -78,17 +69,15 @@ def forgetting_slope(models, layouts, skill):
             continue
         seen = True
         k = layout.skills.index(skill)
-        W = layout.size("wins") // len(layout.skills)
-        pair_w = _window_weight_pairs(params, layout, k, W)
-        user_mean = float(np.mean(params.weights[
-            layout.offset("users"):layout.offset("users") + layout.size("users")]))
-        item_mean = float(np.mean(params.weights[
-            layout.offset("items"):layout.offset("items") + layout.size("items")]))
-        beta = params.weights[layout.offset("skills") + k]
+        w = {name: params.weights[FAMILY_TABLE["das3h"].columns(layout, name)]
+             for name in layout.blocks}
+        pair_w = w["wins"][k] + w["attempts"][k]  # per window
+        user_mean = float(np.mean(w["users"]))
+        item_mean = float(np.mean(w["items"]))
+        beta = w["skills"][k]
         z = (params.intercept + user_mean + item_mean + beta
              + LOG2 * sum(pair_w))
-        drops = [sigmoid(z) - sigmoid(z - LOG2 * pair_w[w])
-                 for w in range(W - 1)]
+        drops = [sigmoid(z) - sigmoid(z - LOG2 * pw) for pw in pair_w[:-1]]
         n_pairs = len(drops)
         per_fold.append(100.0 * float(np.mean(drops)))
     if not seen:
@@ -119,7 +108,7 @@ def history_counters(model, history, query_time):
     if len(students) > 1:
         raise ConfigError(f"history spans several students: {students}")
     family, h = FAMILY_TABLE[model.spec.family], history
-    tags = [sorted(h.qmatrix.skills_of(j)) for j in h.items]
+    tags = [h.qmatrix.skills_of(j) for j in h.items]
     prior = np.flatnonzero(h.timestamp <= query_time)
     prior = prior[np.argsort(h.timestamp[prior], kind="stable")]
     counters = {}
@@ -171,9 +160,9 @@ def recall_probability(model, counters, skills, query_time, item=None,
 def _item_proxy(model, skills, qmatrix):
     """Mean fitted bias of the layout items `qmatrix` tags with `skills`."""
     layout, params = model.layout, model.params
-    off = layout.offset("items")
     tagged = set().union(*map(qmatrix.items_of, skills))
     pool = [i for i, it in enumerate(layout.items) if it in tagged]
+    cols = FAMILY_TABLE[model.spec.family].columns(layout, "items")
     weights = (params.weights if model.kind == "linear"
                else params.posterior_mean.linear_weights)
-    return float(np.mean(weights[off + np.asarray(pool)])) if pool else 0.0
+    return float(np.mean(weights[cols[pool]])) if pool else 0.0

@@ -3,7 +3,7 @@
 Every subcommand that writes outputs also writes a run manifest (flags,
 input hashes, seed, version, wall time) next to them, built from the
 command's own parameters, and every file is written through
-`modelio.atomic_open`, a temp file renamed over its target.
+`corpus.atomic_open`, a temp file renamed over its target.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from . import __version__
 from . import analysis as analysis_mod
 from . import evaluation, glm, scheduler, synth
 from . import fm as fm_mod
-from .corpus import (QMatrix, dataset_stats, load_interactions, load_prepared,
-                     load_qmatrix_triplets, preprocess, save_dataset)
+from .corpus import (QMatrix, atomic_open, dataset_stats, load_interactions,
+                     load_prepared, load_qmatrix_triplets, preprocess,
+                     save_dataset)
 from .encoder import (FAMILIES, ModelSpec, WindowSet, encode_dataset,
                       load_design, save_design)
 from .errors import ConfigError, SkillmemError
-from .modelio import ModelFile, atomic_open, load_model, save_model
+from .modelio import ModelFile, load_model, save_model
 
 
 def _family(name):
@@ -169,7 +170,8 @@ def encode(in_path, family, dim, windows, out_path):
 @main.command()
 @click.option("--encoded", required=True, type=click.Path(exists=True))
 @click.option("--l2", default=1.0, show_default=True)
-@click.option("--iters", default=300, show_default=True)
+@click.option("--iters", default=300, show_default=True,
+              help="L-BFGS iteration cap at dim 0, Gibbs sweeps above")
 @click.option("--seed", default=0, show_default=True,
               help="seed of the Gibbs sampler (dim > 0); a dim-0 L-BFGS fit "
                    "draws nothing, so the seed is neither used nor recorded")
@@ -179,7 +181,7 @@ def train(encoded, l2, iters, seed, out_path):
     started = time.time()
     dm = load_design(encoded)
     params, _ = evaluation.fit_model(
-        dm, None, glm.FitConfig(l2_strength=l2),
+        dm, None, glm.FitConfig(l2_strength=l2, max_iterations=iters),
         fm_mod.GibbsConfig(iterations=iters, seed=seed))
     if dm.spec.dim == 0:
         training_config = {"l2": l2, "converged": params.converged}
@@ -200,12 +202,13 @@ def train(encoded, l2, iters, seed, out_path):
 @click.option("--folds", default=5, show_default=True)
 @click.option("--seed", default=42, show_default=True)
 @click.option("--l2", default=1.0, show_default=True)
-@click.option("--iters", default=300, show_default=True)
+@click.option("--iters", default=300, show_default=True,
+              help="L-BFGS iteration cap at dim 0, Gibbs sweeps above")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cv(in_path, models, dims, folds, seed, l2, iters, out_dir):
     """Student-level k-fold cross-validation over model families."""
     started = time.time()
-    dim_list, glm_config = _dims(dims), glm.FitConfig(l2_strength=l2)
+    dim_list, glm_config = _dims(dims), glm.FitConfig(l2, iters)
     ds = load_prepared(in_path)
     specs = []
     for fam in models.split(","):
@@ -292,7 +295,8 @@ def recall(model_path, history_path, skills, item, at_day):
 @click.option("--policy", default="threshold,random", show_default=True)
 @click.option("--threshold", default=0.7, show_default=True)
 @click.option("--horizon", default=60.0, show_default=True)
-@click.option("--sessions", default=30, show_default=True)
+@click.option("--sessions", default=30, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--seeds", default=100, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())

@@ -19,44 +19,56 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import ConfigError, EmptyDatasetError, ParseError
-from .modelio import atomic_open
 
 # Separator used to build a single item id out of KDD-style problem/step
 # pairs. Two characters, unlikely to occur in real ids.
 KDD_ITEM_SEP = "@@"
 
 
+@contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """`open(path, mode, **kwargs)` for writing, as a new temp file beside
+    `path` that replaces it if the block exits cleanly and is removed if it
+    raises; created with the permissions a plain `open` gives."""
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 class QMatrix:
-    """Binary item-to-skill tagging."""
+    """Binary item-to-skill tagging, sorted once: `items` and `skills` are
+    sorted lists, `skills_of` and `items_of` sorted tuples, `()` untagged."""
 
     def __init__(self, entries):
         skills_of, items_of = {}, {}
         for item, skill in entries:
             skills_of.setdefault(item, set()).add(skill)
             items_of.setdefault(skill, set()).add(item)
-        self._skills_of = {i: frozenset(s) for i, s in skills_of.items()}
-        self._items_of = {k: frozenset(s) for k, s in items_of.items()}
-
-    @property
-    def items(self):
-        return sorted(self._skills_of)
-
-    @property
-    def skills(self):
-        return sorted(self._items_of)
+        self._skills_of = {i: tuple(sorted(s)) for i, s in skills_of.items()}
+        self._items_of = {k: tuple(sorted(s)) for k, s in items_of.items()}
+        self.items = sorted(self._skills_of)
+        self.skills = sorted(self._items_of)
 
     def skills_of(self, item):
-        return self._skills_of.get(item, frozenset())
+        return self._skills_of.get(item, ())
 
     def items_of(self, skill):
-        return self._items_of.get(skill, frozenset())
+        return self._items_of.get(skill, ())
 
     def __contains__(self, item):
         return item in self._skills_of
@@ -123,7 +135,7 @@ class Dataset:
         `qmatrix.skills` and `rank` is the pair's place in its row."""
         qm = self.qmatrix
         skill_pos = {k: p for p, k in enumerate(qm.skills)}
-        tags = [sorted(qm.skills_of(j)) for j in self.items]
+        tags = [qm.skills_of(j) for j in self.items]
         n_tags = np.array([len(ks) for ks in tags], dtype=np.int64)
         tag_skill = np.array([skill_pos[k] for ks in tags for k in ks],
                              dtype=np.int64)
@@ -352,7 +364,7 @@ def save_dataset(dataset, path):
     """Write a dataset in the canonical `generic` text format (days); each
     row's skills field is its item's sorted q-matrix skills."""
     ds, qm = dataset, dataset.qmatrix
-    tags = ["~".join(sorted(qm.skills_of(j))) for j in ds.items]
+    tags = ["~".join(qm.skills_of(j)) for j in ds.items]
 
     def per_row(names, codes):
         return np.array(names, dtype=object)[codes].tolist()

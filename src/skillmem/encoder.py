@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from .corpus import atomic_open
 from .errors import ConfigError, EncodingError
 
 DEFAULT_WINDOWS = (1 / 24, 1.0, 7.0, 30.0, math.inf)
@@ -64,6 +65,17 @@ class Family:
         width = per * (n_windows if self.windowed else 1)
         return ([(name, sizes[name]) for name in self.indicators]
                 + [(name, width) for name in self.history])
+
+    def columns(self, layout, name):
+        """Column ids of block `name` of `layout`: one per id of an indicator
+        block, (keys, windows) of a per-key history block (its key count is
+        the size of the key's indicator block) and (windows,) of a shared
+        one. Every reader of a weight's place asks this."""
+        off, size = layout.blocks[name]
+        cols = np.arange(off, off + size)
+        if name in self.indicators or not self.per_key:
+            return cols
+        return cols.reshape(layout.size(self.key), -1)
 
     def counting(self, windows):
         """(widths, value of a count); totals count in one infinite window."""
@@ -302,26 +314,26 @@ def row_builder(spec, layout):
     `_Counter`s of one student; `skills` is the row's sorted skill list.
     The student's and the item's columns are looked up by id; a student
     or item outside the layout, or None (a virtual query), gets no
-    indicator. Zero values are dropped. Block offsets, the id-to-column
-    maps and each history key's column base are bound here, once per
-    call, so a row costs its id lookups, one `_counts_from` per history
-    key (a bisection and a short walk per finite window) and its values.
+    indicator. Zero values are dropped. Each block's `Family.columns`, by
+    id, by key or by window, are bound here, once per call, so a row costs
+    its id lookups, one `_counts_from` per history key (a bisection and a
+    short walk per finite window) and its values.
     """
     family = FAMILY_TABLE[spec.family]
     widths, transform = family.counting(spec.windows)
-    empty = _Counter()
-    n_windows = len(widths)
-    windows = range(n_windows)
+    empty, windows = _Counter(), range(len(widths))
     per_key, history_keys = family.per_key, family.history_keys
     ids = {"users": layout.students, "items": layout.items,
            "skills": layout.skills}
+    block_cols = {name: family.columns(layout, name).tolist()
+                  for name in layout.blocks}
     # per indicator block, in layout order: the row's one id it reads (0 the
     # student, 1 the item, None each of the row's skills) and id -> column
     indicators = [({"users": 0, "items": 1}.get(name),
-                   {k: layout.offset(name) + p for p, k in enumerate(ids[name])})
+                   dict(zip(ids[name], block_cols[name])))
                   for name in family.indicators]
-    key_base = {k: p * n_windows for p, k in enumerate(ids[family.key])}
-    history = [(layout.offset(name), _STATISTICS[name])
+    history = [(dict(zip(ids[family.key], block_cols[name])) if per_key
+                else block_cols[name], _STATISTICS[name])
                for name in family.history]
 
     def build(counters, query_time, student, item, skills):
@@ -345,23 +357,21 @@ def row_builder(spec, layout):
             counts.append(_counts_from(c.times, c.wins_prefix, query_time,
                                        widths))
         if per_key:
-            bases = [key_base[k] for k in keys]
-            for off, stat in history:
-                for base, (a, c) in zip(bases, counts):
-                    base += off
-                    for w, n in enumerate(stat(a, c)):
+            for key_cols, stat in history:
+                for key, (a, c) in zip(keys, counts):
+                    for col, n in zip(key_cols[key], stat(a, c)):
                         if n:
-                            idx.append(base + w)
+                            idx.append(col)
                             val.append(transform(n))
         else:
-            for off, stat in history:
+            for window_cols, stat in history:
                 per_key_values = [stat(a, c) for a, c in counts]
                 for w in windows:
                     v = 0.0
                     for n in per_key_values:
                         v += transform(n[w])
                     if v != 0.0:
-                        idx.append(off + w)
+                        idx.append(window_cols[w])
                         val.append(v)
         return idx, val
 
@@ -395,7 +405,8 @@ def encode_dataset(dataset, spec):
     pair_row, pair_skill, rank = dataset.tag_pairs()
     blocks = {"users": (np.arange(n), user), "items": (np.arange(n), item),
               "skills": (pair_row, pair_skill)}
-    segments = [(at, layout.offset(name) + pos, np.broadcast_to(1.0, pos.shape))
+    segments = [(at, family.columns(layout, name)[pos],
+                 np.broadcast_to(1.0, pos.shape))
                 for name in family.indicators for at, pos in [blocks[name]]]
     if family.history:
         key_rank = rank if family.key == "skills" else np.zeros_like(item)
@@ -431,15 +442,15 @@ def _history_segments(family, spec, layout, user, t, y, key_row, key, rank):
     segments = []
     for name in family.history:
         vals = table[np.asarray(_STATISTICS[name](*counts)).T]  # pair x window
-        at, base = key_row, layout.offset(name) + key * W
+        at, cols = key_row, family.columns(layout, name)
         if not family.per_key:  # add each row's keys rank by rank from 0.0
             total = np.zeros((len(y), W))
             for r in range(rank.max(initial=-1) + 1):
                 total[key_row[rank == r]] += vals[rank == r]
             vals, at = total, np.arange(len(y))
-            base = np.full(len(y), layout.offset(name))
         i, w = np.nonzero(vals)  # a zero count has value 0.0, and only it
-        segments.append((at[i], base[i] + w, vals[i, w]))
+        segments.append((at[i], cols[key[i], w] if family.per_key else cols[w],
+                         vals[i, w]))
         del vals, i, w
     return segments
 
@@ -487,7 +498,6 @@ def save_design(dm, path):
     files together, so a crash between the two writes cannot pair the new
     archive with an old sidecar.
     """
-    from .modelio import atomic_open  # modelio imports this module
     X = dm.X
     sidecar = json.dumps({"layout": dm.layout.to_dict(),
                           "spec": spec_to_dict(dm.spec)}).encode()

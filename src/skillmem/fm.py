@@ -182,6 +182,17 @@ def _draw_run(rng, coef, run, h, lam, mu, e):
     return delta
 
 
+def _draw_prior(rng, theta, mu):
+    """(lambda, mu) of a group's coefficients `theta` from their Normal-Gamma
+    conditional, given the group's current `mu`; lambda is drawn first."""
+    n = len(theta)
+    lam = rng.gamma(1.0 + n / 2.0,
+                    1.0 / (1.0 + 0.5 * np.sum((theta - mu) ** 2)))
+    prec_mu = lam * n + 1.0
+    return lam, rng.normal(lam * np.sum(theta) / prec_mu,
+                           1.0 / np.sqrt(prec_mu))
+
+
 def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
     """Run the Gibbs chain and return posterior summaries.
 
@@ -246,22 +257,11 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
 
         # hyperparameters per group
         for g, cols_g in enumerate(group_cols):
-            ng = len(cols_g)
-            theta = w[cols_g]
-            lam_w[g] = rng.gamma(1.0 + ng / 2.0,
-                                 1.0 / (1.0 + 0.5 * np.sum((theta - mu_w[g]) ** 2)))
-            prec_mu = lam_w[g] * ng + 1.0
-            mu_w[g] = rng.normal(lam_w[g] * np.sum(theta) / prec_mu,
-                                 1.0 / np.sqrt(prec_mu))
+            lam_w[g], mu_w[g] = _draw_prior(rng, w[cols_g], mu_w[g])
             Vg = V[cols_g]
             for f in range(d):
-                lam_v[g, f] = rng.gamma(
-                    1.0 + ng / 2.0,
-                    1.0 / (1.0 + 0.5 * np.sum((Vg[:, f] - mu_v[g, f]) ** 2)))
-                prec_mu = lam_v[g, f] * ng + 1.0
-                mu_v[g, f] = rng.normal(
-                    lam_v[g, f] * np.sum(Vg[:, f]) / prec_mu,
-                    1.0 / np.sqrt(prec_mu))
+                lam_v[g, f], mu_v[g, f] = _draw_prior(rng, Vg[:, f],
+                                                      mu_v[g, f])
 
         # linear weights: the score's slope in w_j is x_ij
         for run in runs:

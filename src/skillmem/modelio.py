@@ -1,4 +1,4 @@
-"""Model files (one JSON container for linear and FM models); atomic writes.
+"""Model files (one JSON container for linear and FM models).
 
 An FM model file holds the posterior mean only, under `fm.posterior_mean`;
 a `final_sample` block that files from older versions carry is ignored."""
@@ -6,13 +6,12 @@ a `final_sample` block that files from older versions carry is ignored."""
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .corpus import atomic_open
 from .encoder import (LayoutDescriptor, row_builder, spec_from_dict,
                       spec_to_dict)
 from .errors import ConfigError
@@ -62,22 +61,6 @@ class ModelFile:
     def item_proxies(self):
         """Memo of recall queries' item-bias proxy, by (skills, q-matrix)."""
         return {}
-
-
-@contextmanager
-def atomic_open(path, mode="w", **kwargs):
-    """`open(path, mode, **kwargs)` for writing, as a new temp file beside
-    `path` that replaces it if the block exits cleanly and is removed if it
-    raises; created with the permissions a plain `open` gives."""
-    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    fh = open(tmp, mode.replace("w", "x"), **kwargs)
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _fm_params_to_dict(p):

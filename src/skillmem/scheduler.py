@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import recall_probability
+from .corpus import atomic_open
 from .errors import ConfigError, SchedulingError
-from .modelio import atomic_open
 
 
 @dataclass
@@ -30,20 +30,20 @@ class SchedulerConfig:
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must be in (0,1), got {self.threshold}")
+        self.skills = sorted(self.skills)  # once, not on every pick
 
 
 def next_skill(recall, config):
     """Skill whose `recall(skill)` is nearest the threshold; ties -> lowest id."""
     if not config.skills:
         raise SchedulingError("empty skill pool")
-    return min(sorted(config.skills),
-               key=lambda k: abs(recall(k) - config.threshold))
+    return min(config.skills, key=lambda k: abs(recall(k) - config.threshold))
 
 
 def next_item(skill, recall, config):
     """Among the q-matrix items covering `skill`, minimize the mean distance
     of the item's skills' `recall` from the threshold; ties -> lowest id."""
-    eligible = sorted(config.qmatrix.items_of(skill))
+    eligible = config.qmatrix.items_of(skill)
     if not eligible:
         raise SchedulingError(f"no item covers skill {skill!r}")
 

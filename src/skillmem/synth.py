@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Dataset, QMatrix
-from .encoder import ModelSpec, WindowSet, _Counter, build_layout
+from .encoder import (FAMILY_TABLE, ModelSpec, WindowSet, _Counter,
+                      build_layout)
 from .glm import LinearParams, sigmoid
 from .modelio import ModelFile
 
@@ -65,14 +66,14 @@ class SyntheticModel:
         """True probability of a correct answer to `item` at time `t`, given
         a `_Counter` per skill of the student's past answers. A virtual item
         over `skills` (`item` None) has no item bias."""
-        skills = sorted(skills if skills is not None
-                        else self.qmatrix.skills_of(item))
+        skills = (self.qmatrix.skills_of(item) if skills is None
+                  else sorted(skills))
         return sigmoid(self._score(counters, t, student, item, skills))
 
     def respond(self, student, item, counters, t, rng):
         """Draw the answer to `item` at `t`, push it to the counters of the
         item's skills and return it."""
-        skills = sorted(self.qmatrix.skills_of(item))
+        skills = self.qmatrix.skills_of(item)
         p = sigmoid(self._score(counters, t, student, item, skills))
         correct = int(rng.uniform() < p)
         for k in skills:
@@ -83,17 +84,14 @@ class SyntheticModel:
         """Pack the true parameters as a fitted-model container."""
         spec = ModelSpec("das3h", 0, self.windows)
         layout = build_layout(spec, dataset)
-        W = len(self.windows)
-        weights = np.zeros(layout.n_features)
-        for i, s in enumerate(layout.students):
-            weights[layout.offset("users") + i] = self.user_w.get(s, 0.0)
-        for i, j in enumerate(layout.items):
-            weights[layout.offset("items") + i] = self.item_w.get(j, 0.0)
-        for i, k in enumerate(layout.skills):
-            weights[layout.offset("skills") + i] = self.skill_w[k]
-            for w in range(W):
-                weights[layout.offset("wins") + i * W + w] = self.win_w[k][w]
-                weights[layout.offset("attempts") + i * W + w] = self.att_w[k][w]
+        weights, skills = np.zeros(layout.n_features), layout.skills
+        for name, values in (
+                ("users", [self.user_w.get(s, 0.0) for s in layout.students]),
+                ("items", [self.item_w.get(j, 0.0) for j in layout.items]),
+                ("skills", [self.skill_w[k] for k in skills]),
+                ("wins", [self.win_w[k] for k in skills]),
+                ("attempts", [self.att_w[k] for k in skills])):
+            weights[FAMILY_TABLE["das3h"].columns(layout, name)] = values
         params = LinearParams(weights=weights, intercept=0.0, l2_strength=0.0)
         return ModelFile(spec=spec, layout=layout, params=params,
                          training_config={"generator": "synthetic-truth"})

@@ -115,7 +115,7 @@ class TestRecallProbability:
             p = recall_probability(mf, {}, skills, 0.0, qmatrix=truth.qmatrix)
             # the proxy pool: every layout item tagged with a queried skill
             pool = [i for i, it in enumerate(mf.layout.items)
-                    if truth.qmatrix.skills_of(it) & set(skills)]
+                    if set(skills).intersection(truth.qmatrix.skills_of(it))]
             proxy = float(np.mean(mf.params.weights[off + np.asarray(pool)]))
             expected = sigmoid(sum(truth.skill_w[k] for k in skills) + proxy)
             assert p == pytest.approx(float(expected))
@@ -267,7 +267,7 @@ def test_online_recall_of_an_item_tagged_differently_across_rows(
                     "s0,i1,2,0,k1\n"
                     "s0,i2,3,1,k2\n")
     log = load_interactions(str(path))
-    assert log.qmatrix.skills_of("i1") == {"k1", "k2"}
+    assert log.qmatrix.skills_of("i1") == ("k1", "k2")
     dm = encode_dataset(log, ModelSpec(family, 0))
     mf = _seeded_model(dm.spec, dm.layout)
     batch = sigmoid(dm.X @ mf.params.weights + mf.params.intercept)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from skillmem import fm, glm, modelio
+from skillmem import corpus, fm, glm
 from skillmem.analysis import recall_probability, slope_report
 from skillmem.cli import main, run
 from skillmem.corpus import save_dataset
@@ -227,7 +227,7 @@ def test_a_write_raising_midway_keeps_the_old_file(tmp_path, monkeypatch,
         fh = open(file, *args, **kwargs)
         return _FailingFile(fh) if file.startswith(path + suffix + ".") else fh
 
-    monkeypatch.setattr(modelio, "open", failing_open, raising=False)
+    monkeypatch.setattr(corpus, "open", failing_open, raising=False)
     with pytest.raises(OSError, match="disk full"):
         write(path)
     assert {f: (tmp_path / f).read_bytes()
@@ -247,7 +247,7 @@ def test_a_torn_design_pair_fails_to_load(tmp_path, monkeypatch,
         fh = open(file, *args, **kwargs)
         return _FailingFile(fh) if file.startswith(path + ".json.") else fh
 
-    monkeypatch.setattr(modelio, "open", failing_open, raising=False)
+    monkeypatch.setattr(corpus, "open", failing_open, raising=False)
     with pytest.raises(OSError, match="disk full"):
         save_design(dm, path)
     assert json.load(open(path + ".json"))["spec"]["dim"] == 0
@@ -364,6 +364,26 @@ def test_schedule_sim_rejects_impossible_runs(tmp_path, capsys, options,
     assert "Traceback" not in err and not out.exists()
 
 
+def test_schedule_sim_rejects_negative_sessions(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    assert run(["schedule-sim", "--sessions", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage-error:") and "--sessions" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_cv_iters_caps_the_lbfgs_iterations(tmp_path):
+    # at a tiny l2 no fold converges in 5 iterations
+    out = tmp_path / "cv"
+    with pytest.warns(UserWarning, match="without converging"):
+        assert run(["cv", "--in", FIXTURE_PATH, "--models", "das3h",
+                    "--folds", "2", "--l2", "1e-5", "--iters", "5",
+                    "--out", str(out)]) == 0
+    folds = json.load(open(out / "metrics.json"))["folds"]["das3h(d=0)"]
+    assert len(folds) == 2 and all(f["n_iter"] <= 5 for f in folds)
+    assert json.load(open(out / "manifest.json"))["flags"]["iters"] == 5
+
+
 @pytest.mark.parametrize("text,reason", [
     ("prepared,csv\n1,2\n", "JSONDecodeError"),
     ('{"rows": 3}', "'kind'"),
@@ -433,7 +453,8 @@ def test_train_writes_the_model_of_a_direct_fit(tmp_path, dim):
                 "--seed", "3", "--out", model]) == 0
     dm = load_design(design)
     if dim == 0:
-        params = glm.fit_logistic(dm.X, dm.y, glm.FitConfig(l2_strength=0.01))
+        params = glm.fit_logistic(dm.X, dm.y, glm.FitConfig(
+            l2_strength=0.01, max_iterations=6))
         config = {"l2": 0.01, "converged": params.converged}
     else:
         params = fm.fit_fm_gibbs(dm.X, dm.y, dim,

@@ -1,5 +1,7 @@
 import os
 import runpy
+import subprocess
+import sys
 import tempfile
 import textwrap
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import reference_corpus as reference
 from conftest import FIXTURE_PATH, rows_of
-from skillmem.corpus import (FORMATS, FoldAssignment, dataset_stats,
+from skillmem.corpus import (FORMATS, FoldAssignment, QMatrix, dataset_stats,
                              load_interactions, load_prepared,
                              load_qmatrix_triplets, preprocess, save_dataset,
                              student_kfold)
@@ -23,6 +25,27 @@ def write(tmp_path, text, name="data.csv"):
     return str(p)
 
 
+def test_qmatrix_answers_in_sorted_order():
+    qm = QMatrix([("i2", "k3"), ("i1", "k2"), ("i2", "k1"), ("i1", "k3"),
+                  ("i3", "k2"), ("i2", "k2")])
+    assert qm.items == ["i1", "i2", "i3"] and qm.skills == ["k1", "k2", "k3"]
+    assert qm.skills_of("i2") == ("k1", "k2", "k3")
+    assert qm.items_of("k2") == ("i1", "i2", "i3")
+    assert qm.skills_of("none") == () and qm.items_of("none") == ()
+
+
+def test_corpus_imports_no_other_skillmem_module():
+    # atomic_open lives in corpus, so loading it pulls in no model code
+    import skillmem
+    code = ("import sys; import skillmem.corpus; print(sorted("
+            "m for m in sys.modules if m.startswith('skillmem')))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": os.path.dirname(
+            os.path.dirname(skillmem.__file__))}).stdout
+    assert out.strip() == "['skillmem', 'skillmem.corpus', 'skillmem.errors']"
+
+
 def test_parse_three_rows(tmp_path):
     path = write(tmp_path, """
         user,item,timestamp,correct,skills
@@ -33,8 +56,8 @@ def test_parse_three_rows(tmp_path):
     ds = load_interactions(path, "assist12")
     assert ds.n_interactions == 3
     assert rows_of(ds, "u1")[1].timestamp == pytest.approx(1.0)
-    assert ds.qmatrix.skills_of("i2") == {"k1", "k2"}
-    assert ds.qmatrix.items_of("k1") == {"i1", "i2"}
+    assert ds.qmatrix.skills_of("i2") == ("k1", "k2")
+    assert ds.qmatrix.items_of("k1") == ("i1", "i2")
     assert ds.qmatrix.skills == ["k1", "k2"]
 
 
@@ -65,7 +88,7 @@ def test_kdd_item_concatenation_roundtrip(tmp_path):
     ds = load_interactions(path, "kddcup")
     items = {r.item for r in rows_of(ds)}
     assert items == {"P1@@S2", "P1@@S3", "P2@@S1", "P9@@S9"}
-    assert ds.qmatrix.skills_of("P9@@S9") == {"b", "c"}
+    assert ds.qmatrix.skills_of("P9@@S9") == ("b", "c")
     # milliseconds to days
     assert rows_of(ds, "u1")[1].timestamp == pytest.approx(60000 / 86400000)
 

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import Row, rows_of
 from skillmem.corpus import Dataset, QMatrix
-from skillmem.encoder import (DEFAULT_WINDOWS, FAMILIES, ModelSpec,
-                              WindowSet, encode_dataset, feature_layout,
-                              load_design, save_design, window_counts)
+from skillmem.encoder import (DEFAULT_WINDOWS, FAMILIES, FAMILY_TABLE,
+                              ModelSpec, WindowSet, encode_dataset,
+                              feature_layout, load_design, save_design,
+                              window_counts)
 from skillmem.errors import ConfigError, EncodingError
 from skillmem.synth import SynthConfig, make_synthetic
 
@@ -171,6 +172,24 @@ class TestLayout:
                 pos += size
             assert pos == lay.n_features
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_columns_tile_the_layout_once(self, family):
+        # K = 3 skills, J = 6 items and W = 2 windows: a block read with
+        # keys and windows swapped has the wrong shape
+        spec = ModelSpec(family, int(family == "mirtb"),
+                         WindowSet((1.0, math.inf)))
+        lay = feature_layout(spec, (4, 6, 3))
+        fam = FAMILY_TABLE[family]
+        cols = [fam.columns(lay, name) for name in lay.blocks]
+        assert np.array_equal(np.sort(np.concatenate([c.ravel() for c in cols])),
+                              np.arange(lay.n_features))
+        n_windows = 2 if fam.windowed else 1
+        keys = {"skills": 3, "items": 6}[fam.key]
+        for name, c in zip(lay.blocks, cols):
+            assert c.shape == ((lay.size(name),) if name in fam.indicators
+                               else (keys, n_windows) if fam.per_key
+                               else (n_windows,))
+
     def test_zero_dim_error(self):
         with pytest.raises(ConfigError):
             feature_layout(ModelSpec("das3h", 0), (0, 3, 2))
@@ -209,6 +228,19 @@ class TestEncodeDataset:
         for w in range(5):
             assert vals.get(w_off + w, 0.0) == pytest.approx(expected[w])
             assert vals.get(a_off + w, 0.0) == pytest.approx(expected[w])
+
+    def test_one_win_sits_at_its_skill_win_columns(self):
+        # K = 2 skills, W = 3 windows; a win on k2 half a day before the row
+        qm = QMatrix([("i1", "k2"), ("i2", "k1")])
+        rows = [Row("u1", "i1", 0.0, 1), Row("u1", "i1", 0.5, 0)]
+        dm = encode_dataset(Dataset.from_rows(rows, qm), ModelSpec(
+            "das3h", 0, WindowSet((1 / 24, 1.0, math.inf))))
+        wins = FAMILY_TABLE["das3h"].columns(dm.layout, "wins")
+        row = dm.row(1)
+        got = {int(j): v for j, v in zip(row.indices, row.values)
+               if j in set(wins.ravel().tolist())}
+        k = dm.layout.skills.index("k2")
+        assert got == {int(wins[k, 1]): math.log(2), int(wins[k, 2]): math.log(2)}
 
     def test_single_skill_1p_equals_das3h_values(self):
         ds = _toy_dataset()
