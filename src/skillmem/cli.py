@@ -56,6 +56,14 @@ def _dims(text):
         raise ConfigError(f"dims must be integers: {text!r}") from None
 
 
+def _fit_configs(l2, iters, seed):
+    """`train`'s and `cv`'s fit configs: a given `--iters` sets both caps."""
+    if iters is None:
+        return glm.FitConfig(l2_strength=l2), fm_mod.GibbsConfig(seed=seed)
+    return (glm.FitConfig(l2_strength=l2, max_iterations=iters),
+            fm_mod.GibbsConfig(iterations=iters, seed=seed))
+
+
 def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -170,8 +178,8 @@ def encode(in_path, family, dim, windows, out_path):
 @main.command()
 @click.option("--encoded", required=True, type=click.Path(exists=True))
 @click.option("--l2", default=1.0, show_default=True)
-@click.option("--iters", default=300, show_default=True,
-              help="L-BFGS iteration cap at dim 0, Gibbs sweeps above")
+@click.option("--iters", type=int, help="L-BFGS iteration cap at dim 0 and "
+              "Gibbs sweeps above; unset, each keeps its default (500, 300)")
 @click.option("--seed", default=0, show_default=True,
               help="seed of the Gibbs sampler (dim > 0); a dim-0 L-BFGS fit "
                    "draws nothing, so the seed is neither used nor recorded")
@@ -180,14 +188,13 @@ def train(encoded, l2, iters, seed, out_path):
     """Fit a model on an encoded design matrix, at the dim of its spec."""
     started = time.time()
     dm = load_design(encoded)
-    params, _ = evaluation.fit_model(
-        dm, None, glm.FitConfig(l2_strength=l2, max_iterations=iters),
-        fm_mod.GibbsConfig(iterations=iters, seed=seed))
+    glm_config, gibbs_config = _fit_configs(l2, iters, seed)
+    params, _ = evaluation.fit_model(dm, None, glm_config, gibbs_config)
     if dm.spec.dim == 0:
         training_config = {"l2": l2, "converged": params.converged}
         seed = None
     else:
-        training_config = {"iterations": iters, "seed": seed}
+        training_config = {"iterations": gibbs_config.iterations, "seed": seed}
     out_dir = _out_dir_of(out_path)
     save_model(ModelFile(spec=dm.spec, layout=dm.layout, params=params,
                          training_config=training_config), out_path)
@@ -202,23 +209,18 @@ def train(encoded, l2, iters, seed, out_path):
 @click.option("--folds", default=5, show_default=True)
 @click.option("--seed", default=42, show_default=True)
 @click.option("--l2", default=1.0, show_default=True)
-@click.option("--iters", default=300, show_default=True,
-              help="L-BFGS iteration cap at dim 0, Gibbs sweeps above")
+@click.option("--iters", type=int, help="L-BFGS iteration cap at dim 0 and "
+              "Gibbs sweeps above; unset, each keeps its default (500, 300)")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cv(in_path, models, dims, folds, seed, l2, iters, out_dir):
     """Student-level k-fold cross-validation over model families."""
     started = time.time()
-    dim_list, glm_config = _dims(dims), glm.FitConfig(l2, iters)
+    dim_list = _dims(dims)
+    glm_config, gibbs_config = _fit_configs(l2, iters, seed)
     ds = load_prepared(in_path)
-    specs = []
-    for fam in models.split(","):
-        for d in dim_list:
-            family = _family(fam)
-            if family == "irt" and d > 0:
-                family = "mirtb"
-            if family == "mirtb" and d == 0:
-                family = "irt"
-            specs.append(ModelSpec(family, d))
+    irt = ("irt", "mirtb")  # one family: irt at dim 0, mirtb above
+    specs = [ModelSpec(("mirtb" if d else "irt") if f in irt else f, d)
+             for f in map(_family, models.split(",")) for d in dim_list]
     os.makedirs(os.path.join(out_dir, "models"), exist_ok=True)
 
     def sink(label, fold, fitted, dm):
@@ -228,10 +230,8 @@ def cv(in_path, models, dims, folds, seed, l2, iters, out_dir):
                    os.path.join(out_dir, "models", f"{name}_fold{fold}.json"))
 
     table = evaluation.cross_validate(
-        ds, specs, k=folds, seed=seed,
-        glm_config=glm_config,
-        gibbs_config=fm_mod.GibbsConfig(iterations=iters, seed=seed),
-        model_sink=sink)
+        ds, specs, k=folds, seed=seed, glm_config=glm_config,
+        gibbs_config=gibbs_config, model_sink=sink)
     with atomic_open(os.path.join(out_dir, "metrics.json")) as fh:
         fh.write(table.to_json())
     write_manifest(out_dir, seed=seed, started=started)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from skillmem import corpus, fm, glm
+from skillmem import corpus, evaluation, fm, glm
 from skillmem.analysis import recall_probability, slope_report
 from skillmem.cli import main, run
 from skillmem.corpus import save_dataset
@@ -382,6 +382,23 @@ def test_cv_iters_caps_the_lbfgs_iterations(tmp_path):
     folds = json.load(open(out / "metrics.json"))["folds"]["das3h(d=0)"]
     assert len(folds) == 2 and all(f["n_iter"] <= 5 for f in folds)
     assert json.load(open(out / "manifest.json"))["flags"]["iters"] == 5
+
+
+def test_cv_without_iters_keeps_the_lbfgs_default_cap(tmp_path):
+    # unset, --iters leaves L-BFGS its own cap of 500, not the sampler's
+    # 300 sweeps: at the paper's l2 a fixture fold runs past 300 iterations,
+    # and the metrics are those of a cross-validation at FitConfig's default
+    out = tmp_path / "cv"
+    with pytest.warns(UserWarning, match="without converging"):
+        assert run(["cv", "--in", FIXTURE_PATH, "--models", "das3h",
+                    "--folds", "2", "--l2", "1e-5", "--out", str(out)]) == 0
+        direct = evaluation.cross_validate(
+            corpus.load_prepared(FIXTURE_PATH), [ModelSpec("das3h")], k=2,
+            seed=42, glm_config=glm.FitConfig(l2_strength=1e-5))
+    assert (out / "metrics.json").read_text() == direct.to_json()
+    folds = json.loads(direct.to_json())["folds"]["das3h(d=0)"]
+    assert max(f["n_iter"] for f in folds) > 300
+    assert "iters" not in json.load(open(out / "manifest.json"))["flags"]
 
 
 @pytest.mark.parametrize("text,reason", [
