@@ -11,15 +11,19 @@ the training rows of fold 0 (5 student folds, seed 0) at l2=1e-5 with the
 default iteration cap, and `fm.fit_fm_gibbs` of das3h at d=5 on the same
 rows for 4 sweeps (seed 0), whose record adds `s_per_sweep`. Two online
 layers follow: `synth.make_synthetic` of
-the ladder's corpus itself, and `analysis.recall_probability`, the ten
-recalls of one threshold pick (one per skill, no item, no student, a day
-after the last answer) on the corpus's ground-truth model, for a student
-whose counters replay the corpus's longest history; its record holds the
-time of 2,000 such picks after one untimed pick, with `pick_ms` and
-`recalls_per_s` in place of rows/s. A layer's inputs are built untimed in
-its child first; the fits' design is encoded once per row count, in a
-child of the first tree, and saved, so that a fit's child holds only the
-design it fits. A
+the ladder's corpus itself, and the ten recalls of one threshold pick (one
+per skill, no item, no student, a day after the last answer) on the
+corpus's ground-truth model, for a student whose counters replay the
+corpus's longest history. A recall layer's record holds the time of 2,000
+such picks after one untimed pick, with `pick_ms` and `recalls_per_s` in
+place of rows/s, and `states`: in `analysis.recall_probability` ("new")
+the model's recall memo is emptied before every pick, so every query is
+scored from its counts and the layer compares with trees that have no
+memo; in `analysis.recall_probability.unchanged` the counters do not
+change between picks, so every query is answered from the memo. A layer's
+inputs are built untimed in its child first; the fits' design is encoded
+once per row count, in a child of the first tree, and saved, so that a
+fit's child holds only the design it fits. A
 record holds wall and CPU seconds, rows/s, nnz and the child's peak RSS from
 `resource.getrusage`, so a layer's peak includes the inputs it was handed; a
 GLM fit's record adds its iterations, `converged` and the norm of the full
@@ -58,7 +62,9 @@ FM_LAYER = "fm.fit_fm_gibbs.das3h"
 FM_DIM = 5
 FM_SWEEPS = 4
 SYNTH_LAYER = "synth.make_synthetic"
-RECALL_LAYER = "analysis.recall_probability"
+# recall layer -> whether every pick's queried states are new to the memo
+RECALL_LAYERS = {"analysis.recall_probability": True,
+                 "analysis.recall_probability.unchanged": False}
 PICKS = 2000
 
 
@@ -105,10 +111,11 @@ def fit_design(path):
     print(json.dumps({"shape": X.shape, "nnz": int(X.nnz)}))
 
 
-def pick_inputs(rows):
+def pick_inputs(rows, new_states):
     """(one threshold pick's ten recalls as a function, its skill count) on
     the ground truth of the corpus of `rows` rows, the counters replaying
-    its longest history."""
+    its longest history; with `new_states` each pick first empties the
+    model's recall memo."""
     import numpy as np
 
     from skillmem.analysis import recall_probability
@@ -125,19 +132,22 @@ def pick_inputs(rows):
         for k in qmatrix.skills_of(ds.items[j]):
             counters.setdefault(k, _Counter()).push(t, c)
     now, skills = float(ds.timestamp[longest].max()) + 1.0, qmatrix.skills
+    memo = getattr(model, "recalls", {})  # source trees before it have none
 
     def pick():
+        if new_states:
+            memo.clear()
         for k in skills:
             recall_probability(model, counters, [k], now, qmatrix=qmatrix)
 
-    pick()  # pools the item proxies, as a scheduler's first pick does
+    pick()  # pools the item proxies and fills the memo, as a first pick does
     return pick, len(skills)
 
 
 def measure(path, layer, rows):
     """Time `layer` ("corpus.<function>", "encoder.encode_dataset.<family>",
-    `FIT_LAYER`, `FM_LAYER`, `SYNTH_LAYER` or `RECALL_LAYER`) on the corpus
-    of `rows` rows at `path`; print the record as JSON."""
+    `FIT_LAYER`, `FM_LAYER`, `SYNTH_LAYER` or one of `RECALL_LAYERS`) on
+    the corpus of `rows` rows at `path`; print the record as JSON."""
     import resource
 
     import numpy as np
@@ -169,8 +179,9 @@ def measure(path, layer, rows):
             *a[:2], FM_DIM, fm.GibbsConfig(iterations=FM_SWEEPS, seed=SEED),
             groups=a[2])),
         SYNTH_LAYER: (lambda: ladder_config(rows), make_synthetic),
-        RECALL_LAYER: (lambda: pick_inputs(rows),
-                       lambda inputs: [inputs[0]() for _ in range(PICKS)]),
+        **{name: (lambda new=new: pick_inputs(rows, new),
+                  lambda inputs: [inputs[0]() for _ in range(PICKS)])
+           for name, new in RECALL_LAYERS.items()},
     }.get(layer, (lambda: corpus.load_prepared(path),
                   lambda ds: encode_dataset(ds, ModelSpec(family, 0))))
     arg = setup()
@@ -189,9 +200,10 @@ def measure(path, layer, rows):
     if layer == FM_LAYER:
         record.update(nnz=int(arg[0].nnz), features=arg[0].shape[1],
                       sweeps=FM_SWEEPS, s_per_sweep=round(wall / FM_SWEEPS, 4))
-    if layer == RECALL_LAYER:
+    if layer in RECALL_LAYERS:
         record.update(picks=PICKS, pick_ms=round(1e3 * wall / PICKS, 4),
-                      recalls_per_s=round(PICKS * arg[1] / wall))
+                      recalls_per_s=round(PICKS * arg[1] / wall),
+                      states="new" if RECALL_LAYERS[layer] else "unchanged")
     else:
         record["rows_per_s"] = round(int(rows) / wall)
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -240,7 +252,7 @@ def main():
             child(trees[0][1], "fit_design", path)
             layers = ([f"corpus.{fn}" for fn in CORPUS_LAYERS]
                       + [f"encoder.encode_dataset.{f}" for f in families]
-                      + [FIT_LAYER, FM_LAYER, SYNTH_LAYER, RECALL_LAYER])
+                      + [FIT_LAYER, FM_LAYER, SYNTH_LAYER, *RECALL_LAYERS])
             for r in range(args.rounds):
                 for label, src in trees[::1 if r % 2 == 0 else -1]:
                     for layer in layers:

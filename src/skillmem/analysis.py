@@ -130,10 +130,19 @@ def recall_probability(model, counters, skills, query_time, item=None,
     None) has no user bias. When `item` is None, the item bias is proxied
     by the mean fitted bias over the layout items that `qmatrix` tags with
     the queried skills, pooled once per model and q-matrix in
-    `model.item_proxies`. An FM model answers with the
+    `model.item_proxies`; a family without item biases has a proxy of 0.
+    An FM model answers with the
     probit of its posterior-mean score, whereas cross-validation scores
     held-out rows by the probit probabilities averaged over the kept chain;
     the two differ when the posterior is spread out.
+
+    The query's state is what `model.counts` counts: the window counts of
+    each history key the row reads. `model.recalls` keeps, per distinct
+    query (student, item, skills, proxy), its last state and answer, so it
+    holds one entry per distinct query however many times are asked. When
+    the state is unchanged the stored float is returned, which is the float
+    the row would score to, since a row is a function of its query and its
+    counts; otherwise the row is scored from the counts already taken.
     """
     skills = sorted(set(skills))
     if not skills:
@@ -142,27 +151,38 @@ def recall_probability(model, counters, skills, query_time, item=None,
         unknown = [k for k in skills if k not in model.skill_ids]
         raise ConfigError(f"skills not in model: {unknown}")
 
+    key = tuple(skills)
     if item is not None:
         if item not in model.layout.items:
             raise ConfigError(f"item {item!r} not in model")
         proxy = 0.0
     else:
-        pooled = tuple(skills), qmatrix
-        proxy = model.item_proxies.get(pooled)
+        proxy = model.item_proxies.get((key, qmatrix))
         if proxy is None:
-            proxy = model.item_proxies[pooled] = _item_proxy(model, skills,
-                                                             qmatrix)
+            proxy = model.item_proxies[key, qmatrix] = _item_proxy(
+                model, skills, qmatrix)
 
-    z = model.score(counters, query_time, student, item, skills) + proxy
-    return float(sigmoid(z) if model.kind == "linear" else probit(z))
+    state = model.counts(counters, query_time, item, skills)
+    query = student, item, key, proxy
+    last = model.recalls.get(query)
+    if last is not None and last[0] == state:
+        return last[1]
+    z = model.score(counters, query_time, student, item, skills, state) + proxy
+    p = float(sigmoid(z) if model.kind == "linear" else probit(z))
+    model.recalls[query] = state, p
+    return p
 
 
 def _item_proxy(model, skills, qmatrix):
-    """Mean fitted bias of the layout items `qmatrix` tags with `skills`."""
+    """Mean fitted bias of the layout items `qmatrix` tags with `skills`;
+    0.0 when the family has no item biases (afm, pfa)."""
+    family = FAMILY_TABLE[model.spec.family]
+    if "items" not in family.indicators:
+        return 0.0
     layout, params = model.layout, model.params
     tagged = set().union(*map(qmatrix.items_of, skills))
     pool = [i for i, it in enumerate(layout.items) if it in tagged]
-    cols = FAMILY_TABLE[model.spec.family].columns(layout, "items")
+    cols = family.columns(layout, "items")
     weights = (params.weights if model.kind == "linear"
                else params.posterior_mean.linear_weights)
     return float(np.mean(weights[cols[pool]])) if pool else 0.0

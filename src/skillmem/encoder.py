@@ -305,13 +305,41 @@ class SparseVector:
     values: np.ndarray
 
 
+_EMPTY = _Counter()
+
+
+def _key_counts(counters, keys, query_time, widths):
+    """`_counts_from`'s (attempts, wins) of each of `keys`' `_Counter` in
+    `counters`, an absent key counting an empty history: the state a row's
+    history blocks are built from."""
+    counts = []
+    for key in keys:
+        c = counters.get(key, _EMPTY)
+        counts.append(_counts_from(c.times, c.wins_prefix, query_time, widths))
+    return counts
+
+
+def row_counter(spec):
+    """`count(counters, query_time, item, skills)` -> `_key_counts` of the
+    history keys a row of `spec`'s family reads, or () for a family with
+    no history blocks; `row_builder`'s `build` takes it as `counts`."""
+    family = FAMILY_TABLE[spec.family]
+    if not family.history:
+        return lambda counters, query_time, item, skills: ()
+    widths, keys = family.counting(spec.windows)[0], family.history_keys
+    return lambda counters, query_time, item, skills: _key_counts(
+        counters, keys(item, skills), query_time, widths)
+
+
 def row_builder(spec, layout):
     """The row function of `spec`'s family over `layout`.
 
-    It returns `build(counters, query_time, student, item, skills)` ->
-    (indices, values) in index order, from the counter state before the
-    row's own outcome. `counters` maps the family's history keys to
-    `_Counter`s of one student; `skills` is the row's sorted skill list.
+    It returns `build(counters, query_time, student, item, skills,
+    counts=None)` -> (indices, values) in index order, from the counter
+    state before the row's own outcome. `counters` maps the family's
+    history keys to `_Counter`s of one student; `skills` is the row's
+    sorted skill list. `counts`, when given, is what `row_counter(spec)`
+    counts for the same arguments, and the counters are not read again.
     The student's and the item's columns are looked up by id; a student
     or item outside the layout, or None (a virtual query), gets no
     indicator. Zero values are dropped. Each block's `Family.columns`, by
@@ -321,7 +349,7 @@ def row_builder(spec, layout):
     """
     family = FAMILY_TABLE[spec.family]
     widths, transform = family.counting(spec.windows)
-    empty, windows = _Counter(), range(len(widths))
+    windows = range(len(widths))
     per_key, history_keys = family.per_key, family.history_keys
     ids = {"users": layout.students, "items": layout.items,
            "skills": layout.skills}
@@ -336,7 +364,7 @@ def row_builder(spec, layout):
                 else block_cols[name], _STATISTICS[name])
                for name in family.history]
 
-    def build(counters, query_time, student, item, skills):
+    def build(counters, query_time, student, item, skills, counts=None):
         idx, val = [], []
         for one, cols in indicators:
             if one is None:
@@ -351,11 +379,8 @@ def row_builder(spec, layout):
         if not history:
             return idx, val
         keys = history_keys(item, skills)
-        counts = []
-        for key in keys:
-            c = counters.get(key, empty)
-            counts.append(_counts_from(c.times, c.wins_prefix, query_time,
-                                       widths))
+        if counts is None:
+            counts = _key_counts(counters, keys, query_time, widths)
         if per_key:
             for key_cols, stat in history:
                 for key, (a, c) in zip(keys, counts):

@@ -12,8 +12,8 @@ from functools import cached_property
 import numpy as np
 
 from .corpus import atomic_open
-from .encoder import (LayoutDescriptor, row_builder, spec_from_dict,
-                      spec_to_dict)
+from .encoder import (LayoutDescriptor, row_builder, row_counter,
+                      spec_from_dict, spec_to_dict)
 from .errors import ConfigError
 from .fm import FMFit, FMParams, fm_score
 from .glm import LinearParams
@@ -34,10 +34,11 @@ class ModelFile:
 
     @cached_property
     def score(self):
-        """`score(counters, t, student, item, skills)` of the row the family's
-        `row_builder` builds, set up once per instance: a linear model's logit
-        (summed in index order, as the CSR product sums, plus the intercept)
-        or an FM's `fm_score` at the posterior mean."""
+        """`score(counters, t, student, item, skills, counts=None)` of the row
+        the family's `row_builder` builds, set up once per instance: a linear
+        model's logit (summed in index order, as the CSR product sums, plus
+        the intercept) or an FM's `fm_score` at the posterior mean. `counts`
+        is `self.counts` of the same row, when already taken."""
         build = row_builder(self.spec, self.layout)
         if self.kind == "fm":
             point = self.params.posterior_mean
@@ -58,8 +59,20 @@ class ModelFile:
         return frozenset(self.layout.skills)
 
     @cached_property
+    def counts(self):
+        """`counts(counters, t, item, skills)`: the encoder's `row_counter`,
+        the counter state a row's history blocks read."""
+        return row_counter(self.spec)
+
+    @cached_property
     def item_proxies(self):
         """Memo of recall queries' item-bias proxy, by (skills, q-matrix)."""
+        return {}
+
+    @cached_property
+    def recalls(self):
+        """Memo of recall queries: (student, item, skills, proxy) -> the
+        (counts, probability) of that query's last answer."""
         return {}
 
 

@@ -5,13 +5,13 @@ target threshold, then pick the covering item whose skill-combination score
 (mean distance of its skills' recalls from the threshold) is smallest. This
 is plumbing around the fitted model, not a learned policy. A policy is
 `pick(counters, now, rng)`, over the simulated student's per-skill counters;
-both steps of a threshold pick read one memoized `recall(skill)`.
+both steps of a threshold pick read one `recall(skill)` that asks the
+model once per skill and pick, through one dict.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,10 +61,14 @@ def threshold_policy(model, config):
         raise ConfigError("threshold policy needs a q-matrix")
 
     def pick(counters, now, rng):
-        @functools.cache
+        recalls = {}
+
         def recall(skill):
-            return recall_probability(model, counters, [skill], now,
-                                      qmatrix=config.qmatrix)
+            p = recalls.get(skill)
+            if p is None:
+                p = recalls[skill] = recall_probability(
+                    model, counters, [skill], now, qmatrix=config.qmatrix)
+            return p
 
         skill = next_skill(recall, config)
         return next_item(skill, recall, config)

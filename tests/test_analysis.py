@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillmem.analysis import (forgetting_slope, history_counters,
                                recall_probability, slope_report)
 from conftest import Row, rows_of
 from skillmem.corpus import Dataset, QMatrix, load_interactions
-from skillmem.encoder import ModelSpec, build_layout, encode_dataset
+from skillmem.encoder import ModelSpec, _Counter, build_layout, encode_dataset
 from skillmem.errors import ConfigError
 from skillmem.fm import FMFit, FMParams, _scores_matrix, probit
 from skillmem.glm import LinearParams, sigmoid
@@ -295,3 +297,78 @@ def test_fm_recall_of_an_empty_row(fixture_dataset):
     p = recall_probability(mf, {}, layout.skills[:1], 3.0, qmatrix=every)
     assert p == pytest.approx(float(probit(point.global_bias + proxy)),
                               rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", ["afm", "pfa"])
+def test_recall_without_an_item_on_a_family_without_item_biases(
+        fixture_dataset, family):
+    # no items block, so no item bias to proxy: the proxy is 0
+    spec = ModelSpec(family, 0)
+    mf = _seeded_model(spec, build_layout(spec, fixture_dataset))
+    qm = fixture_dataset.qmatrix
+    student = fixture_dataset.students[0]
+    rows = rows_of(fixture_dataset, student)
+    t = rows[-1].timestamp + 1.0
+    counters, _ = history_counters(mf, history(rows, qm), t)
+    skills = mf.layout.skills[:2]
+    p = recall_probability(mf, counters, skills, t, student=student,
+                           qmatrix=qm)
+    assert p == float(sigmoid(mf.score(counters, t, student, None, skills)))
+
+
+_MEMO_QM = QMatrix([("i0", "k0"), ("i1", "k1"), ("i2", "k0"), ("i2", "k2"),
+                    ("i3", "k1"), ("i3", "k2")])
+# steps between events: repeats (0), the window widths, so that a query can
+# sit exactly on a boundary of an earlier push, and off-grid gaps
+_MEMO_STEPS = (0.0, 0.0, 1 / 24, 1.0, 7.0, 30.0, 0.1, 0.2, 2.5)
+
+
+@st.composite
+def memo_events(draw):
+    """Non-decreasing (time, event) pairs: a push (item, correct) or a query
+    (student, item or None, skills)."""
+    t, events = 0.0, []
+    for _ in range(draw(st.integers(1, 40))):
+        t += draw(st.sampled_from(_MEMO_STEPS))
+        if draw(st.booleans()):
+            events.append((t, ("push", draw(st.sampled_from(_MEMO_QM.items)),
+                               draw(st.integers(0, 1)))))
+            continue
+        student = draw(st.sampled_from(["s0", "s1", "ghost", None]))
+        item = draw(st.sampled_from([None, *_MEMO_QM.items]))
+        skills = (list(_MEMO_QM.skills_of(item)) if item else
+                  draw(st.lists(st.sampled_from(_MEMO_QM.skills), min_size=1,
+                                max_size=3)))
+        events.append((t, ("query", student, item, skills)))
+    return events
+
+
+_MEMO_SPECS = [ModelSpec("das3h", 0), ModelSpec("pfa", 0),
+               ModelSpec("dash_items", 0), ModelSpec("das3h", 1)]
+_MEMO_DATA = Dataset.from_rows([], _MEMO_QM, ["s0", "s1"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(memo_events())
+def test_recall_memo_answers_as_a_fresh_model(events):
+    # a model answering from its memo gives the float a model without one
+    # scores, and keeps one entry per distinct query
+    models = [_seeded_model(spec, build_layout(spec, _MEMO_DATA))
+              for spec in _MEMO_SPECS]
+    counters, queries = {}, set()
+    for t, event in events:
+        if event[0] == "push":
+            _, item, correct = event
+            for key in {*_MEMO_QM.skills_of(item), item}:
+                counters.setdefault(key, _Counter()).push(t, correct)
+            continue
+        _, student, item, skills = event
+        queries.add((student, item, tuple(sorted(set(skills)))))
+        for mf in models:
+            fresh = ModelFile(spec=mf.spec, layout=mf.layout,
+                              params=mf.params, training_config={})
+            args = counters, skills, t, item, student
+            assert (recall_probability(mf, *args, qmatrix=_MEMO_QM)
+                    == recall_probability(fresh, *args, qmatrix=_MEMO_QM))
+    for mf in models:
+        assert len(mf.recalls) == len(queries)

@@ -129,6 +129,26 @@ def test_recall_command(runner, tmp_path):
     assert 0.0 < doc["recall_probability"] < 1.0
 
 
+def test_recall_without_item_on_an_afm_model(tmp_path, capsys):
+    # afm has no item biases: a query without --item has a proxy of 0
+    encoded = str(tmp_path / "design.npz")
+    assert run(["encode", "--in", FIXTURE_PATH, "--model", "afm",
+                "--out", encoded]) == 0
+    model = str(tmp_path / "model.json")
+    assert run(["train", "--encoded", encoded, "--l2", "0.01",
+                "--out", model]) == 0
+    hist = str(tmp_path / "student.csv")
+    with open(FIXTURE_PATH) as fh, open(hist, "w") as out:
+        lines = fh.readlines()
+        out.write(lines[0])
+        out.writelines(l for l in lines[1:] if l.startswith("s000,"))
+    capsys.readouterr()
+    assert run(["analyze", "recall", "--model", model, "--history", hist,
+                "--skills", "k0,k1", "--at-day", "14"]) == 0
+    p = json.loads(capsys.readouterr().out)["recall_probability"]
+    assert 0.0 < p < 1.0
+
+
 def test_recall_rejects_history_of_several_students(tmp_path, capsys):
     encoded = str(tmp_path / "design.npz")
     assert run(["encode", "--in", FIXTURE_PATH, "--out", encoded]) == 0
