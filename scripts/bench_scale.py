@@ -9,8 +9,11 @@ the preprocessed corpus) and `load_prepared`, and `encode_dataset` of each
 ablation family on the loaded corpus, and `glm.fit_logistic` of das3h on
 the training rows of fold 0 (5 student folds, seed 0) at l2=1e-5 with the
 default iteration cap, and `fm.fit_fm_gibbs` of das3h at d=5 on the same
-rows for 4 sweeps (seed 0), whose record adds `s_per_sweep`. Two online
-layers follow: `synth.make_synthetic` of
+rows for 4 sweeps (seed 0), whose record adds `s_per_sweep`. The layer
+`fm.fit_fm_gibbs.das3h.skills100` is the same fit on a second corpus of as
+many rows with 100 skills, 300 items and one skill per item, as in
+ASSISTments 2012, where most sampler levels hold one column per skill. Two
+online layers follow: `synth.make_synthetic` of
 the ladder's corpus itself, and the ten recalls of one threshold pick (one
 per skill, no item, no student, a day after the last answer) on the
 corpus's ground-truth model, for a student whose counters replay the
@@ -61,6 +64,9 @@ FIT_L2 = 1e-5
 FM_LAYER = "fm.fit_fm_gibbs.das3h"
 FM_DIM = 5
 FM_SWEEPS = 4
+# second corpus: ladder generator settings in place of n_items and n_skills
+MANY_SKILLS = {"n_items": 300, "n_skills": 100, "multi_skill_fraction": 0.0}
+FM_SKILLS_LAYER = f"{FM_LAYER}.skills{MANY_SKILLS['n_skills']}"
 SYNTH_LAYER = "synth.make_synthetic"
 # recall layer -> whether every pick's queried states are new to the memo
 RECALL_LAYERS = {"analysis.recall_probability": True,
@@ -68,23 +74,26 @@ RECALL_LAYERS = {"analysis.recall_probability": True,
 PICKS = 2000
 
 
-def ladder_config(rows):
-    """The generator of the ladder's corpus of `rows` rows."""
+def ladder_config(rows, many_skills=False):
+    """The generator of the ladder's corpus of `rows` rows, or with
+    `many_skills` of its `MANY_SKILLS` corpus."""
     from skillmem.synth import SynthConfig
 
+    shape = MANY_SKILLS if many_skills else {"n_items": 60, "n_skills": 10}
     return SynthConfig(
         seed=SEED, n_students=max(1, int(rows) // ROWS_PER_STUDENT),
-        n_items=60, n_skills=10, interactions_per_student=ROWS_PER_STUDENT)
+        interactions_per_student=ROWS_PER_STUDENT, **shape)
 
 
-def make_corpus(path, rows):
-    """Write the corpus of `rows` rows to `path`; print the ablation
-    families as JSON."""
+def make_corpus(path, rows, many_skills=""):
+    """Write the corpus of `rows` rows (the `MANY_SKILLS` one when
+    `many_skills` is non-empty) to `path`; print the ablation families as
+    JSON."""
     from skillmem.corpus import save_dataset
     from skillmem.evaluation import ABLATION_PAIRS
     from skillmem.synth import make_synthetic
 
-    ds, _ = make_synthetic(ladder_config(rows))
+    ds, _ = make_synthetic(ladder_config(rows, bool(many_skills)))
     save_dataset(ds, path)
     print(json.dumps(sorted({f for pair in ABLATION_PAIRS.values()
                              for f in pair})))
@@ -146,8 +155,9 @@ def pick_inputs(rows, new_states):
 
 def measure(path, layer, rows):
     """Time `layer` ("corpus.<function>", "encoder.encode_dataset.<family>",
-    `FIT_LAYER`, `FM_LAYER`, `SYNTH_LAYER` or one of `RECALL_LAYERS`) on
-    the corpus of `rows` rows at `path`; print the record as JSON."""
+    `FIT_LAYER`, `FM_LAYER`, `FM_SKILLS_LAYER`, `SYNTH_LAYER` or one of
+    `RECALL_LAYERS`) on the corpus of `rows` rows at `path`; print the
+    record as JSON."""
     import resource
 
     import numpy as np
@@ -166,6 +176,11 @@ def measure(path, layer, rows):
                                       shape=tuple(z["shape"])),
                     z["y"], z["groups"])
 
+    def fm_fit(a):
+        return fm.fit_fm_gibbs(
+            *a[:2], FM_DIM, fm.GibbsConfig(iterations=FM_SWEEPS, seed=SEED),
+            groups=a[2])
+
     family = layer.rpartition(".")[2]
     setup, run = {
         "corpus.load_interactions": (lambda: path, corpus.load_interactions),
@@ -175,9 +190,8 @@ def measure(path, layer, rows):
         "corpus.load_prepared": (lambda: path, corpus.load_prepared),
         FIT_LAYER: (fit_inputs, lambda a: glm.fit_logistic(
             *a[:2], glm.FitConfig(l2_strength=FIT_L2))),
-        FM_LAYER: (fit_inputs, lambda a: fm.fit_fm_gibbs(
-            *a[:2], FM_DIM, fm.GibbsConfig(iterations=FM_SWEEPS, seed=SEED),
-            groups=a[2])),
+        FM_LAYER: (fit_inputs, fm_fit),
+        FM_SKILLS_LAYER: (fit_inputs, fm_fit),
         SYNTH_LAYER: (lambda: ladder_config(rows), make_synthetic),
         **{name: (lambda new=new: pick_inputs(rows, new),
                   lambda inputs: [inputs[0]() for _ in range(PICKS)])
@@ -197,7 +211,7 @@ def measure(path, layer, rows):
                       n_iter=out.n_iter, converged=out.converged,
                       grad_norm=float(np.linalg.norm(np.append(grad_w,
                                                                grad_b))))
-    if layer == FM_LAYER:
+    if layer in (FM_LAYER, FM_SKILLS_LAYER):
         record.update(nnz=int(arg[0].nnz), features=arg[0].shape[1],
                       sweeps=FM_SWEEPS, s_per_sweep=round(wall / FM_SWEEPS, 4))
     if layer in RECALL_LAYERS:
@@ -250,14 +264,20 @@ def main():
             path = os.path.join(tmp, f"corpus_{rows}.csv")
             families = child(trees[0][1], "corpus", path, str(rows))
             child(trees[0][1], "fit_design", path)
+            skills_path = os.path.join(tmp, f"corpus_{rows}_skills.csv")
+            child(trees[0][1], "corpus", skills_path, str(rows), "many")
+            child(trees[0][1], "fit_design", skills_path)
             layers = ([f"corpus.{fn}" for fn in CORPUS_LAYERS]
                       + [f"encoder.encode_dataset.{f}" for f in families]
-                      + [FIT_LAYER, FM_LAYER, SYNTH_LAYER, *RECALL_LAYERS])
+                      + [FIT_LAYER, FM_LAYER, FM_SKILLS_LAYER, SYNTH_LAYER,
+                         *RECALL_LAYERS])
             for r in range(args.rounds):
                 for label, src in trees[::1 if r % 2 == 0 else -1]:
                     for layer in layers:
-                        record = child(src, "measure", path, layer,
-                                       str(rows))
+                        record = child(
+                            src, "measure",
+                            skills_path if layer == FM_SKILLS_LAYER else path,
+                            layer, str(rows))
                         record.update(rows=rows, round=r)
                         records[label].append(record)
                         print(label, json.dumps(record), flush=True)

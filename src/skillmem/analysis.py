@@ -153,7 +153,7 @@ def recall_probability(model, counters, skills, query_time, item=None,
 
     key = tuple(skills)
     if item is not None:
-        if item not in model.layout.items:
+        if item not in model.item_ids:
             raise ConfigError(f"item {item!r} not in model")
         proxy = 0.0
     else:

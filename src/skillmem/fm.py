@@ -10,16 +10,19 @@ returns the posterior mean, a saved model holds only that, and one row is
 scored at that mean by `fm_score`.
 
 Each sweep draws the latents, the global bias, the group hyperparameters,
-then the linear weights and each embedding factor in column order, as a
-blocked scan over runs: maximal ranges of consecutive non-empty columns in
-which no two columns share a row (the one-hot users and items blocks are one
-run each; skill and count columns that share rows are runs of length 1).
-Given everything else, a run's columns are conditionally independent and
-each one's conditional reads only rows that the others leave alone, so one
-vectorized draw per run, with its noise taken from the generator in column
-order, gives the same chain as drawing the columns one by one. The cost of a
-sweep grows with nnz and the number of runs, not with the number of users
-and items.
+then the linear weights and each embedding factor, as a blocked scan over
+dependency levels. A non-empty column's level is one more than the highest
+level among the earlier columns that share a row with it, and 0 when there
+are none: the one-hot users form level 0 and the items level 1, and a
+skill's nested window counts, which share rows, sit one level apart. The
+columns of a level share no row, and every earlier column that shares a row
+with one of them sits at a lower level. Given everything else, a level's
+columns are conditionally independent, and each one's conditional reads the
+rows as the column-by-column scan leaves them, so one vectorized draw per
+level, levels in order, with each phase's noise drawn in column order, gives
+the same chain as drawing the columns one by one. The cost of a sweep grows
+with nnz and the number of levels, not with the number of users, items or
+skills.
 
 The sweep keeps one residual per row, e = z - score for the latent z: every
 draw updates e in place, and the score is derived once per sweep as z - e,
@@ -85,11 +88,13 @@ def fm_score(params, row):
     return s
 
 
-def _scores_matrix(params, X):
-    """Scores for every row of a CSR matrix, vectorized."""
+def _scores_matrix(params, X, XX=None):
+    """Scores for every row of a CSR matrix, vectorized; `XX` is
+    X.multiply(X), when already taken."""
+    XX = X.multiply(X) if XX is None else XX
     lin = params.global_bias + X @ params.linear_weights
     Q = X @ params.embeddings                      # (n, d)
-    SQ = X.multiply(X) @ (params.embeddings ** 2)  # (n, d)
+    SQ = XX @ (params.embeddings ** 2)             # (n, d)
     return np.asarray(lin).ravel() + 0.5 * np.sum(np.asarray(Q) ** 2 - np.asarray(SQ), axis=1)
 
 
@@ -116,70 +121,116 @@ def _draw_truncnorm(rng, mean, positive):
 
 
 @dataclass
-class _Run:
-    """Consecutive non-empty columns that share no row, and their nonzeros."""
+class _Level:
+    """Non-empty columns that share no row, and their nonzeros by row."""
 
-    cols: np.ndarray     # (k,) column ids
-    groups: np.ndarray   # (k,) group index of each column
-    local: np.ndarray    # (nnz,) position in `cols` of each nonzero's column
-    rows: np.ndarray     # (nnz,) row of each nonzero
+    span: slice          # the level's positions in the level-ordered columns
+    local: np.ndarray    # (nnz,) position in the level of each nonzero's column
+    rows: np.ndarray     # (nnz,) row of each nonzero, increasing
     vals: np.ndarray     # (nnz,) value of each nonzero
+    vv: np.ndarray       # per column of the level, its sum of x_ij^2
 
 
-def _column_runs(Xc, group_index):
-    """Split the non-empty columns of a canonical CSC matrix into runs.
+@dataclass
+class _Schedule:
+    """The non-empty columns in level order, and the levels that slice it."""
 
-    A run is a maximal range of consecutive non-empty columns in which no two
-    columns share a row, taken greedily from the left. Empty columns are
-    never drawn, so they belong to no run and do not split one.
+    cols: np.ndarray     # (m,) column ids, by level, in column order within one
+    rank: np.ndarray     # (m,) position of each in column order
+    groups: np.ndarray   # (m,) group index of each column
+    levels: list         # _Level per level, in level order
+
+
+def _column_levels(X, group_index):
+    """Schedule the non-empty columns of a sparse matrix by level.
+
+    A column's level is one more than the highest level among the earlier
+    columns that share a row with it, and 0 when there are none. So columns
+    of one level share no row, and every earlier column that shares a row
+    with one of them sits at a lower level. Empty columns are never drawn
+    and belong to no level. One pass over the columns finds every level.
+
+    A level's nonzeros are kept in row order, which keeps each column's own
+    nonzeros in the order of its CSC slice, so a per-column sum over them
+    adds the same terms in the same order.
     """
+    Xc = sparse.csc_matrix(X)
+    Xc.sum_duplicates()  # a repeated entry would share a row within a column
+    n = Xc.shape[0]
     counts = np.diff(Xc.indptr)
     cols = np.flatnonzero(counts)
     m = len(cols)
-    if m == 0:
-        return []
-    pos = np.repeat(np.arange(m), counts[cols])  # column position per nonzero
-    # per nonzero, the position of the previous column holding its row
-    order = np.lexsort((pos, Xc.indices))
-    prev = np.full(len(pos), -1)
-    same_row = Xc.indices[order[1:]] == Xc.indices[order[:-1]]
-    prev[order[1:]] = np.where(same_row, pos[order[:-1]], -1)
-    # per column, the last earlier column it shares a row with
-    last = np.maximum.reduceat(prev, Xc.indptr[cols])
-    bounds = [0]
-    while bounds[-1] < m:
-        s = bounds[-1]
-        hit = np.flatnonzero(last[s + 1:] >= s)
-        bounds.append(s + 1 + int(hit[0]) if len(hit) else m)
-    runs = []
-    for s, t in zip(bounds[:-1], bounds[1:]):
-        a, b = Xc.indptr[cols[s]], Xc.indptr[cols[t - 1] + 1]
-        runs.append(_Run(cols=cols[s:t], groups=group_index[cols[s:t]],
-                         local=pos[a:b] - s, rows=Xc.indices[a:b],
-                         vals=Xc.data[a:b]))
-    return runs
+
+    # per column in column order, one more than the highest level among the
+    # earlier columns holding its rows: levels grow along a row, so that is
+    # the level of the last column seen on each row (-1 for none)
+    top = np.full(n, -1)
+    level = np.empty(m, dtype=np.int64)
+    for p, (a, b) in enumerate(zip(Xc.indptr[cols].tolist(),
+                                   Xc.indptr[cols + 1].tolist())):
+        level[p] = top[Xc.indices[a:b]].max() + 1
+        top[Xc.indices[a:b]] = level[p]
+
+    rank = np.argsort(level, kind="stable")
+    cb = np.concatenate([[0], np.cumsum(np.bincount(level))])
+    nb = np.concatenate([[0], np.cumsum(counts[cols[rank]])])[cb]
+    within = np.empty(m, dtype=np.int64)
+    within[rank] = np.arange(m) - np.repeat(cb[:-1], np.diff(cb))
+    # the nonzeros by level, then row (no two share both)
+    nz = np.argsort(np.repeat(level * n, counts[cols]) + Xc.indices)
+    rows = Xc.indices[nz].astype(np.intp)
+    vals = Xc.data[nz]
+    local = np.repeat(within, counts[cols])[nz]
+    levels = []
+    for c0, c1, n0, n1 in zip(cb[:-1], cb[1:], nb[:-1], nb[1:]):
+        loc, v = local[n0:n1], vals[n0:n1]
+        levels.append(_Level(slice(c0, c1), loc, rows[n0:n1], v,
+                             np.bincount(loc, v * v, c1 - c0)))
+    return _Schedule(cols[rank], rank, group_index[cols[rank]], levels)
 
 
-def _draw_run(rng, coef, run, h, lam, mu, e):
-    """Draw coef[run.cols] from their full conditionals in one step.
+def _draw_level(coef, level, lam, lam_mu, noise, e, qf=None):
+    """Draw coef[level.span] from their full conditionals in one step.
 
-    The score is linear in each coefficient with per-nonzero slope `h`; the
-    prior of column j is N(mu[j], 1/lam[j]). The run's columns touch
-    disjoint rows, so each conditional reads `e` only at rows that no other
-    column of the run changes, and one batched draw gives the same chain as
-    drawing the columns one after another. `e` is updated in place; returns
-    the change of the coefficient at each nonzero.
+    `coef`, `lam`, `lam_mu` (lam * mu) and `noise` hold one entry per
+    non-empty column, in level order; the prior of column j is N(mu[j],
+    1/lam[j]). The score is linear in each coefficient: with `qf` None the
+    coefficients are linear weights, of slope x_ij at a nonzero; otherwise
+    they are factor f of the embeddings, of slope x_ij * (Q_if - x_ij V_jf),
+    with `qf` = Q[f]. The level's columns touch disjoint rows, and every
+    earlier column that shares a row with one of them has been drawn, so
+    each conditional reads `e` as the column-by-column scan would, and one
+    batched draw gives the same chain. `e` and `qf` are updated in place.
+    Per-nonzero arrays are reused in place, which leaves every value as the
+    plain expressions in the comments give it.
     """
-    k = len(run.cols)
-    old = coef[run.cols]
-    resid = e[run.rows] + h * old[run.local]
-    prec = np.bincount(run.local, h * h, k) + lam
-    mean = (np.bincount(run.local, h * resid, k) + lam * mu) / prec
-    new = mean + (1.0 / np.sqrt(prec)) * rng.standard_normal(k)
-    coef[run.cols] = new
-    delta = (new - old)[run.local]
-    e[run.rows] -= h * delta
-    return delta
+    s, rows, vals, local = level.span, level.rows, level.vals, level.local
+    old = coef[s]
+    x = old[local]  # each nonzero's current coefficient
+    er = e[rows]
+    t = vals * x
+    if qf is None:
+        h, hh = vals, level.vv
+    else:
+        qr = qf[rows]
+        h = np.subtract(qr, t, out=t)
+        h *= vals  # vals * (qr - vals * x)
+        t = h * h
+        hh = np.bincount(local, t, len(old))
+        np.multiply(h, x, out=t)
+    t += er
+    t *= h  # h * (er + h * x)
+    prec = hh + lam[s]
+    mean = (np.bincount(local, t, len(old)) + lam_mu[s]) / prec
+    new = mean + (1.0 / np.sqrt(prec)) * noise[s]
+    delta = (new - old)[local]
+    coef[s] = new
+    er -= np.multiply(h, delta, out=t)
+    e[rows] = er  # er - h * delta
+    if qf is not None:
+        delta *= vals
+        qr += delta
+        qf[rows] = qr  # qr + vals * delta
 
 
 def _draw_prior(rng, theta, mu):
@@ -219,11 +270,10 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
     rng = np.random.default_rng(config.seed)
     positive = y > 0
 
-    Xc = X.tocsc()
-    Xc.sum_duplicates()  # a repeated entry would share a row within a column
     group_ids, group_index = np.unique(groups, return_inverse=True)
     group_cols = [np.flatnonzero(group_index == i) for i in range(len(group_ids))]
-    runs = _column_runs(Xc, group_index)
+    sched = _column_levels(X, group_index)
+    m = len(sched.cols)
 
     w = np.zeros(N)
     V = rng.normal(0.0, INIT_STDEV, size=(N, d))
@@ -236,12 +286,16 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
     lam_v = np.ones((len(group_ids), d))
 
     scores = _scores_matrix(FMParams(mu0, w, V), X)
-    Q = np.asarray(X @ V)  # (n, d), maintained incrementally
+    Q = np.ascontiguousarray((X @ V).T)  # (d, n), maintained incrementally
+    # (coefficients, their groups' lambda and mu, Q[f] or None) per phase
+    phases = [(w, lam_w, mu_w, None)] + [
+        (V[:, f], lam_v[:, f], mu_v[:, f], Q[f]) for f in range(d)]
     _draw_truncnorm(rng, scores, positive)  # discarded; fixes the RNG stream
 
     sum_mu, sum_w, sum_V = 0.0, np.zeros(N), np.zeros((N, d))
     n_kept = 0
     eval_prob_sum = None if eval_X is None else np.zeros(eval_X.shape[0])
+    eval_XX = None if eval_X is None else eval_X.multiply(eval_X)
 
     for it in range(config.iterations):
         # latent responses
@@ -263,19 +317,15 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
                 lam_v[g, f], mu_v[g, f] = _draw_prior(rng, Vg[:, f],
                                                       mu_v[g, f])
 
-        # linear weights: the score's slope in w_j is x_ij
-        for run in runs:
-            _draw_run(rng, w, run, run.vals, lam_w[run.groups],
-                      mu_w[run.groups], e)
-
-        # embeddings: the slope in V_jf is x_ij * (Q_if - x_ij V_jf)
-        for f in range(d):
-            vf, qf = V[:, f], Q[:, f]
-            for run in runs:
-                h = run.vals * (qf[run.rows] - run.vals * vf[run.cols][run.local])
-                delta = _draw_run(rng, vf, run, h, lam_v[run.groups, f],
-                                  mu_v[run.groups, f], e)
-                qf[run.rows] += run.vals * delta
+        # linear weights, then each factor of the embeddings: each phase
+        # draws its noise in column order and works on a level-ordered copy
+        for coef, lam_g, mu_g, qf in phases:
+            noise = rng.standard_normal(m)[sched.rank]
+            cl, lam = coef[sched.cols], lam_g[sched.groups]
+            lam_mu = lam * mu_g[sched.groups]
+            for level in sched.levels:
+                _draw_level(cl, level, lam, lam_mu, noise, e, qf)
+            coef[sched.cols] = cl
         scores = z - e
 
         if not (np.isfinite(mu0) and np.all(np.isfinite(w)) and np.all(np.isfinite(V))):
@@ -287,8 +337,8 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
             sum_w += w
             sum_V += V
             if eval_X is not None:
-                eval_prob_sum += probit(_scores_matrix(FMParams(mu0, w, V),
-                                                       eval_X))
+                eval_prob_sum += probit(_scores_matrix(
+                    FMParams(mu0, w, V), eval_X, eval_XX))
 
     hyper = {
         "mu_w": {int(g): float(v) for g, v in zip(group_ids, mu_w)},

@@ -59,6 +59,11 @@ class ModelFile:
         return frozenset(self.layout.skills)
 
     @cached_property
+    def item_ids(self):
+        """The layout's items as a set, for recall queries' check."""
+        return frozenset(self.layout.items)
+
+    @cached_property
     def counts(self):
         """`counts(counters, t, item, skills)`: the encoder's `row_counter`,
         the counter state a row's history blocks read."""

@@ -185,6 +185,13 @@ class TestRecallProbability:
         with pytest.raises(ConfigError):
             recall_probability(mf, {}, ["ghost"], 0.0, qmatrix=truth.qmatrix)
 
+    def test_unknown_item_rejected(self, truth_model):
+        ds, truth, mf = truth_model
+        skill = mf.layout.skills[0]
+        with pytest.raises(ConfigError, match="ghost"):
+            recall_probability(mf, {}, [skill], 0.0, item="ghost",
+                               qmatrix=truth.qmatrix)
+
     def test_history_of_several_students_rejected(self, truth_model):
         ds, truth, mf = truth_model
         a, b = ds.students[0], ds.students[1]

@@ -7,7 +7,7 @@ from scipy import sparse
 from skillmem.errors import FitError
 from skillmem.evaluation import auc
 from skillmem.fm import (INIT_STDEV, FMFit, FMParams, GibbsConfig,
-                         _column_runs, _draw_truncnorm, _scores_matrix,
+                         _column_levels, _draw_truncnorm, _scores_matrix,
                          fit_fm_gibbs, fm_score, probit)
 
 
@@ -214,22 +214,135 @@ def column_by_column_gibbs(X, y, d, config, groups=None, eval_X=None):
     )
 
 
+def one_skill_per_item_design(n=3000, users=40, skills=60, windows=3, seed=3):
+    """A DAS3H-shaped design at an assist12-like shape: every item carries
+    one skill (two items per skill), with wins/attempts counts per skill
+    and window laid out skill-major."""
+    rng = np.random.default_rng(seed)
+    items = 2 * skills
+    off_items, off_skills = users, users + items
+    off_counts = off_skills + skills
+    N = off_counts + 2 * skills * windows
+    rows, cols, vals = [], [], []
+    for r in range(n):
+        item = rng.integers(items)
+        k = item % skills
+        entries = [(rng.integers(users), 1.0), (off_items + item, 1.0),
+                   (off_skills + k, 1.0)]
+        for wdx in range(windows):
+            attempts = rng.integers(1, 4)
+            base = off_counts + 2 * (k * windows + wdx)
+            entries += [(base, np.log1p(rng.integers(0, attempts + 1))),
+                        (base + 1, np.log1p(attempts))]
+        for c, v in entries:
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, N))
+
+
+def greedy_runs(Xc):
+    """Number of maximal ranges of consecutive non-empty columns that share
+    no row, taken from the left: the draws of a run-by-run scan."""
+    runs, seen = 0, set()
+    for j in range(Xc.shape[1]):
+        rows_j = set(Xc.indices[Xc.indptr[j]:Xc.indptr[j + 1]])
+        if not rows_j:
+            continue
+        if not seen or rows_j & seen:
+            runs, seen = runs + 1, set()
+        seen |= rows_j
+    return runs
+
+
+@st.composite
+def sparse_designs(draw):
+    """Small random designs with empty columns and repeated rows."""
+    n_base = draw(st.integers(1, 8))
+    N = draw(st.integers(1, 9))
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, n_base - 1), st.integers(0, N - 1),
+                  st.sampled_from([0.5, 1.0, 2.0, float(np.log1p(3.0))])),
+        max_size=4 * n_base))
+    dense = np.zeros((n_base, N))
+    for r, c, v in cells:
+        dense[r, c] = v
+    dense[:, draw(st.lists(st.integers(0, N - 1), max_size=3))] = 0.0
+    repeats = draw(st.lists(st.integers(0, n_base - 1), max_size=4))
+    dense = np.vstack([dense, dense[repeats]])
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(dense),
+                               max_size=len(dense))))
+    groups = np.array(draw(st.lists(st.integers(0, 2), min_size=N, max_size=N)))
+    return sparse.csr_matrix(dense), y, groups
+
+
 class TestBlockedScan:
-    def test_runs_are_maximal_row_disjoint_ranges(self):
+    def test_levels_are_row_disjoint_longest_path_layers(self):
         X, _, layout_groups, _ = fixed_problem()
         Xc = X.tocsc()
-        runs = _column_runs(Xc, layout_groups)
+        sched = _column_levels(Xc, layout_groups)
         nonempty = np.flatnonzero(np.diff(Xc.indptr))
-        assert np.array_equal(np.concatenate([r.cols for r in runs]), nonempty)
-        for run, nxt in zip(runs, runs[1:] + [None]):
-            rows = [set(Xc.getcol(j).indices) for j in run.cols]
-            assert sum(map(len, rows)) == len(set().union(*rows))
-            assert np.array_equal(run.groups, layout_groups[run.cols])
-            if nxt is not None:  # the next column shares a row with the run
-                assert set(Xc.getcol(nxt.cols[0]).indices) & set().union(*rows)
-        lengths = [len(r.cols) for r in runs]
-        # users and items form one run each; skills and counts split up
-        assert lengths[:2] == [25, 20] and 1 in lengths
+        # every non-empty column once, no empty column, ranked in column order
+        assert np.array_equal(np.sort(sched.cols), nonempty)
+        assert np.array_equal(sched.cols, nonempty[sched.rank])
+        assert np.array_equal(sched.groups, layout_groups[sched.cols])
+        rows_of = {j: list(Xc.getcol(j).indices) for j in nonempty}
+        level_of = {}
+        for i, lev in enumerate(sched.levels):
+            cols = sched.cols[lev.span]
+            assert len(cols) and np.all(np.diff(cols) > 0)
+            taken = [r for j in cols for r in rows_of[j]]
+            assert len(taken) == len(set(taken))  # no two share a row
+            assert list(lev.rows) == sorted(taken)
+            for p, j in enumerate(cols):  # each column's nonzeros, in order
+                mine = lev.local == p
+                assert list(lev.rows[mine]) == rows_of[j]
+                assert np.array_equal(lev.vals[mine], Xc.getcol(j).data)
+                assert lev.vv[p] == np.bincount(lev.local, lev.vals ** 2)[p]
+            level_of.update(dict.fromkeys(cols.tolist(), i))
+        assert sum(lev.span.stop - lev.span.start
+                   for lev in sched.levels) == len(nonempty)
+        for j in nonempty:
+            earlier = [level_of[k] for k in nonempty
+                       if k < j and set(rows_of[k]) & set(rows_of[j])]
+            assert level_of[j] == (max(earlier) + 1 if earlier else 0)
+        assert len(sched.levels) <= greedy_runs(Xc)
+
+    def test_one_skill_per_item_needs_few_levels(self):
+        windows = 3
+        Xc = one_skill_per_item_design(windows=windows).tocsc()
+        levels = _column_levels(Xc, np.zeros(Xc.shape[1], dtype=np.int64)).levels
+        # users, items, skills, then one level per count column of a skill
+        assert len(levels) <= 3 + 2 * windows
+        assert greedy_runs(Xc) > 10 * len(levels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(design=sparse_designs(), d=st.integers(1, 2),
+           iterations=st.integers(1, 5), seed=st.integers(0, 2**16))
+    # level order differs from column order: column 2 is level 0, column 1
+    # level 1; and the one-skill-per-item shape, whose skills share levels
+    @example(design=(sparse.csr_matrix([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
+                                        [0.0, 0.0, 1.0]]),
+                     np.array([1, 0, 1]), np.array([0, 1, 1])),
+             d=1, iterations=3, seed=0)
+    @example(design=(one_skill_per_item_design(n=200, users=10, skills=6,
+                                               windows=2),
+                     np.arange(200) % 3 > 0, np.repeat([0, 1, 2, 3], 13)),
+             d=2, iterations=4, seed=1)
+    def test_random_designs_match_column_by_column_reference(
+            self, design, d, iterations, seed):
+        X, y, groups = design
+        cfg = GibbsConfig(iterations=iterations, seed=seed)
+        got = fit_fm_gibbs(X, y, d, cfg, groups=groups, eval_X=X)
+        ref = column_by_column_gibbs(X, y, d, cfg, groups=groups, eval_X=X)
+        a, b = got.posterior_mean, ref.posterior_mean
+        assert abs(a.global_bias - b.global_bias) < 1e-12
+        np.testing.assert_allclose(a.linear_weights, b.linear_weights,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.embeddings, b.embeddings,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.eval_probs, ref.eval_probs,
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("grouping", ["none", "layout", "interleaved"])
     def test_matches_column_by_column_reference(self, grouping):
