@@ -3,10 +3,10 @@
 Both are read-only over fitted models. Slopes are closed-form readouts of
 linear (dim=0) das3h weights: the probability drop when a single past win
 ages out of one time window, everything else held at a documented reference
-operating point. Recall scores one student's `_Counter`s, the state the
-encoder, the truth and the simulator keep, through the fitted model's
-`ModelFile.score`; `history_counters` builds them from a one-student
-history `Dataset`, whose q-matrix tags its items.
+operating point. Recall scores, by the fitted model's `ModelFile.score`, the
+row built from the window counts (`ModelFile.counts`) of one student's
+`_Counter`s, the state the encoder, the truth and the simulator keep;
+`history_counters` builds them from a one-student history `Dataset`.
 """
 
 from __future__ import annotations
@@ -131,18 +131,19 @@ def recall_probability(model, counters, skills, query_time, item=None,
     by the mean fitted bias over the layout items that `qmatrix` tags with
     the queried skills, pooled once per model and q-matrix in
     `model.item_proxies`; a family without item biases has a proxy of 0.
-    An FM model answers with the
+    A family whose history is keyed by item (dash_items) needs an `item`:
+    without one, ConfigError. An FM model answers with the
     probit of its posterior-mean score, whereas cross-validation scores
     held-out rows by the probit probabilities averaged over the kept chain;
     the two differ when the posterior is spread out.
 
     The query's state is what `model.counts` counts: the window counts of
-    each history key the row reads. `model.recalls` keeps, per distinct
-    query (student, item, skills, proxy), its last state and answer, so it
-    holds one entry per distinct query however many times are asked. When
-    the state is unchanged the stored float is returned, which is the float
-    the row would score to, since a row is a function of its query and its
-    counts; otherwise the row is scored from the counts already taken.
+    each history key the row reads, and the row is built from them alone.
+    `model.recalls` keeps, per distinct query (student, item, skills,
+    proxy), its last state and answer, so it holds one entry per distinct
+    query however many times are asked. When the state is unchanged the
+    stored float is returned, which is the float the row would score to;
+    otherwise `model.score` scores the row from the counts already taken.
     """
     skills = sorted(set(skills))
     if not skills:
@@ -167,7 +168,7 @@ def recall_probability(model, counters, skills, query_time, item=None,
     last = model.recalls.get(query)
     if last is not None and last[0] == state:
         return last[1]
-    z = model.score(counters, query_time, student, item, skills, state) + proxy
+    z = model.score(state, student, item, skills) + proxy
     p = float(sigmoid(z) if model.kind == "linear" else probit(z))
     model.recalls[query] = state, p
     return p
@@ -175,8 +176,12 @@ def recall_probability(model, counters, skills, query_time, item=None,
 
 def _item_proxy(model, skills, qmatrix):
     """Mean fitted bias of the layout items `qmatrix` tags with `skills`;
-    0.0 when the family has no item biases (afm, pfa)."""
+    0.0 when the family has no item biases (afm, pfa). ConfigError when
+    the family counts practice by item, as the query would read none."""
     family = FAMILY_TABLE[model.spec.family]
+    if family.key == "items" and family.history:
+        raise ConfigError(f"{model.spec.family} counts practice by item: "
+                          "a recall query needs an item")
     if "items" not in family.indicators:
         return 0.0
     layout, params = model.layout, model.params

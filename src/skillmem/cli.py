@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -26,8 +25,8 @@ from . import fm as fm_mod
 from .corpus import (QMatrix, atomic_open, dataset_stats, load_interactions,
                      load_prepared, load_qmatrix_triplets, preprocess,
                      save_dataset)
-from .encoder import (FAMILIES, ModelSpec, WindowSet, encode_dataset,
-                      load_design, save_design)
+from .encoder import (FAMILIES, ModelSpec, encode_dataset, load_design,
+                      save_design)
 from .errors import ConfigError, SkillmemError
 from .modelio import ModelFile, load_model, save_model
 
@@ -38,15 +37,6 @@ def _family(name):
     if key not in FAMILIES:
         raise click.UsageError(f"unknown model family {name!r}")
     return key
-
-
-def _windows(text):
-    try:
-        widths = tuple(math.inf if w.strip().lower() in ("inf", "+inf")
-                       else float(w) for w in text.split(","))
-    except ValueError:
-        raise ConfigError(f"window widths must be numbers: {text!r}") from None
-    return WindowSet(widths)
 
 
 def _dims(text):
@@ -161,12 +151,11 @@ def stats(in_path):
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--model", "family", default="das3h", show_default=True)
 @click.option("--dim", default=0, show_default=True)
-@click.option("--windows", default="0.0417,1,7,30,inf", show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-def encode(in_path, family, dim, windows, out_path):
+def encode(in_path, family, dim, out_path):
     """Encode a prepared dataset into a sparse design matrix."""
     started = time.time()
-    spec = ModelSpec(_family(family), dim, _windows(windows))
+    spec = ModelSpec(_family(family), dim)
     ds = load_prepared(in_path)
     dm = encode_dataset(ds, spec)
     out_dir = _out_dir_of(out_path)

@@ -9,8 +9,10 @@ history weights are per key or shared across keys, and its history blocks
 in order. Layout sizes, family names, the vectorized batch `encode_dataset`
 and the streaming `row_builder` of online scoring (`ModelFile.score`) all
 come from that table; an oracle test holds the two encoders to one CSR.
-Counters always reflect strictly prior interactions of the same student: a
-row is emitted before the counters are updated with its outcome.
+Online, `row_counter` alone reads a student's `_Counter`s, and a row is
+built from its query and those window counts. Counters always reflect
+strictly prior interactions of the same student: a row is emitted before the
+counters are updated with its outcome.
 """
 
 from __future__ import annotations
@@ -228,7 +230,8 @@ def window_counts(history, query_time, windows):
     counter = _Counter()
     for t, c in history:
         counter.push(t, c)
-    return tuple(map(tuple, counter.counts(query_time, windows.widths)))
+    return tuple(map(tuple, _counts_from(
+        counter.times, counter.wins_prefix, query_time, windows.widths)))
 
 
 def _counts_from(times, wins_prefix, query_time, widths):
@@ -271,9 +274,6 @@ class _Counter:
         self.times = []
         self.wins_prefix = [0]
 
-    def counts(self, query_time, widths):
-        return _counts_from(self.times, self.wins_prefix, query_time, widths)
-
     def push(self, t, correct):
         self.times.append(t)
         self.wins_prefix.append(self.wins_prefix[-1] + int(correct))
@@ -308,44 +308,38 @@ class SparseVector:
 _EMPTY = _Counter()
 
 
-def _key_counts(counters, keys, query_time, widths):
-    """`_counts_from`'s (attempts, wins) of each of `keys`' `_Counter` in
-    `counters`, an absent key counting an empty history: the state a row's
-    history blocks are built from."""
-    counts = []
-    for key in keys:
-        c = counters.get(key, _EMPTY)
-        counts.append(_counts_from(c.times, c.wins_prefix, query_time, widths))
-    return counts
-
-
 def row_counter(spec):
-    """`count(counters, query_time, item, skills)` -> `_key_counts` of the
-    history keys a row of `spec`'s family reads, or () for a family with
-    no history blocks; `row_builder`'s `build` takes it as `counts`."""
+    """`count(counters, query_time, item, skills)` -> `_counts_from`'s
+    (attempts, wins) of each history key a row of `spec`'s family reads, an
+    absent key counting an empty history, or () for a family with no
+    history blocks: all that `row_builder`'s `build` reads of counters."""
     family = FAMILY_TABLE[spec.family]
     if not family.history:
         return lambda counters, query_time, item, skills: ()
     widths, keys = family.counting(spec.windows)[0], family.history_keys
-    return lambda counters, query_time, item, skills: _key_counts(
-        counters, keys(item, skills), query_time, widths)
+
+    def count(counters, query_time, item, skills):
+        counts = []
+        for key in keys(item, skills):
+            c = counters.get(key, _EMPTY)
+            counts.append(_counts_from(c.times, c.wins_prefix, query_time,
+                                       widths))
+        return counts
+
+    return count
 
 
 def row_builder(spec, layout):
     """The row function of `spec`'s family over `layout`.
 
-    It returns `build(counters, query_time, student, item, skills,
-    counts=None)` -> (indices, values) in index order, from the counter
-    state before the row's own outcome. `counters` maps the family's
-    history keys to `_Counter`s of one student; `skills` is the row's
-    sorted skill list. `counts`, when given, is what `row_counter(spec)`
-    counts for the same arguments, and the counters are not read again.
-    The student's and the item's columns are looked up by id; a student
-    or item outside the layout, or None (a virtual query), gets no
-    indicator. Zero values are dropped. Each block's `Family.columns`, by
-    id, by key or by window, are bound here, once per call, so a row costs
-    its id lookups, one `_counts_from` per history key (a bisection and a
-    short walk per finite window) and its values.
+    It returns `build(counts, student, item, skills)` -> (indices, values)
+    in index order, from what `row_counter(spec)` counts for the same query
+    before the row's own outcome, and from nothing else; `skills` is the
+    row's sorted skill list. The student's and the item's columns are looked
+    up by id; a student or item outside the layout, or None (a virtual
+    query), gets no indicator. Zero values are dropped. Each block's
+    `Family.columns`, by id, by key or by window, are bound here, once per
+    call, so a row costs its id lookups and its values.
     """
     family = FAMILY_TABLE[spec.family]
     widths, transform = family.counting(spec.windows)
@@ -364,7 +358,7 @@ def row_builder(spec, layout):
                 else block_cols[name], _STATISTICS[name])
                for name in family.history]
 
-    def build(counters, query_time, student, item, skills, counts=None):
+    def build(counts, student, item, skills):
         idx, val = [], []
         for one, cols in indicators:
             if one is None:
@@ -376,12 +370,8 @@ def row_builder(spec, layout):
                 if col is not None:
                     idx.append(col)
                     val.append(1.0)
-        if not history:
-            return idx, val
-        keys = history_keys(item, skills)
-        if counts is None:
-            counts = _key_counts(counters, keys, query_time, widths)
         if per_key:
+            keys = history_keys(item, skills)
             for key_cols, stat in history:
                 for key, (a, c) in zip(keys, counts):
                     for col, n in zip(key_cols[key], stat(a, c)):
@@ -406,9 +396,10 @@ def row_builder(spec, layout):
 def encode_dataset(dataset, spec):
     """Encode every interaction into a DesignMatrix, per-student chronological.
 
-    One numpy pass builds, bit for bit, the rows `row_builder` builds over
-    `_Counter`s pushed after each row. Raises EncodingError for an item
-    outside the q-matrix or a student whose rows are out of time order.
+    One numpy pass builds, bit for bit, the rows `row_builder` builds from
+    `row_counter`'s counts of `_Counter`s pushed after each row. Raises
+    EncodingError for an item outside the q-matrix or a student whose rows
+    are out of time order.
     """
     layout = build_layout(spec, dataset)
     family = FAMILY_TABLE[spec.family]

@@ -56,10 +56,6 @@ class FMParams:
     embeddings: np.ndarray               # (N, d)
     hyperparams: dict = field(default_factory=dict)
 
-    @property
-    def dim(self):
-        return self.embeddings.shape[1]
-
 
 @dataclass
 class FMFit:

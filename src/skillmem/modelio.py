@@ -12,8 +12,8 @@ from functools import cached_property
 import numpy as np
 
 from .corpus import atomic_open
-from .encoder import (LayoutDescriptor, row_builder, row_counter,
-                      spec_from_dict, spec_to_dict)
+from .encoder import (LayoutDescriptor, feature_layout, row_builder,
+                      row_counter, spec_from_dict, spec_to_dict)
 from .errors import ConfigError
 from .fm import FMFit, FMParams, fm_score
 from .glm import LinearParams
@@ -34,11 +34,11 @@ class ModelFile:
 
     @cached_property
     def score(self):
-        """`score(counters, t, student, item, skills, counts=None)` of the row
-        the family's `row_builder` builds, set up once per instance: a linear
-        model's logit (summed in index order, as the CSR product sums, plus
-        the intercept) or an FM's `fm_score` at the posterior mean. `counts`
-        is `self.counts` of the same row, when already taken."""
+        """`score(counts, student, item, skills)` of the row the family's
+        `row_builder` builds from `counts`, what `self.counts` took for the
+        same query; set up once per instance: a linear model's logit (summed
+        in index order, as the CSR product sums, plus the intercept) or an
+        FM's `fm_score` at the posterior mean."""
         build = row_builder(self.spec, self.layout)
         if self.kind == "fm":
             point = self.params.posterior_mean
@@ -66,7 +66,8 @@ class ModelFile:
     @cached_property
     def counts(self):
         """`counts(counters, t, item, skills)`: the encoder's `row_counter`,
-        the counter state a row's history blocks read."""
+        the window counts a row's history blocks read; the only online
+        reader of counters."""
         return row_counter(self.spec)
 
     @cached_property
@@ -124,8 +125,9 @@ def save_model(model, path):
 
 def load_model(path):
     """Read a model written by `save_model`. Raises ConfigError naming `path`
-    when the file cannot be read, is not JSON, lacks a model key or names an
-    unknown `kind`."""
+    when the file cannot be read, is not JSON, lacks a model key, names an
+    unknown `kind`, or its layout's blocks or its weights' shapes are not
+    those of its spec over the layout's students, items and skills."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -133,6 +135,12 @@ def load_model(path):
             raise ValueError(f"unknown kind {doc['kind']!r}")
         spec = spec_from_dict(doc["spec"])
         layout = LayoutDescriptor.from_dict(doc["layout"])
+        due = feature_layout(spec, (len(layout.students), len(layout.items),
+                                    max(len(layout.skills), 1)))
+        if (layout.blocks, layout.n_features) != (due.blocks, due.n_features):
+            raise ValueError(f"layout blocks {layout.blocks} are not those "
+                             f"of {spec.label} over its ids: {due.blocks}")
+        n = due.n_features
         if doc["kind"] == "linear":
             L = doc["linear"]
             params = LinearParams(
@@ -142,8 +150,15 @@ def load_model(path):
                 converged=bool(L["converged"]),
                 n_iter=int(L["n_iter"]),
             )
+            shapes = {"weights": (params.weights, (n,))}
         else:
             params = FMFit(_fm_params_from_dict(doc["fm"]["posterior_mean"]))
+            point = params.posterior_mean
+            shapes = {"linear_weights": (point.linear_weights, (n,)),
+                      "embeddings": (point.embeddings, (n, spec.dim))}
+        for name, (array, shape) in shapes.items():
+            if array.shape != shape:
+                raise ValueError(f"{name} of shape {array.shape}, not {shape}")
     except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{path} is not a model file: "
                           f"{type(exc).__name__}: {exc}") from None

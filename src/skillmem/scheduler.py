@@ -4,9 +4,9 @@ The heuristic: practice the skill whose predicted recall is closest to a
 target threshold, then pick the covering item whose skill-combination score
 (mean distance of its skills' recalls from the threshold) is smallest. This
 is plumbing around the fitted model, not a learned policy. A policy is
-`pick(counters, now, rng)`, over the simulated student's per-skill counters;
-both steps of a threshold pick read one `recall(skill)` that asks the
-model once per skill and pick, through one dict.
+`pick(counters, now, rng)`, over the simulated student's per-skill counters.
+A threshold pick asks the model once for each skill's recall, into one
+dict, and both steps read that dict's `__getitem__`.
 """
 
 from __future__ import annotations
@@ -59,19 +59,14 @@ def threshold_policy(model, config):
     """Policy closure: skill at threshold distance, then a covering item."""
     if config.qmatrix is None:
         raise ConfigError("threshold policy needs a q-matrix")
+    # the skills either step reads: the pool and every covering item's
+    skills = sorted(set(config.skills).union(config.qmatrix.skills))
 
     def pick(counters, now, rng):
-        recalls = {}
-
-        def recall(skill):
-            p = recalls.get(skill)
-            if p is None:
-                p = recalls[skill] = recall_probability(
-                    model, counters, [skill], now, qmatrix=config.qmatrix)
-            return p
-
-        skill = next_skill(recall, config)
-        return next_item(skill, recall, config)
+        recall = {k: recall_probability(model, counters, [k], now,
+                                        qmatrix=config.qmatrix)
+                  for k in skills}.__getitem__
+        return next_item(next_skill(recall, config), recall, config)
 
     return pick
 

@@ -59,8 +59,9 @@ class SyntheticModel:
 
     def __post_init__(self):
         # the truth's own layout: its students and items, no rows
-        self._score = self.to_model_file(
-            Dataset.from_rows((), self.qmatrix, self.user_w)).score
+        model = self.to_model_file(
+            Dataset.from_rows((), self.qmatrix, self.user_w))
+        self._counts, self._score = model.counts, model.score
 
     def prob(self, student, item, counters, t, skills=None):
         """True probability of a correct answer to `item` at time `t`, given
@@ -68,15 +69,14 @@ class SyntheticModel:
         over `skills` (`item` None) has no item bias."""
         skills = (self.qmatrix.skills_of(item) if skills is None
                   else sorted(skills))
-        return sigmoid(self._score(counters, t, student, item, skills))
+        return sigmoid(self._score(self._counts(counters, t, item, skills),
+                                   student, item, skills))
 
     def respond(self, student, item, counters, t, rng):
-        """Draw the answer to `item` at `t`, push it to the counters of the
-        item's skills and return it."""
-        skills = self.qmatrix.skills_of(item)
-        p = sigmoid(self._score(counters, t, student, item, skills))
-        correct = int(rng.uniform() < p)
-        for k in skills:
+        """Draw the answer to `item` at `t` from `prob`, push it to the
+        counters of the item's skills and return it."""
+        correct = int(rng.uniform() < self.prob(student, item, counters, t))
+        for k in self.qmatrix.skills_of(item):
             counters.setdefault(k, _Counter()).push(t, correct)
         return correct
 

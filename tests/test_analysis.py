@@ -320,7 +320,8 @@ def test_recall_without_an_item_on_a_family_without_item_biases(
     skills = mf.layout.skills[:2]
     p = recall_probability(mf, counters, skills, t, student=student,
                            qmatrix=qm)
-    assert p == float(sigmoid(mf.score(counters, t, student, None, skills)))
+    counts = mf.counts(counters, t, None, skills)
+    assert p == float(sigmoid(mf.score(counts, student, None, skills)))
 
 
 _MEMO_QM = QMatrix([("i0", "k0"), ("i1", "k1"), ("i2", "k0"), ("i2", "k2"),
@@ -359,10 +360,11 @@ _MEMO_DATA = Dataset.from_rows([], _MEMO_QM, ["s0", "s1"])
 @given(memo_events())
 def test_recall_memo_answers_as_a_fresh_model(events):
     # a model answering from its memo gives the float a model without one
-    # scores, and keeps one entry per distinct query
+    # scores, and keeps one entry per distinct answered query; dash_items
+    # counts practice by item, so it answers no query without one
     models = [_seeded_model(spec, build_layout(spec, _MEMO_DATA))
               for spec in _MEMO_SPECS]
-    counters, queries = {}, set()
+    counters, answered = {}, [set() for _ in models]
     for t, event in events:
         if event[0] == "push":
             _, item, correct = event
@@ -370,12 +372,17 @@ def test_recall_memo_answers_as_a_fresh_model(events):
                 counters.setdefault(key, _Counter()).push(t, correct)
             continue
         _, student, item, skills = event
-        queries.add((student, item, tuple(sorted(set(skills)))))
-        for mf in models:
+        for mf, queries in zip(models, answered):
             fresh = ModelFile(spec=mf.spec, layout=mf.layout,
                               params=mf.params, training_config={})
             args = counters, skills, t, item, student
+            if item is None and mf.spec.family == "dash_items":
+                for model in (mf, fresh):
+                    with pytest.raises(ConfigError, match="needs an item"):
+                        recall_probability(model, *args, qmatrix=_MEMO_QM)
+                continue
             assert (recall_probability(mf, *args, qmatrix=_MEMO_QM)
                     == recall_probability(fresh, *args, qmatrix=_MEMO_QM))
-    for mf in models:
+            queries.add((student, item, tuple(sorted(set(skills)))))
+    for mf, queries in zip(models, answered):
         assert len(mf.recalls) == len(queries)

@@ -14,7 +14,8 @@ from skillmem import corpus, evaluation, fm, glm
 from skillmem.analysis import recall_probability, slope_report
 from skillmem.cli import main, run
 from skillmem.corpus import save_dataset
-from skillmem.encoder import ModelSpec, encode_dataset, load_design, save_design
+from skillmem.encoder import (ModelSpec, build_layout, encode_dataset,
+                              load_design, save_design, spec_to_dict)
 from skillmem.errors import ConfigError, EncodingError
 from skillmem.modelio import ModelFile, atomic_open, load_model, save_model
 from skillmem.scheduler import SimulationResult
@@ -149,6 +150,31 @@ def test_recall_without_item_on_an_afm_model(tmp_path, capsys):
     assert 0.0 < p < 1.0
 
 
+def test_recall_without_item_on_a_dash_items_model_fails_typed(tmp_path,
+                                                               capsys):
+    # dash_items counts practice by item: without --item the query would
+    # read none of the history, so it is refused
+    encoded = str(tmp_path / "design.npz")
+    assert run(["encode", "--in", FIXTURE_PATH, "--model", "dash_items",
+                "--out", encoded]) == 0
+    model = str(tmp_path / "model.json")
+    assert run(["train", "--encoded", encoded, "--l2", "0.01",
+                "--out", model]) == 0
+    hist = str(tmp_path / "student.csv")
+    with open(FIXTURE_PATH) as fh, open(hist, "w") as out:
+        lines = fh.readlines()
+        out.write(lines[0])
+        out.writelines(l for l in lines[1:] if l.startswith("s000,"))
+    capsys.readouterr()
+    assert run(["analyze", "recall", "--model", model, "--history", hist,
+                "--skills", "k0", "--at-day", "14"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "needs an item" in err
+    assert "Traceback" not in err
+    assert run(["analyze", "recall", "--model", model, "--history", hist,
+                "--skills", "k0", "--item", "i000", "--at-day", "14"]) == 0
+
+
 def test_recall_rejects_history_of_several_students(tmp_path, capsys):
     encoded = str(tmp_path / "design.npz")
     assert run(["encode", "--in", FIXTURE_PATH, "--out", encoded]) == 0
@@ -275,15 +301,49 @@ def test_a_torn_design_pair_fails_to_load(tmp_path, monkeypatch,
         load_design(path)
 
 
-@pytest.mark.parametrize("windows", ["nan,inf", "1,nan,inf", "0,inf",
-                                     "-1,inf", "abc,inf"])
-def test_encode_rejects_bad_window_widths(tmp_path, capsys, windows):
+def test_encode_writes_the_default_spec(tmp_path):
+    # encode's windows are DEFAULT_WINDOWS, as cv's, the truth's and
+    # schedule-sim's are: the first one is exactly 1/24 day
     out = str(tmp_path / "design.npz")
-    assert run(["encode", "--in", FIXTURE_PATH, "--windows", windows,
-                "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "window widths" in err
-    assert not os.path.exists(out)
+    assert run(["encode", "--in", FIXTURE_PATH, "--out", out]) == 0
+    sidecar = json.load(open(out + ".json"))
+    assert sidecar["spec"] == spec_to_dict(ModelSpec("das3h", 0))
+
+
+def _corrupt(doc, how):
+    """A model document of `doc` with one part no longer its layout's."""
+    if how == "truncated-weights":
+        doc["linear"]["weights"] = doc["linear"]["weights"][:10]
+    elif how == "one-item-too-few":
+        doc["layout"]["items"] = doc["layout"]["items"][:-1]
+    else:
+        point = doc["fm"]["posterior_mean"]
+        point["embeddings"] = [row[:1] for row in point["embeddings"]]
+    return doc
+
+
+@pytest.mark.parametrize("how,dim,reason", [
+    ("truncated-weights", 0, "weights of shape (10,)"),
+    ("one-item-too-few", 0, "layout blocks"),
+    ("fm-embedding-width", 2, "embeddings of shape"),
+])
+def test_load_model_rejects_weights_that_disagree_with_the_layout(
+        tmp_path, fixture_dataset, how, dim, reason):
+    spec = ModelSpec("das3h", dim)
+    layout = build_layout(spec, fixture_dataset)
+    n = layout.n_features
+    params = (glm.LinearParams(weights=np.zeros(n), intercept=0.0,
+                               l2_strength=0.0) if dim == 0 else
+              fm.FMFit(fm.FMParams(global_bias=0.0, linear_weights=np.zeros(n),
+                                   embeddings=np.zeros((n, dim)))))
+    path = tmp_path / "m.json"
+    save_model(ModelFile(spec=spec, layout=layout, params=params,
+                         training_config={}), str(path))
+    load_model(str(path))
+    path.write_text(json.dumps(_corrupt(json.loads(path.read_text()), how)))
+    with pytest.raises(ConfigError, match="m.json") as info:
+        load_model(str(path))
+    assert reason in str(info.value)
 
 
 def test_load_model_rejects_a_zero_window(tmp_path, fixture_dataset):
@@ -384,6 +444,14 @@ def test_schedule_sim_rejects_impossible_runs(tmp_path, capsys, options,
     assert "Traceback" not in err and not out.exists()
 
 
+def test_schedule_sim_rejects_an_unknown_policy(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    assert run(["schedule-sim", "--policy", "bogus", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage-error:") and "'bogus'" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_schedule_sim_rejects_negative_sessions(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     assert run(["schedule-sim", "--sessions", "-1", "--out", str(out)]) == 2
@@ -443,6 +511,27 @@ def test_slopes_over_a_stray_json_fails_typed(tmp_path, capsys):
                 "--out", str(tmp_path / "slopes.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "notes.json" in err
+
+
+def test_slopes_skip_other_files_and_need_a_linear_das3h_model(
+        tmp_path, fitted_inputs, capsys):
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "notes.txt").write_text("not a model")
+    (models / "manifest.json").write_text('{"command": "cv"}')
+    fold = "das3h_d0_fold0.json"
+    with open(os.path.join(fitted_inputs[1], fold)) as fh:
+        (models / fold).write_text(fh.read())
+    slopes = str(tmp_path / "slopes.csv")
+    assert run(["analyze", "slopes", "--model-dir", str(models),
+                "--out", slopes]) == 0
+    assert len(open(slopes).readlines()) == 1 + 3
+    (models / fold).unlink()
+    capsys.readouterr()
+    assert run(["analyze", "slopes", "--model-dir", str(models),
+                "--out", slopes]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage-error:") and "no linear das3h" in err
 
 
 def test_console_script_reports_typed_errors(tmp_path):

@@ -216,6 +216,11 @@ def test_kfold_balance_property(n, k, seed):
     assert max(sizes) - min(sizes) <= 1
 
 
+def test_kfold_needs_two_folds(fixture_dataset):
+    with pytest.raises(ConfigError, match="k must be >= 2"):
+        student_kfold(fixture_dataset, 1, seed=0)
+
+
 def test_kfold_k_too_large(tmp_path):
     rows = [f"u1,i{k},{k},1,k1" for k in range(10)]
     ds = preprocess(_mkds(tmp_path, rows), min_interactions=1)
@@ -320,3 +325,25 @@ def test_qmatrix_file_rows_with_a_blank_id_tag_nothing(tmp_path):
     path = tmp_path / "qm.csv"
     path.write_text("item,skill\ni1,k1\ni2,\n,k3\n  , k4\ni5,  \ni6\n")
     assert load_qmatrix_triplets(str(path)).entries() == {("i1", "k1")}
+
+
+def test_qmatrix_file_without_a_header_keeps_its_first_row(tmp_path):
+    path = tmp_path / "qm.csv"
+    path.write_text("i1,k1\ni2,k2\n")
+    assert load_qmatrix_triplets(str(path)).entries() == {("i1", "k1"),
+                                                          ("i2", "k2")}
+
+
+def test_load_prepared_sorts_rows_out_of_time_order(tmp_path):
+    # a prepared file edited by hand: u1's rows are no longer in time order
+    path = write(tmp_path, """
+        user,item,timestamp,correct,skills
+        u1,i2,2.0,0,k1
+        u1,i1,1.0,1,k1
+        u2,i1,0.5,1,k1
+    """)
+    ds = load_prepared(path)
+    assert not ds.backwards().any()
+    assert [(r.student, r.item, r.timestamp, r.correct)
+            for r in rows_of(ds)] == [
+        ("u1", "i1", 1.0, 1), ("u1", "i2", 2.0, 0), ("u2", "i1", 0.5, 1)]

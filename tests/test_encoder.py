@@ -144,6 +144,10 @@ class TestModelSpec:
         with pytest.raises(ConfigError):
             ModelSpec("dkt", 0)
 
+    def test_negative_dim(self):
+        with pytest.raises(ConfigError, match="dim must be >= 0"):
+            ModelSpec("das3h", -1)
+
 
 class TestLayout:
     def test_das3h_size(self):
@@ -267,7 +271,7 @@ def recompute_row_from_scratch(dataset, spec, student, row_pos):
     """No-leakage oracle: rebuild one row's features using only the rows
     strictly before it in the student's stream."""
     from skillmem.encoder import (FAMILY_TABLE, _Counter, build_layout,
-                                  row_builder)
+                                  row_builder, row_counter)
 
     layout = build_layout(spec, dataset)
     family = FAMILY_TABLE[spec.family]
@@ -278,9 +282,9 @@ def recompute_row_from_scratch(dataset, spec, student, row_pos):
                 r.item, sorted(dataset.qmatrix.skills_of(r.item))):
             counters.setdefault(key, _Counter()).push(r.timestamp, r.correct)
     r = rows[row_pos]
-    idx, val = row_builder(spec, layout)(
-        counters, r.timestamp, student, r.item,
-        sorted(dataset.qmatrix.skills_of(r.item)))
+    skills = sorted(dataset.qmatrix.skills_of(r.item))
+    counts = row_counter(spec)(counters, r.timestamp, r.item, skills)
+    idx, val = row_builder(spec, layout)(counts, student, r.item, skills)
     return np.asarray(idx, dtype=np.int64), np.asarray(val)
 
 
@@ -291,18 +295,19 @@ def streaming_encode(dataset, spec):
     from scipy import sparse
 
     from skillmem.encoder import (FAMILY_TABLE, _Counter, build_layout,
-                                  row_builder)
+                                  row_builder, row_counter)
 
     layout = build_layout(spec, dataset)
     family = FAMILY_TABLE[spec.family]
-    build = row_builder(spec, layout)
+    count, build = row_counter(spec), row_builder(spec, layout)
     qm = dataset.qmatrix
     data, indices, indptr, labels, row_students = [], [], [0], [], []
     for student in dataset.students:
         counters = {}
         for r in rows_of(dataset, student):
             skills = sorted(qm.skills_of(r.item))
-            idx, val = build(counters, r.timestamp, student, r.item, skills)
+            idx, val = build(count(counters, r.timestamp, r.item, skills),
+                             student, r.item, skills)
             indices.extend(idx)
             data.extend(val)
             indptr.append(len(indices))

@@ -59,6 +59,16 @@ class TestNextSkill:
         with pytest.raises(ConfigError, match="q-matrix"):
             threshold_policy(None, cfg)
 
+    def test_threshold_pick_over_a_pool_of_some_skills(self):
+        # the covering items also read recalls of skills outside the pool
+        ds, truth = make_synthetic(SynthConfig(multi_skill_fraction=1.0))
+        mf, qm = truth.to_model_file(ds), truth.qmatrix
+        cfg = SchedulerConfig(threshold=0.7, skills=qm.skills[:1], qmatrix=qm)
+        item = threshold_policy(mf, cfg)({}, 0.0, None)
+        recalls = {k: recall_probability(mf, {}, [k], 0.0, qmatrix=qm)
+                   for k in qm.skills}
+        assert item == next_item(qm.skills[0], recalls.__getitem__, cfg)
+
 
 class TestNextItem:
     def test_single_eligible(self):
