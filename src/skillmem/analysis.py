@@ -1,12 +1,12 @@
 """Post-fit interpretation: forgetting-curve slopes and recall queries.
 
-Both are read-only over fitted models. Slopes are closed-form readouts of
-linear (dim=0) das3h weights: the probability drop when a single past win
-ages out of one time window, everything else held at a documented reference
-operating point. Recall scores, by the fitted model's `ModelFile.score`, the
-row built from the window counts (`ModelFile.counts`) of one student's
-`_Counter`s, the state the encoder, the truth and the simulator keep;
-`history_counters` builds them from a one-student history `Dataset`.
+Both are read-only over fitted models and score rows of window counts
+through `ModelFile.probability`. Slopes read linear (dim=0) das3h weights:
+the probability drop when a single past win ages out of one time window,
+everything else held at a documented reference operating point. Recall
+scores the window counts (`ModelFile.counts`) of one student's `_Counter`s,
+the state the encoder, the truth and the simulator keep; `history_counters`
+builds them from a one-student history `Dataset`.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import atomic_open
-from .encoder import FAMILY_TABLE, _Counter
+from .encoder import FAMILY_TABLE, ModelSpec, _Counter
 from .errors import ConfigError
-from .fm import probit
-from .glm import LinearParams, sigmoid
-
-LOG2 = math.log(2.0)
+from .glm import LinearParams
+from .modelio import ModelFile
 
 
 @dataclass
@@ -58,29 +56,27 @@ def forgetting_slope(models, layouts, skill):
 
     Reference operating point: one win / one attempt present in every window,
     user and item biases at their fitted means, the skill's own easiness bias
-    active.
+    active; a transition is the point with window w's counts at zero.
     """
     per_fold = []
-    seen = False
+    family = FAMILY_TABLE["das3h"]
     for params, layout in zip(models, layouts):
         if not isinstance(params, LinearParams):
             raise ConfigError("forgetting_slope needs dim=0 (linear) models")
         if skill not in layout.skills:
             continue
-        seen = True
-        k = layout.skills.index(skill)
-        w = {name: params.weights[FAMILY_TABLE["das3h"].columns(layout, name)]
-             for name in layout.blocks}
-        pair_w = w["wins"][k] + w["attempts"][k]  # per window
-        user_mean = float(np.mean(w["users"]))
-        item_mean = float(np.mean(w["items"]))
-        beta = w["skills"][k]
-        z = (params.intercept + user_mean + item_mean + beta
-             + LOG2 * sum(pair_w))
-        drops = [sigmoid(z) - sigmoid(z - LOG2 * pw) for pw in pair_w[:-1]]
-        n_pairs = len(drops)
+        probability = ModelFile(ModelSpec("das3h"), layout, params,
+                                {}).probability
+        offset = sum(float(np.mean(params.weights[family.columns(layout, b)]))
+                     for b in ("users", "items"))
+        W = family.columns(layout, "wins").shape[1]
+        counts = [[1] * W] + [[int(v != w) for v in range(W)]
+                              for w in range(W - 1)]
+        base, *aged = [probability([(n, n)], None, None, [skill], offset)
+                       for n in counts]
+        drops = [base - q for q in aged]
         per_fold.append(100.0 * float(np.mean(drops)))
-    if not seen:
+    if not per_fold:
         warnings.warn(f"skill {skill!r} unseen in training; slope undefined")
         return SlopeEntry(skill, float("nan"), float("nan"), 0, 0, unseen=True)
     return SlopeEntry(
@@ -88,7 +84,7 @@ def forgetting_slope(models, layouts, skill):
         mean_drop_pct=float(np.mean(per_fold)),
         std_pct=float(np.std(per_fold)),
         n_folds=len(per_fold),
-        n_pairs=n_pairs,
+        n_pairs=len(drops),
     )
 
 
@@ -103,10 +99,13 @@ def history_counters(model, history, query_time):
     before `query_time`, pushed in time order to `model`'s family keys (the
     item's skills in `history.qmatrix`, or the item). The student is the
     history's own whenever it has rows, even if none is that early, and None
-    for an empty history. A history of several students is an error."""
+    for an empty history. A history of several students, or a query time
+    that is not finite, is an error."""
     students = history.students
     if len(students) > 1:
         raise ConfigError(f"history spans several students: {students}")
+    if not math.isfinite(query_time):
+        raise ConfigError(f"query time must be finite, got {query_time}")
     family, h = FAMILY_TABLE[model.spec.family], history
     tags = [h.qmatrix.skills_of(j) for j in h.items]
     prior = np.flatnonzero(h.timestamp <= query_time)
@@ -125,17 +124,19 @@ def recall_probability(model, counters, skills, query_time, item=None,
     `query_time`, given one student's `counters` (family key -> `_Counter`
     of answers at or before `query_time`).
 
-    The row is scored by `model.score`, which builds it by the family's
-    table entry as batch encoding does. A `student` outside the layout (or
-    None) has no user bias. When `item` is None, the item bias is proxied
-    by the mean fitted bias over the layout items that `qmatrix` tags with
-    the queried skills, pooled once per model and q-matrix in
-    `model.item_proxies`; a family without item biases has a proxy of 0.
-    A family whose history is keyed by item (dash_items) needs an `item`:
-    without one, ConfigError. An FM model answers with the
-    probit of its posterior-mean score, whereas cross-validation scores
-    held-out rows by the probit probabilities averaged over the kept chain;
-    the two differ when the posterior is spread out.
+    The row is scored by `model.probability`, which builds it by the
+    family's table entry as batch encoding does. A `student` outside the
+    layout (or None) has no user bias. An `item` that `qmatrix` tags must be
+    queried over its tagged skills, or ConfigError. When `item` is None, the
+    item bias is proxied by the mean fitted bias over the layout items that
+    `qmatrix` tags with the queried skills, pooled once per model and
+    q-matrix in `model.item_proxies`, and is the score's `offset`; a family
+    without item biases has a proxy of 0. A family whose history is keyed by
+    item (dash_items) needs an `item`: without one, ConfigError. An FM model
+    answers with the probit of its posterior-mean score, whereas
+    cross-validation scores held-out rows by the probit probabilities
+    averaged over the kept chain; the two differ when the posterior is
+    spread out.
 
     The query's state is what `model.counts` counts: the window counts of
     each history key the row reads, and the row is built from them alone.
@@ -143,7 +144,7 @@ def recall_probability(model, counters, skills, query_time, item=None,
     proxy), its last state and answer, so it holds one entry per distinct
     query however many times are asked. When the state is unchanged the
     stored float is returned, which is the float the row would score to;
-    otherwise `model.score` scores the row from the counts already taken.
+    otherwise `model.probability` scores the row from the counts taken.
     """
     skills = sorted(set(skills))
     if not skills:
@@ -156,6 +157,10 @@ def recall_probability(model, counters, skills, query_time, item=None,
     if item is not None:
         if item not in model.item_ids:
             raise ConfigError(f"item {item!r} not in model")
+        tagged = qmatrix.skills_of(item)
+        if tagged and tagged != key:
+            raise ConfigError(f"item {item!r} is tagged {list(tagged)} in the "
+                              f"q-matrix, not {skills}")
         proxy = 0.0
     else:
         proxy = model.item_proxies.get((key, qmatrix))
@@ -168,8 +173,7 @@ def recall_probability(model, counters, skills, query_time, item=None,
     last = model.recalls.get(query)
     if last is not None and last[0] == state:
         return last[1]
-    z = model.score(state, student, item, skills) + proxy
-    p = float(sigmoid(z) if model.kind == "linear" else probit(z))
+    p = model.probability(state, student, item, skills, offset=proxy)
     model.recalls[query] = state, p
     return p
 
@@ -184,10 +188,7 @@ def _item_proxy(model, skills, qmatrix):
                           "a recall query needs an item")
     if "items" not in family.indicators:
         return 0.0
-    layout, params = model.layout, model.params
     tagged = set().union(*map(qmatrix.items_of, skills))
-    pool = [i for i, it in enumerate(layout.items) if it in tagged]
-    cols = family.columns(layout, "items")
-    weights = (params.weights if model.kind == "linear"
-               else params.posterior_mean.linear_weights)
-    return float(np.mean(weights[cols[pool]])) if pool else 0.0
+    pool = [i for i, it in enumerate(model.layout.items) if it in tagged]
+    cols = family.columns(model.layout, "items")
+    return float(np.mean(model.linear_weights[cols[pool]])) if pool else 0.0

@@ -15,8 +15,8 @@ from .corpus import atomic_open
 from .encoder import (LayoutDescriptor, feature_layout, row_builder,
                       row_counter, spec_from_dict, spec_to_dict)
 from .errors import ConfigError
-from .fm import FMFit, FMParams, fm_score
-from .glm import LinearParams
+from .fm import FMFit, FMParams, fm_score, probit
+from .glm import LinearParams, sigmoid
 
 
 @dataclass
@@ -32,26 +32,34 @@ class ModelFile:
     def kind(self):
         return "linear" if isinstance(self.params, LinearParams) else "fm"
 
+    @property
+    def linear_weights(self):
+        """Per-feature weights; an FM's at its posterior mean."""
+        return (self.params.weights if self.kind == "linear"
+                else self.params.posterior_mean.linear_weights)
+
     @cached_property
-    def score(self):
-        """`score(counts, student, item, skills)` of the row the family's
-        `row_builder` builds from `counts`, what `self.counts` took for the
-        same query; set up once per instance: a linear model's logit (summed
-        in index order, as the CSR product sums, plus the intercept) or an
-        FM's `fm_score` at the posterior mean."""
+    def probability(self):
+        """`probability(counts, student, item, skills, offset=0.0)`: the link
+        of the row's score plus `offset`, the row `row_builder` builds from
+        `counts` (what `self.counts` took); set up once per instance:
+        `sigmoid` of a linear model's logit (summed in index order, as the
+        CSR product sums, plus the intercept) or `probit` of an FM's
+        posterior-mean score."""
         build = row_builder(self.spec, self.layout)
         if self.kind == "fm":
             point = self.params.posterior_mean
-            return lambda *row: fm_score(point, build(*row))
+            return lambda *row, offset=0.0: float(
+                probit(fm_score(point, build(*row)) + offset))
         weights, intercept = self.params.weights.tolist(), self.params.intercept
 
-        def score(*row):
+        def probability(counts, student, item, skills, offset=0.0):
             z = 0.0
-            for i, v in zip(*build(*row)):
+            for i, v in zip(*build(counts, student, item, skills)):
                 z += weights[i] * v
-            return z + intercept
+            return sigmoid((z + intercept) + offset)
 
-        return score
+        return probability
 
     @cached_property
     def skill_ids(self):

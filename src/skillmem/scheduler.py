@@ -104,11 +104,15 @@ def simulate_policy(generator, policies, session_times, horizon, seeds):
     reads. The student is in no layout, so has no user bias. For each seed
     every policy sees the same student; the report holds the mean true
     recall over all skills at the horizon. Raises ConfigError for no seeds,
-    decreasing session times or a horizon before the last session.
+    a time that is not finite, decreasing session times or a horizon before
+    the last session.
     """
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("no seeds to simulate")
+    if not np.all(np.isfinite([*session_times, horizon])):
+        raise ConfigError(f"horizon {horizon} and session times must be "
+                          "finite")
     if np.any(np.diff(session_times) < 0):
         raise ConfigError("session times must not decrease")
     if len(session_times) and horizon < session_times[-1]:

@@ -2,22 +2,22 @@
 
 The generator draws labels from a linear (dim=0) das3h scorer with genuine
 forgetting: win weights are largest for the shortest windows, so recent
-practice helps more than old practice. The truth scores through its own
-das3h model file (`ModelFile.score`), over per-skill `_Counter`s pushed as
-answers are drawn, as any fitted model does. It is used for the bundled
-fixture, recovery tests and scheduler simulations.
+practice helps more than old practice. The truth's probabilities come from
+its own das3h model file (`ModelFile.probability`), over per-skill
+`_Counter`s pushed as answers are drawn, as any fitted model's do. It is used
+for the bundled fixture, recovery tests and scheduler simulations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Dataset, QMatrix
-from .encoder import (FAMILY_TABLE, ModelSpec, WindowSet, _Counter,
+from .encoder import (DEFAULT_WINDOWS, FAMILY_TABLE, ModelSpec, _Counter,
                       build_layout)
-from .glm import LinearParams, sigmoid
+from .glm import LinearParams
 from .modelio import ModelFile
 
 
@@ -29,7 +29,6 @@ class SynthConfig:
     interactions_per_student: int = 12
     horizon_days: float = 60.0
     multi_skill_fraction: float = 0.25
-    windows: WindowSet = field(default_factory=WindowSet)
     user_sd: float = 0.3
     item_sd: float = 0.3
     skill_mean: float = 0.2
@@ -54,14 +53,13 @@ class SyntheticModel:
     skill_w: dict
     win_w: dict      # skill -> per-window weight list
     att_w: dict
-    windows: WindowSet
     qmatrix: QMatrix
 
     def __post_init__(self):
         # the truth's own layout: its students and items, no rows
         model = self.to_model_file(
             Dataset.from_rows((), self.qmatrix, self.user_w))
-        self._counts, self._score = model.counts, model.score
+        self._counts, self._probability = model.counts, model.probability
 
     def prob(self, student, item, counters, t, skills=None):
         """True probability of a correct answer to `item` at time `t`, given
@@ -69,8 +67,8 @@ class SyntheticModel:
         over `skills` (`item` None) has no item bias."""
         skills = (self.qmatrix.skills_of(item) if skills is None
                   else sorted(skills))
-        return sigmoid(self._score(self._counts(counters, t, item, skills),
-                                   student, item, skills))
+        return self._probability(self._counts(counters, t, item, skills),
+                                 student, item, skills)
 
     def respond(self, student, item, counters, t, rng):
         """Draw the answer to `item` at `t` from `prob`, push it to the
@@ -82,7 +80,7 @@ class SyntheticModel:
 
     def to_model_file(self, dataset):
         """Pack the true parameters as a fitted-model container."""
-        spec = ModelSpec("das3h", 0, self.windows)
+        spec = ModelSpec("das3h", 0)
         layout = build_layout(spec, dataset)
         weights, skills = np.zeros(layout.n_features), layout.skills
         for name, values in (
@@ -113,7 +111,7 @@ def make_synthetic(config=None):
     """Generate (Dataset, SyntheticModel) from known parameters."""
     config = config or SynthConfig()
     rng = np.random.default_rng(config.seed)
-    W = len(config.windows)
+    W = len(DEFAULT_WINDOWS)
     students = [f"s{i:03d}" for i in range(config.n_students)]
     items = [f"i{j:03d}" for j in range(config.n_items)]
     skills = [f"k{k}" for k in range(config.n_skills)]
@@ -141,7 +139,6 @@ def make_synthetic(config=None):
         win_w={k: (win_base * np.exp(rng.normal(0, config.win_jitter, W))).tolist()
                for k in skills},
         att_w={k: att_base.tolist() for k in skills},
-        windows=config.windows,
         qmatrix=qm,
     )
 

@@ -9,7 +9,8 @@ from skillmem.analysis import (forgetting_slope, history_counters,
                                recall_probability, slope_report)
 from conftest import Row, rows_of
 from skillmem.corpus import Dataset, QMatrix, load_interactions
-from skillmem.encoder import ModelSpec, _Counter, build_layout, encode_dataset
+from skillmem.encoder import (FAMILY_TABLE, ModelSpec, _Counter, build_layout,
+                              encode_dataset)
 from skillmem.errors import ConfigError
 from skillmem.fm import FMFit, FMParams, _scores_matrix, probit
 from skillmem.glm import LinearParams, sigmoid
@@ -29,6 +30,25 @@ def linear_das3h_model(dataset, fill=0.0):
     layout = build_layout(spec, dataset)
     params = LinearParams(np.full(layout.n_features, fill), 0.0, 0.0)
     return params, layout, spec
+
+
+def closed_form_slope(models, layouts, skill):
+    """The readout's formula as a closed form over the das3h weights: mean
+    and std over folds of the mean drop when one window's win/attempt pair
+    is removed from intercept + mean user bias + mean item bias + beta +
+    ln 2 * sum over windows of (win + attempt weight)."""
+    per_fold = []
+    for params, layout in zip(models, layouts):
+        k = layout.skills.index(skill)
+        w = {name: params.weights[FAMILY_TABLE["das3h"].columns(layout, name)]
+             for name in layout.blocks}
+        pair_w = w["wins"][k] + w["attempts"][k]
+        z = (params.intercept + float(np.mean(w["users"]))
+             + float(np.mean(w["items"])) + w["skills"][k]
+             + LOG2 * sum(pair_w))
+        drops = [sigmoid(z) - sigmoid(z - LOG2 * pw) for pw in pair_w[:-1]]
+        per_fold.append(100.0 * float(np.mean(drops)))
+    return float(np.mean(per_fold)), float(np.std(per_fold))
 
 
 class TestForgettingSlope:
@@ -64,6 +84,29 @@ class TestForgettingSlope:
         for skill in layout.skills:
             entry = forgetting_slope([params], [layout], skill)
             assert entry.mean_drop_pct >= 0.0
+
+    def test_matches_the_closed_form(self):
+        # three folds of seeded random weights over six skills; window
+        # weights nonnegative, so every drop is, and no mean cancels
+        rng = np.random.default_rng(4)
+        models, layouts = [], []
+        for seed in range(3):
+            ds, _ = make_synthetic(SynthConfig(seed=seed, n_items=18,
+                                               n_skills=6))
+            params, layout, _ = linear_das3h_model(ds)
+            params.weights[:] = rng.normal(size=layout.n_features)
+            params.intercept = float(rng.normal())
+            for block in ("wins", "attempts"):
+                cols = FAMILY_TABLE["das3h"].columns(layout, block)
+                params.weights[cols] = np.abs(params.weights[cols])
+            models.append(params)
+            layouts.append(layout)
+        for skill in layouts[0].skills:
+            entry = forgetting_slope(models, layouts, skill)
+            mean, std = closed_form_slope(models, layouts, skill)
+            assert entry.mean_drop_pct == pytest.approx(mean, rel=1e-12)
+            assert entry.std_pct == pytest.approx(std, rel=1e-12, abs=1e-12)
+            assert (entry.n_folds, entry.n_pairs) == (3, 4)
 
     def test_unseen_skill_warns(self, small_synth):
         ds, _ = small_synth
@@ -121,6 +164,26 @@ class TestRecallProbability:
             proxy = float(np.mean(mf.params.weights[off + np.asarray(pool)]))
             expected = sigmoid(sum(truth.skill_w[k] for k in skills) + proxy)
             assert p == pytest.approx(float(expected))
+
+    def test_item_over_skills_it_is_not_tagged_with_rejected(self):
+        # the seed-0 truth tags i000 with k0 alone
+        ds, truth = make_synthetic(SynthConfig(seed=0))
+        mf, qm = truth.to_model_file(ds), truth.qmatrix
+        assert qm.skills_of("i000") == ("k0",)
+        with pytest.raises(ConfigError, match=r"'i000'.*\['k0'\].*"
+                                              r"\['k1', 'k2'\]"):
+            recall_probability(mf, {}, ["k1", "k2"], 1.0, item="i000",
+                               qmatrix=qm)
+        p = recall_probability(mf, {}, ["k0"], 1.0, item="i000", qmatrix=qm)
+        assert p == truth.prob(None, "i000", {}, 1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_history_at_a_time_that_is_not_finite_rejected(self, truth_model,
+                                                           t):
+        ds, truth, mf = truth_model
+        rows = rows_of(ds, ds.students[0])
+        with pytest.raises(ConfigError, match="finite"):
+            history_counters(mf, history(rows, ds.qmatrix), t)
 
     def test_item_proxy_is_pooled_once_per_skill_set(self, truth_model,
                                                      monkeypatch):
@@ -321,7 +384,7 @@ def test_recall_without_an_item_on_a_family_without_item_biases(
     p = recall_probability(mf, counters, skills, t, student=student,
                            qmatrix=qm)
     counts = mf.counts(counters, t, None, skills)
-    assert p == float(sigmoid(mf.score(counts, student, None, skills)))
+    assert p == mf.probability(counts, student, None, skills)
 
 
 _MEMO_QM = QMatrix([("i0", "k0"), ("i1", "k1"), ("i2", "k0"), ("i2", "k2"),

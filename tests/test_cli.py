@@ -190,6 +190,46 @@ def test_recall_rejects_history_of_several_students(tmp_path, capsys):
     assert "several students" in err and "s000" in err
 
 
+@pytest.fixture(scope="module")
+def recall_inputs(tmp_path_factory):
+    """A das3h model of the prepared fixture and student s000's history."""
+    tmp = tmp_path_factory.mktemp("recall")
+    prepared, encoded = str(tmp / "prepared.csv"), str(tmp / "design.npz")
+    model, hist = str(tmp / "model.json"), str(tmp / "student.csv")
+    assert run(["prepare", "--in", FIXTURE_PATH, "--min-interactions", "5",
+                "--out", prepared]) == 0
+    assert run(["encode", "--in", prepared, "--out", encoded]) == 0
+    assert run(["train", "--encoded", encoded, "--l2", "0.01",
+                "--out", model]) == 0
+    with open(prepared) as fh, open(hist, "w") as out:
+        lines = fh.readlines()
+        out.write(lines[0])
+        out.writelines(l for l in lines[1:] if l.startswith("s000,"))
+    return ["analyze", "recall", "--model", model, "--history", hist]
+
+
+def test_recall_of_an_item_over_skills_it_is_not_tagged_with_fails_typed(
+        recall_inputs, capsys):
+    # s000's history tags i002 with k2 alone
+    assert run([*recall_inputs, "--item", "i002", "--skills", "k2",
+                "--at-day", "14"]) == 0
+    capsys.readouterr()
+    assert run([*recall_inputs, "--item", "i002", "--skills", "k1",
+                "--at-day", "14"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'i002'" in err
+    assert "['k2']" in err and "['k1']" in err and "Traceback" not in err
+
+
+def test_recall_at_a_day_that_is_not_a_number_fails_typed(recall_inputs,
+                                                          capsys):
+    capsys.readouterr()
+    assert run([*recall_inputs, "--skills", "k0", "--at-day", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "finite" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_family_names_from_table(runner, tmp_path):
     encoded = str(tmp_path / "design.npz")
     r = runner.invoke(main, ["encode", "--in", FIXTURE_PATH,
@@ -434,7 +474,8 @@ def test_cv_rejects_bad_fit_options(tmp_path, capsys, options, reason):
 @pytest.mark.parametrize("options,reason", [
     (["--seeds", "0"], "no seeds"),
     (["--horizon", "-5", "--seeds", "2"], "session times must not decrease"),
-], ids=["no-seeds", "negative-horizon"])
+    (["--horizon", "nan", "--seeds", "2"], "must be finite"),
+], ids=["no-seeds", "negative-horizon", "nan-horizon"])
 def test_schedule_sim_rejects_impossible_runs(tmp_path, capsys, options,
                                               reason):
     out = tmp_path / "sim.csv"

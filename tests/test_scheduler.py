@@ -177,7 +177,11 @@ class TestSimulate:
         ([0.0, 1.0], 5.0, range(0), "no seeds"),
         ([0.0, -2.0, -4.0], 5.0, range(2), "must not decrease"),
         ([0.0, 4.0, 8.0], 5.0, range(2), "before the last session"),
-    ], ids=["no-seeds", "decreasing-times", "horizon-too-early"])
+        ([0.0, 1.0], float("nan"), range(2), "must be finite"),
+        ([0.0, float("nan")], 5.0, range(2), "must be finite"),
+        ([0.0, float("inf")], float("inf"), range(2), "must be finite"),
+    ], ids=["no-seeds", "decreasing-times", "horizon-too-early",
+            "horizon-nan", "session-nan", "infinite-times"])
     def test_impossible_runs_fail_typed(self, setup, times, horizon, seeds,
                                         reason):
         ds, truth, mf, cfg = setup

@@ -28,7 +28,7 @@ def test_truth_scores_rows_as_the_encoder_does(generated):
             for k in ds.qmatrix.skills_of(r.item):
                 counters.setdefault(k, _Counter()).push(r.timestamp,
                                                         r.correct)
-    dm = encode_dataset(ds, ModelSpec("das3h", 0, truth.windows))
+    dm = encode_dataset(ds, ModelSpec("das3h", 0))
     encoded = sigmoid(dm.X @ truth.to_model_file(ds).params.weights)
     assert len(streamed) == dm.n_rows
     assert np.max(np.abs(np.asarray(streamed) - encoded)) <= 1e-12
