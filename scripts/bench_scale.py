@@ -23,8 +23,13 @@ place of rows/s, and `states`: in `analysis.recall_probability` ("new")
 the model's recall memo is emptied before every pick, so every query is
 scored from its counts and the layer compares with trees that have no
 memo; in `analysis.recall_probability.unchanged` the counters do not
-change between picks, so every query is answered from the memo. A layer's
-inputs are built untimed in its child first; the fits' design is encoded
+change between picks, so every query is answered from the memo. The
+layer `cli.import` times `import skillmem.cli` in a fresh child, before
+it has loaded anything of numpy, scipy or the package: every command's
+start-up cost, whatever the row count. A layer's
+inputs are built untimed in its child first, and for the GLM fit
+`scipy.optimize`, which `glm.fit_logistic` imports on its first call, is
+imported with them; the fits' design is encoded
 once per row count, in a child of the first tree, and saved, so that a
 fit's child holds only the design it fits. A
 record holds wall and CPU seconds, rows/s, nnz and the child's peak RSS from
@@ -47,6 +52,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -72,6 +78,7 @@ SYNTH_LAYER = "synth.make_synthetic"
 RECALL_LAYERS = {"analysis.recall_probability": True,
                  "analysis.recall_probability.unchanged": False}
 PICKS = 2000
+CLI_LAYER = "cli.import"
 
 
 def ladder_config(rows, many_skills=False):
@@ -153,13 +160,27 @@ def pick_inputs(rows, new_states):
     return pick, len(skills)
 
 
+def peak_rss_mb():
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
+def measure_cli_import():
+    """Time `import skillmem.cli` in this child, which has not loaded it
+    or numpy yet; print the record as JSON."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    import skillmem.cli  # noqa: F401
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    print(json.dumps({"layer": CLI_LAYER, "wall_s": round(wall, 4),
+                      "cpu_s": round(cpu, 4), "peak_rss_mb": peak_rss_mb()}))
+
+
 def measure(path, layer, rows):
     """Time `layer` ("corpus.<function>", "encoder.encode_dataset.<family>",
-    `FIT_LAYER`, `FM_LAYER`, `FM_SKILLS_LAYER`, `SYNTH_LAYER` or one of
-    `RECALL_LAYERS`) on the corpus of `rows` rows at `path`; print the
-    record as JSON."""
-    import resource
-
+    `FIT_LAYER`, `FM_LAYER`, `FM_SKILLS_LAYER`, `SYNTH_LAYER`, one of
+    `RECALL_LAYERS` or `CLI_LAYER`) on the corpus of `rows` rows at `path`;
+    print the record as JSON."""
+    if layer == CLI_LAYER:
+        return measure_cli_import()
     import numpy as np
     from scipy import sparse
 
@@ -176,6 +197,11 @@ def measure(path, layer, rows):
                                       shape=tuple(z["shape"])),
                     z["y"], z["groups"])
 
+    def glm_fit_inputs():
+        import scipy.optimize  # noqa: F401 -- the first fit's one-off import
+
+        return fit_inputs()
+
     def fm_fit(a):
         return fm.fit_fm_gibbs(
             *a[:2], FM_DIM, fm.GibbsConfig(iterations=FM_SWEEPS, seed=SEED),
@@ -188,7 +214,7 @@ def measure(path, layer, rows):
         "corpus.save_dataset": (lambda: corpus.preprocess(raw()),
                                 lambda ds: corpus.save_dataset(ds, path + ".out")),
         "corpus.load_prepared": (lambda: path, corpus.load_prepared),
-        FIT_LAYER: (fit_inputs, lambda a: glm.fit_logistic(
+        FIT_LAYER: (glm_fit_inputs, lambda a: glm.fit_logistic(
             *a[:2], glm.FitConfig(l2_strength=FIT_L2))),
         FM_LAYER: (fit_inputs, fm_fit),
         FM_SKILLS_LAYER: (fit_inputs, fm_fit),
@@ -220,8 +246,7 @@ def measure(path, layer, rows):
                       states="new" if RECALL_LAYERS[layer] else "unchanged")
     else:
         record["rows_per_s"] = round(int(rows) / wall)
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    record["peak_rss_mb"] = round(peak_kb / 1024, 1)
+    record["peak_rss_mb"] = peak_rss_mb()
     print(json.dumps(record))
 
 
@@ -267,7 +292,8 @@ def main():
             skills_path = os.path.join(tmp, f"corpus_{rows}_skills.csv")
             child(trees[0][1], "corpus", skills_path, str(rows), "many")
             child(trees[0][1], "fit_design", skills_path)
-            layers = ([f"corpus.{fn}" for fn in CORPUS_LAYERS]
+            layers = ([CLI_LAYER]
+                      + [f"corpus.{fn}" for fn in CORPUS_LAYERS]
                       + [f"encoder.encode_dataset.{f}" for f in families]
                       + [FIT_LAYER, FM_LAYER, FM_SKILLS_LAYER, SYNTH_LAYER,
                          *RECALL_LAYERS])

@@ -49,22 +49,14 @@ class SlopeReport:
                             e.n_pairs, int(e.unseen)])
 
 
-def forgetting_slope(models, layouts, skill):
-    """Mean correctness-probability drop (percentage points) when one win
-    ages from window w into w+1, for one skill, averaged over the adjacent
-    window transitions and over the per-fold models.
-
-    Reference operating point: one win / one attempt present in every window,
-    user and item biases at their fitted means, the skill's own easiness bias
-    active; a transition is the point with window w's counts at zero.
-    """
-    per_fold = []
-    family = FAMILY_TABLE["das3h"]
+def _slope_folds(models, layouts):
+    """Per fold model, what its slope readout needs for any skill: (layout
+    skills, das3h `probability`, offset = mean user bias + mean item bias,
+    the window counts of the base point and of each transition)."""
+    family, folds = FAMILY_TABLE["das3h"], []
     for params, layout in zip(models, layouts):
         if not isinstance(params, LinearParams):
             raise ConfigError("forgetting_slope needs dim=0 (linear) models")
-        if skill not in layout.skills:
-            continue
         probability = ModelFile(ModelSpec("das3h"), layout, params,
                                 {}).probability
         offset = sum(float(np.mean(params.weights[family.columns(layout, b)]))
@@ -72,6 +64,16 @@ def forgetting_slope(models, layouts, skill):
         W = family.columns(layout, "wins").shape[1]
         counts = [[1] * W] + [[int(v != w) for v in range(W)]
                               for w in range(W - 1)]
+        folds.append((layout.skills, probability, offset, counts))
+    return folds
+
+
+def _slope(folds, skill):
+    """`forgetting_slope` of `skill` over `_slope_folds`' folds."""
+    per_fold = []
+    for skills, probability, offset, counts in folds:
+        if skill not in skills:
+            continue
         base, *aged = [probability([(n, n)], None, None, [skill], offset)
                        for n in counts]
         drops = [base - q for q in aged]
@@ -88,10 +90,24 @@ def forgetting_slope(models, layouts, skill):
     )
 
 
+def forgetting_slope(models, layouts, skill):
+    """Mean correctness-probability drop (percentage points) when one win
+    ages from window w into w+1, for one skill, averaged over the adjacent
+    window transitions and over the per-fold models.
+
+    Reference operating point: one win / one attempt present in every window,
+    user and item biases at their fitted means, the skill's own easiness bias
+    active; a transition is the point with window w's counts at zero.
+    """
+    return _slope(_slope_folds(models, layouts), skill)
+
+
 def slope_report(models, layouts):
+    """`forgetting_slope` of every skill of the layouts, each fold's readout
+    set up once for all skills."""
     skills = sorted({k for lay in layouts for k in lay.skills})
-    return SlopeReport(
-        entries=[forgetting_slope(models, layouts, k) for k in skills])
+    folds = _slope_folds(models, layouts)
+    return SlopeReport(entries=[_slope(folds, k) for k in skills])
 
 
 def history_counters(model, history, query_time):

@@ -307,6 +307,9 @@ def schedule_sim(model_path, policy, threshold, horizon, sessions, seeds,
             policies[name] = scheduler.random_policy(truth.qmatrix.items)
         else:
             raise click.UsageError(f"unknown policy {name!r}")
+    if not np.isfinite(horizon):  # before linspace, which warns on inf
+        raise ConfigError(f"horizon {horizon} and session times must be "
+                          "finite")
     session_times = np.linspace(0, horizon * 0.8, sessions).tolist()
     result = scheduler.simulate_policy(
         truth, policies, session_times, horizon, seeds=range(seeds))

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import fm as fm_mod
 from . import glm
@@ -35,15 +34,30 @@ ABLATION_PAIRS = {
 }
 
 
+def _average_ranks(x):
+    """`scipy.stats.rankdata(x)`: a run of ties shares its mean rank."""
+    order = np.argsort(x)  # any kind: runs of ties do not depend on it
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    counts = np.diff(starts, append=len(x))
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)  # exact
+    return ranks
+
+
 def auc(scores, labels):
-    """P(random positive ranked above random negative); ties count 1/2."""
+    """P(random positive ranked above random negative), from tie-averaged
+    ranks: ties count 1/2 and +-inf rank as values; a NaN score has no rank
+    and is a MetricError."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC undefined: only one class present")
-    ranks = rankdata(scores)  # average ranks handle ties as 1/2
+    if np.isnan(scores).any():
+        raise MetricError("AUC undefined: NaN score")
+    ranks = _average_ranks(scores)
     return float((np.sum(ranks[labels == 1]) - n_pos * (n_pos + 1) / 2)
                  / (n_pos * n_neg))
 

@@ -14,7 +14,10 @@ Two things keep a fit from wasting work without changing one bit of it:
   yet a second OpenBLAS thread spins between them and doubles the fit's CPU
   time. The count is set to one around `optimize.minimize` and restored
   after it, also when it raises; where scipy's library or its symbols are
-  not found, nothing is changed.
+  not found, nothing is changed. `scipy.optimize` is imported inside
+  `fit_logistic`, so only a process that fits pays for it, and before
+  `_one_blas_thread`: importing it loads that library, and the cached
+  lookup, run before the load, would find nothing and never pin.
 - The gradient's product `X.T @ resid` runs on `X.T` converted to CSR once
   per fit, not on the CSC view of the CSR design. Each output is then a
   sum held in a register rather than a scatter-add into memory, over the
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from scipy import optimize, sparse
+from scipy import sparse
 
 from .errors import ConfigError, FitError
 
@@ -167,6 +170,7 @@ def fit_logistic(X, y, config=None):
     d = X.shape[1]
     theta0 = np.zeros(d + 1)
     objective = _objective(X, y, config.l2_strength)
+    from scipy import optimize  # loads scipy's OpenBLAS: see module doc
     with _one_blas_thread():
         res = optimize.minimize(
             objective, theta0, jac=True, method="L-BFGS-B",

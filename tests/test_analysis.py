@@ -14,6 +14,7 @@ from skillmem.encoder import (FAMILY_TABLE, ModelSpec, _Counter, build_layout,
 from skillmem.errors import ConfigError
 from skillmem.fm import FMFit, FMParams, _scores_matrix, probit
 from skillmem.glm import LinearParams, sigmoid
+from skillmem import modelio
 from skillmem.modelio import ModelFile
 from skillmem.synth import SynthConfig, make_synthetic
 
@@ -49,6 +50,24 @@ def closed_form_slope(models, layouts, skill):
         drops = [sigmoid(z) - sigmoid(z - LOG2 * pw) for pw in pair_w[:-1]]
         per_fold.append(100.0 * float(np.mean(drops)))
     return float(np.mean(per_fold)), float(np.std(per_fold))
+
+
+def random_das3h_folds():
+    """Three das3h fold models of seeded random weights over six skills,
+    the window weights nonnegative."""
+    rng = np.random.default_rng(4)
+    models, layouts = [], []
+    for seed in range(3):
+        ds, _ = make_synthetic(SynthConfig(seed=seed, n_items=18, n_skills=6))
+        params, layout, _ = linear_das3h_model(ds)
+        params.weights[:] = rng.normal(size=layout.n_features)
+        params.intercept = float(rng.normal())
+        for block in ("wins", "attempts"):
+            cols = FAMILY_TABLE["das3h"].columns(layout, block)
+            params.weights[cols] = np.abs(params.weights[cols])
+        models.append(params)
+        layouts.append(layout)
+    return models, layouts
 
 
 class TestForgettingSlope:
@@ -88,25 +107,25 @@ class TestForgettingSlope:
     def test_matches_the_closed_form(self):
         # three folds of seeded random weights over six skills; window
         # weights nonnegative, so every drop is, and no mean cancels
-        rng = np.random.default_rng(4)
-        models, layouts = [], []
-        for seed in range(3):
-            ds, _ = make_synthetic(SynthConfig(seed=seed, n_items=18,
-                                               n_skills=6))
-            params, layout, _ = linear_das3h_model(ds)
-            params.weights[:] = rng.normal(size=layout.n_features)
-            params.intercept = float(rng.normal())
-            for block in ("wins", "attempts"):
-                cols = FAMILY_TABLE["das3h"].columns(layout, block)
-                params.weights[cols] = np.abs(params.weights[cols])
-            models.append(params)
-            layouts.append(layout)
+        models, layouts = random_das3h_folds()
         for skill in layouts[0].skills:
             entry = forgetting_slope(models, layouts, skill)
             mean, std = closed_form_slope(models, layouts, skill)
             assert entry.mean_drop_pct == pytest.approx(mean, rel=1e-12)
             assert entry.std_pct == pytest.approx(std, rel=1e-12, abs=1e-12)
             assert (entry.n_folds, entry.n_pairs) == (3, 4)
+
+    def test_report_sets_up_each_fold_once(self, monkeypatch):
+        # the report's entries are the per-skill readouts bit for bit, from
+        # one row builder per fold model whatever the number of skills
+        models, layouts = random_das3h_folds()
+        skills = sorted({k for lay in layouts for k in lay.skills})
+        want = [forgetting_slope(models, layouts, k) for k in skills]
+        calls, build = [], modelio.row_builder
+        monkeypatch.setattr(modelio, "row_builder",
+                            lambda *a: calls.append(a) or build(*a))
+        assert slope_report(models, layouts).entries == want
+        assert len(calls) == len(models) == 3 and len(skills) == 6
 
     def test_unseen_skill_warns(self, small_synth):
         ds, _ = small_synth

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -475,11 +476,16 @@ def test_cv_rejects_bad_fit_options(tmp_path, capsys, options, reason):
     (["--seeds", "0"], "no seeds"),
     (["--horizon", "-5", "--seeds", "2"], "session times must not decrease"),
     (["--horizon", "nan", "--seeds", "2"], "must be finite"),
-], ids=["no-seeds", "negative-horizon", "nan-horizon"])
+    (["--horizon", "inf", "--sessions", "5", "--seeds", "2"],
+     "must be finite"),
+], ids=["no-seeds", "negative-horizon", "nan-horizon", "inf-horizon"])
 def test_schedule_sim_rejects_impossible_runs(tmp_path, capsys, options,
                                               reason):
     out = tmp_path / "sim.csv"
-    assert run(["schedule-sim", *options, "--out", str(out)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["schedule-sim", *options, "--out", str(out)]) == 1
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("error:") and reason in err
     assert "Traceback" not in err and not out.exists()
@@ -590,6 +596,17 @@ def test_console_script_reports_typed_errors(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
+    # only a fit imports scipy.optimize, and nothing imports scipy.stats
+    code = ("import sys, skillmem.cli; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.stats', 'scipy.optimize')))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_train_records_seed_only_for_gibbs(tmp_path):

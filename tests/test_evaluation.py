@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from skillmem.encoder import ModelSpec
 from skillmem.errors import MetricError
 from skillmem.evaluation import (ABLATION_PAIRS, MetricsTable, FoldResult,
-                                 accuracy, auc, cross_validate, nll)
+                                 _average_ranks, accuracy, auc,
+                                 cross_validate, nll)
 from skillmem.fm import GibbsConfig
 from skillmem.glm import FitConfig
 
@@ -50,6 +52,30 @@ class TestAuc:
             labels[0] = 1 - labels[0]
         assert auc(scores, labels) == pytest.approx(
             brute_force_auc(scores, labels), abs=1e-12)
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(MetricError, match="NaN"):
+            auc([0.2, np.nan, 0.7], [1, 0, 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.25, 0.5,
+                                     3.0, np.inf]), min_size=1, max_size=60)
+           | st.lists(st.floats(allow_nan=False), min_size=1, max_size=60),
+           st.integers(0, 2**32 - 1))
+    def test_ranks_and_auc_match_rankdata(self, values, seed):
+        # heavy ties, +-inf and -0.0 beside 0.0: the numpy ranks are
+        # rankdata's exactly, and so is the AUC of its rank formula
+        x = np.array(values)
+        ranks = _average_ranks(x)
+        assert np.array_equal(ranks, rankdata(x))
+        labels = np.random.default_rng(seed).integers(0, 2, size=len(x))
+        labels[0] = 1
+        labels = np.append(labels, 0)
+        x = np.append(x, values[0])
+        n_pos, n_neg = int(labels.sum()), int((labels == 0).sum())
+        want = float((np.sum(rankdata(x)[labels == 1])
+                      - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+        assert auc(x, labels) == want
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(1)

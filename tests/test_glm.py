@@ -1,9 +1,14 @@
+import glob
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy
 from scipy import optimize, sparse
 
 import reference_glm as reference
@@ -244,6 +249,31 @@ class TestObjectiveMatchesReference:
         assert (params.n_iter, params.converged) == (res.nit, res.success)
         assert params.final_loss == res.fun
         assert params.grad_norm == np.linalg.norm(res.jac)
+
+
+def scipy_bundled_openblas():
+    """The OpenBLAS files of scipy's wheel, where Linux, Windows and macOS
+    wheels put them; none for a scipy built against a system BLAS."""
+    pkg = os.path.dirname(scipy.__file__)
+    return (glob.glob(os.path.join(pkg + ".libs", "*openblas*"))
+            + glob.glob(os.path.join(pkg, ".dylibs", "*openblas*")))
+
+
+@pytest.mark.skipif(not scipy_bundled_openblas(),
+                    reason="scipy's wheel bundles no OpenBLAS")
+def test_a_fresh_process_fit_finds_scipys_openblas():
+    # importing glm does not load scipy.optimize; the fit imports it before
+    # the thread count is first looked up, so the cached lookup finds it
+    code = ("import sys, numpy as np; from skillmem import glm; "
+            "assert 'scipy.optimize' not in sys.modules; "
+            "glm.fit_logistic(np.eye(3), np.array([1, 0, 1])); "
+            "print(glm._scipy_openblas() is not None)")
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 @pytest.mark.skipif(glm._scipy_openblas() is None,
