@@ -130,7 +130,10 @@ def history_counters(model, history, query_time):
     for j, t, c in zip(h.item[prior].tolist(), h.timestamp[prior].tolist(),
                        h.correct[prior].tolist()):
         for key in family.history_keys(h.items[j], tags[j]):
-            counters.setdefault(key, _Counter()).push(t, c)
+            counter = counters.get(key)
+            if counter is None:
+                counter = counters[key] = _Counter()
+            counter.push(t, c)
     return counters, (students[0] if students else None)
 
 
@@ -140,7 +143,7 @@ def recall_probability(model, counters, skills, query_time, item=None,
     `query_time`, given one student's `counters` (family key -> `_Counter`
     of answers at or before `query_time`).
 
-    The row is scored by `model.probability`, which builds it by the
+    The row is scored by `model.probability`, which reads it by the
     family's table entry as batch encoding does. A `student` outside the
     layout (or None) has no user bias. An `item` that `qmatrix` tags must be
     queried over its tagged skills, or ConfigError. When `item` is None, the

@@ -7,12 +7,16 @@ history counters are keyed by (the row's skills or its item), the statistic
 (log(1+count) per nested time window, or raw all-time totals), whether
 history weights are per key or shared across keys, and its history blocks
 in order. Layout sizes, family names, the vectorized batch `encode_dataset`
-and the streaming `row_builder` of online scoring (`ModelFile.score`) all
-come from that table; an oracle test holds the two encoders to one CSR.
-Online, `row_counter` alone reads a student's `_Counter`s, and a row is
-built from its query and those window counts. Counters always reflect
-strictly prior interactions of the same student: a row is emitted before the
-counters are updated with its outcome.
+and the streaming `row_builder` all come from that table; an oracle test
+holds the two encoders to one CSR. Online scoring (`ModelFile.probability`)
+reads the table through the same binding of its blocks (`_bind`): an FM
+builds the row with `row_builder`, and a linear model walks it without
+building it (`row_logit`), its blocks bound to weights rather than column
+ids, adding each term to the logit in index order. Online, `row_counter`
+alone reads a student's `_Counter`s, and a row is scored from its query and
+those window counts. Counters always reflect strictly prior interactions of
+the same student: a row is emitted before the counters are updated with its
+outcome.
 """
 
 from __future__ import annotations
@@ -329,6 +333,27 @@ def row_counter(spec):
     return count
 
 
+def _bind(spec, layout, at):
+    """`spec`'s family blocks over `layout`, each column bound to `at[col]`
+    (`at` is a column id or a linear model's weight per column), in layout
+    order: per indicator block, the row's one id it reads (0 the student, 1
+    the item, None each of the row's skills) and its id -> bound dict; per
+    history block, its key -> per-window bound lists (per key) or its one
+    per-window list (shared), and its statistic."""
+    family = FAMILY_TABLE[spec.family]
+    ids = {"users": layout.students, "items": layout.items,
+           "skills": layout.skills}
+    bound = {name: np.asarray(at)[family.columns(layout, name)].tolist()
+             for name in layout.blocks}
+    indicators = [({"users": 0, "items": 1}.get(name),
+                   dict(zip(ids[name], bound[name])))
+                  for name in family.indicators]
+    history = [(dict(zip(ids[family.key], bound[name])) if family.per_key
+                else bound[name], _STATISTICS[name])
+               for name in family.history]
+    return indicators, history
+
+
 def row_builder(spec, layout):
     """The row function of `spec`'s family over `layout`.
 
@@ -338,25 +363,14 @@ def row_builder(spec, layout):
     row's sorted skill list. The student's and the item's columns are looked
     up by id; a student or item outside the layout, or None (a virtual
     query), gets no indicator. Zero values are dropped. Each block's
-    `Family.columns`, by id, by key or by window, are bound here, once per
-    call, so a row costs its id lookups and its values.
+    `Family.columns`, by id, by key or by window, are bound here (`_bind`),
+    once per call, so a row costs its id lookups and its values.
     """
     family = FAMILY_TABLE[spec.family]
     widths, transform = family.counting(spec.windows)
     windows = range(len(widths))
     per_key, history_keys = family.per_key, family.history_keys
-    ids = {"users": layout.students, "items": layout.items,
-           "skills": layout.skills}
-    block_cols = {name: family.columns(layout, name).tolist()
-                  for name in layout.blocks}
-    # per indicator block, in layout order: the row's one id it reads (0 the
-    # student, 1 the item, None each of the row's skills) and id -> column
-    indicators = [({"users": 0, "items": 1}.get(name),
-                   dict(zip(ids[name], block_cols[name])))
-                  for name in family.indicators]
-    history = [(dict(zip(ids[family.key], block_cols[name])) if per_key
-                else block_cols[name], _STATISTICS[name])
-               for name in family.history]
+    indicators, history = _bind(spec, layout, np.arange(layout.n_features))
 
     def build(counts, student, item, skills):
         idx, val = [], []
@@ -391,6 +405,51 @@ def row_builder(spec, layout):
         return idx, val
 
     return build
+
+
+def row_logit(spec, layout, weights):
+    """`logit(counts, student, item, skills)`: the sum of `weights[i] * v`
+    over the row `row_builder(spec, layout)` builds from the same arguments,
+    without building it. The blocks are bound to weights (`_bind`) rather
+    than to column ids, and each term is added to a sum from 0.0 as the walk
+    reaches it, in `build`'s (index) order, zero counts skipped as `build`
+    drops them: an indicator adds its weight (`w * 1.0` is `w`), a history
+    value `w * v`, so the sum is bit for bit the one over the row."""
+    family = FAMILY_TABLE[spec.family]
+    widths, transform = family.counting(spec.windows)
+    windows = range(len(widths))
+    per_key, history_keys = family.per_key, family.history_keys
+    indicators, history = _bind(spec, layout, weights)
+
+    def logit(counts, student, item, skills):
+        z = 0.0
+        for one, by_id in indicators:
+            if one is None:
+                for k in skills:
+                    z += by_id[k]
+            else:
+                w = by_id.get(item if one else student)
+                if w is not None:
+                    z += w
+        if per_key:
+            keys = history_keys(item, skills)
+            for key_weights, stat in history:
+                for key, (a, c) in zip(keys, counts):
+                    for w, n in zip(key_weights[key], stat(a, c)):
+                        if n:
+                            z += w * transform(n)
+        else:
+            for window_weights, stat in history:
+                per_key_values = [stat(a, c) for a, c in counts]
+                for w in windows:
+                    v = 0.0
+                    for n in per_key_values:
+                        v += transform(n[w])
+                    if v != 0.0:
+                        z += window_weights[w] * v
+        return z
+
+    return logit
 
 
 def encode_dataset(dataset, spec):

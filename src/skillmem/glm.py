@@ -16,8 +16,9 @@ Two things keep a fit from wasting work without changing one bit of it:
   after it, also when it raises; where scipy's library or its symbols are
   not found, nothing is changed. `scipy.optimize` is imported inside
   `fit_logistic`, so only a process that fits pays for it, and before
-  `_one_blas_thread`: importing it loads that library, and the cached
-  lookup, run before the load, would find nothing and never pin.
+  `_one_blas_thread`, since importing it loads that library. The lookup
+  keeps a library once found and never a miss, so a lookup made before the
+  load does not stop later fits from pinning.
 - The gradient's product `X.T @ resid` runs on `X.T` converted to CSR once
   per fit, not on the CSC view of the CSR design. Each output is then a
   sum held in a register rather than a scatter-add into memory, over the
@@ -28,7 +29,6 @@ Two things keep a fit from wasting work without changing one bit of it:
 from __future__ import annotations
 
 import ctypes
-import functools
 import glob
 import os
 from contextlib import contextmanager
@@ -122,10 +122,16 @@ def _objective(X, y, l2):
     return objective
 
 
-@functools.cache
+_OPENBLAS = []  # scipy's OpenBLAS (get, set) once found; a miss is not kept
+
+
 def _scipy_openblas():
     """(get, set) of the thread count of the OpenBLAS bundled with scipy,
-    when that library is loaded; None otherwise. Looked up once."""
+    when that library is loaded; None otherwise. A found library is kept;
+    a miss is looked up again on the next call, as the library may load
+    later (importing `scipy.optimize` loads it)."""
+    if _OPENBLAS:
+        return _OPENBLAS[0]
     pkg = os.path.dirname(scipy.__file__)
     # where scipy's Linux and Windows wheels, and its macOS wheels, put it
     paths = (glob.glob(os.path.join(pkg + ".libs", "*openblas*"))
@@ -139,6 +145,7 @@ def _scipy_openblas():
             continue
         get.restype, get.argtypes = ctypes.c_int, []
         set_.restype, set_.argtypes = None, [ctypes.c_int]
+        _OPENBLAS.append((get, set_))
         return get, set_
     return None
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import atomic_open
 from .encoder import (LayoutDescriptor, feature_layout, row_builder,
-                      row_counter, spec_from_dict, spec_to_dict)
+                      row_counter, row_logit, spec_from_dict, spec_to_dict)
 from .errors import ConfigError
 from .fm import FMFit, FMParams, fm_score, probit
 from .glm import LinearParams, sigmoid
@@ -41,23 +41,23 @@ class ModelFile:
     @cached_property
     def probability(self):
         """`probability(counts, student, item, skills, offset=0.0)`: the link
-        of the row's score plus `offset`, the row `row_builder` builds from
-        `counts` (what `self.counts` took); set up once per instance:
-        `sigmoid` of a linear model's logit (summed in index order, as the
-        CSR product sums, plus the intercept) or `probit` of an FM's
+        of the score of the row of `counts` (what `self.counts` took) plus
+        `offset`; set up once per instance. A linear model builds no row:
+        `sigmoid((z + intercept) + offset)`, where `row_logit` sums the
+        row's terms in index order, as the CSR product sums them. An FM
+        builds the row with `row_builder` and takes `probit` of its
         posterior-mean score."""
-        build = row_builder(self.spec, self.layout)
         if self.kind == "fm":
+            build = row_builder(self.spec, self.layout)
             point = self.params.posterior_mean
             return lambda *row, offset=0.0: float(
                 probit(fm_score(point, build(*row)) + offset))
-        weights, intercept = self.params.weights.tolist(), self.params.intercept
+        logit = row_logit(self.spec, self.layout, self.params.weights)
+        intercept = self.params.intercept
 
         def probability(counts, student, item, skills, offset=0.0):
-            z = 0.0
-            for i, v in zip(*build(counts, student, item, skills)):
-                z += weights[i] * v
-            return sigmoid((z + intercept) + offset)
+            return sigmoid((logit(counts, student, item, skills) + intercept)
+                           + offset)
 
         return probability
 

@@ -6,13 +6,16 @@ target threshold, then pick the covering item whose skill-combination score
 is plumbing around the fitted model, not a learned policy. A policy is
 `pick(counters, now, rng)`, over the simulated student's per-skill counters.
 A threshold pick asks the model once for each skill's recall, into one
-dict, and both steps read that dict's `__getitem__`.
+dict of each skill's distance from the threshold, and both steps read that
+dict's `__getitem__`; each skill's covering items and their skills are read
+from the q-matrix once per config (`SchedulerConfig.covering`).
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,27 +35,32 @@ class SchedulerConfig:
             raise ConfigError(f"threshold must be in (0,1), got {self.threshold}")
         self.skills = sorted(self.skills)  # once, not on every pick
 
+    @cached_property
+    def covering(self):
+        """Skill -> the (item, item's skills) pairs of the q-matrix items
+        tagged with it, in item order; read from the q-matrix once."""
+        qm = self.qmatrix
+        return {k: tuple((j, qm.skills_of(j)) for j in qm.items_of(k))
+                for k in qm.skills}
 
-def next_skill(recall, config):
-    """Skill whose `recall(skill)` is nearest the threshold; ties -> lowest id."""
+
+def next_skill(distance, config):
+    """Skill whose `distance(skill)` from the threshold is smallest; ties ->
+    lowest id."""
     if not config.skills:
         raise SchedulingError("empty skill pool")
-    return min(config.skills, key=lambda k: abs(recall(k) - config.threshold))
+    return min(config.skills, key=distance)
 
 
-def next_item(skill, recall, config):
-    """Among the q-matrix items covering `skill`, minimize the mean distance
-    of the item's skills' `recall` from the threshold; ties -> lowest id."""
-    eligible = config.qmatrix.items_of(skill)
-    if not eligible:
+def next_item(skill, distance, config):
+    """Among the q-matrix items covering `skill`, minimize the mean
+    `distance` of the item's skills from the threshold; ties -> lowest id."""
+    covering = config.covering.get(skill)
+    if not covering:
         raise SchedulingError(f"no item covers skill {skill!r}")
-
-    def mean_distance(j):
-        dists = [abs(recall(k) - config.threshold)
-                 for k in config.qmatrix.skills_of(j)]
-        return sum(dists) / len(dists)
-
-    return min(eligible, key=mean_distance)
+    means = [sum([distance(k) for k in skills]) / len(skills)
+             for _, skills in covering]
+    return covering[means.index(min(means))][0]
 
 
 def threshold_policy(model, config):
@@ -61,12 +69,13 @@ def threshold_policy(model, config):
         raise ConfigError("threshold policy needs a q-matrix")
     # the skills either step reads: the pool and every covering item's
     skills = sorted(set(config.skills).union(config.qmatrix.skills))
+    threshold, qmatrix = config.threshold, config.qmatrix
 
     def pick(counters, now, rng):
-        recall = {k: recall_probability(model, counters, [k], now,
-                                        qmatrix=config.qmatrix)
-                  for k in skills}.__getitem__
-        return next_item(next_skill(recall, config), recall, config)
+        distance = {k: abs(recall_probability(model, counters, [k], now,
+                                              qmatrix=qmatrix) - threshold)
+                    for k in skills}.__getitem__
+        return next_item(next_skill(distance, config), distance, config)
 
     return pick
 

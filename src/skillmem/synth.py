@@ -71,11 +71,18 @@ class SyntheticModel:
                                  student, item, skills)
 
     def respond(self, student, item, counters, t, rng):
-        """Draw the answer to `item` at `t` from `prob`, push it to the
-        counters of the item's skills and return it."""
-        correct = int(rng.uniform() < self.prob(student, item, counters, t))
-        for k in self.qmatrix.skills_of(item):
-            counters.setdefault(k, _Counter()).push(t, correct)
+        """Draw the answer to `item` at `t` with `prob`'s probability, push
+        it to the counters of the item's skills and return it. The draw is
+        `rng.random()`: `uniform()` computes `0.0 + 1.0 * random()`, the
+        same double from the same one word of the stream."""
+        skills = self.qmatrix.skills_of(item)
+        correct = int(rng.random() < self._probability(
+            self._counts(counters, t, item, skills), student, item, skills))
+        for k in skills:
+            counter = counters.get(k)
+            if counter is None:
+                counter = counters[k] = _Counter()
+            counter.push(t, correct)
         return correct
 
     def to_model_file(self, dataset):

@@ -117,13 +117,13 @@ class TestForgettingSlope:
 
     def test_report_sets_up_each_fold_once(self, monkeypatch):
         # the report's entries are the per-skill readouts bit for bit, from
-        # one row builder per fold model whatever the number of skills
+        # one logit walk per fold model whatever the number of skills
         models, layouts = random_das3h_folds()
         skills = sorted({k for lay in layouts for k in lay.skills})
         want = [forgetting_slope(models, layouts, k) for k in skills]
-        calls, build = [], modelio.row_builder
-        monkeypatch.setattr(modelio, "row_builder",
-                            lambda *a: calls.append(a) or build(*a))
+        calls, logit = [], modelio.row_logit
+        monkeypatch.setattr(modelio, "row_logit",
+                            lambda *a: calls.append(a) or logit(*a))
         assert slope_report(models, layouts).entries == want
         assert len(calls) == len(models) == 3 and len(skills) == 6
 

@@ -368,6 +368,50 @@ def test_batch_encoder_matches_streaming_reference(dataset, windows):
         assert dm.students == students
 
 
+@settings(max_examples=100, deadline=None)
+@given(histories(), st.integers(0, 2**32 - 1))
+def test_linear_probability_sums_the_built_row(dataset, seed):
+    """A linear model's `probability` builds no row, yet equals `sigmoid` of
+    the sum of `weights[i] * v` over `row_builder`'s row in index order, plus
+    the intercept, plus the offset, bit for bit: for every family, weights
+    of magnitudes 1e-6 to 1e3 (some -0.0), and a student and an item in or
+    out of the layout. One offset cancels the logit, where `sigmoid` is
+    steepest, so a sum taken in another order shows."""
+    from skillmem.encoder import (_Counter, build_layout, row_builder,
+                                  row_counter)
+    from skillmem.glm import LinearParams, sigmoid
+    from skillmem.modelio import ModelFile
+
+    rng = np.random.default_rng(seed)
+    for family in FAMILIES:
+        spec = ModelSpec(family, 1 if family == "mirtb" else 0)
+        layout = build_layout(spec, dataset)
+        n = layout.n_features
+        weights = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 3, n)
+        weights[rng.random(n) < 0.1] = -0.0
+        intercept = float(rng.normal(0, 10))
+        probability = ModelFile(spec, layout, LinearParams(
+            weights, intercept, 0.0), {}).probability
+        count, build = row_counter(spec), row_builder(spec, layout)
+        w, keys = weights.tolist(), FAMILY_TABLE[family].history_keys
+        for student in dataset.students:
+            counters = {}
+            for r in rows_of(dataset, student):
+                skills = sorted(dataset.qmatrix.skills_of(r.item))
+                who = (student, "nobody", None)[int(rng.integers(3))]
+                what = (r.item, "unknown", None)[int(rng.integers(3))]
+                counts = count(counters, r.timestamp, what, skills)
+                z = 0.0
+                for i, v in zip(*build(counts, who, what, skills)):
+                    z += w[i] * v
+                for offset in (float(rng.normal()), -(z + intercept)):
+                    assert (probability(counts, who, what, skills, offset)
+                            == sigmoid((z + intercept) + offset))
+                for key in keys(r.item, skills):
+                    counters.setdefault(key, _Counter()).push(r.timestamp,
+                                                              r.correct)
+
+
 def test_rows_out_of_time_order_fail_naming_the_student():
     qm = QMatrix([("i1", "k1")])
     ds = Dataset.from_rows([Row("u1", "i1", 0.0, 1), Row("u1", "i1", 1.0, 1),

@@ -10,18 +10,23 @@ from skillmem.scheduler import (SchedulerConfig, next_item, next_skill,
 from skillmem.synth import SynthConfig, make_synthetic
 
 
+def distance(recalls, config):
+    """The steps' `distance` from a dict of recalls, as a pick takes it."""
+    return {k: abs(r - config.threshold) for k, r in recalls.items()
+            }.__getitem__
+
+
 class TestNextSkill:
     def test_closest_to_threshold(self):
         qm = QMatrix([("i1", "a"), ("i2", "b")])
-        recall = {"a": 0.4, "b": 0.9}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a", "b"], qmatrix=qm)
-        assert next_skill(recall, cfg) == "a"
+        assert next_skill(distance({"a": 0.4, "b": 0.9}, cfg), cfg) == "a"
 
     def test_tie_break_lowest_id(self):
         qm = QMatrix([("i1", "a"), ("i2", "b"), ("i3", "c")])
-        recall = {"a": 0.6, "b": 0.6, "c": 0.6}.__getitem__
+        recalls = {"a": 0.6, "b": 0.6, "c": 0.6}
         cfg = SchedulerConfig(threshold=0.5, skills=["c", "b", "a"], qmatrix=qm)
-        assert next_skill(recall, cfg) == "a"
+        assert next_skill(distance(recalls, cfg), cfg) == "a"
 
     def test_empty_pool(self):
         cfg = SchedulerConfig(threshold=0.5, skills=[], qmatrix=QMatrix([]))
@@ -44,7 +49,7 @@ class TestNextSkill:
         recalls = {k: recall_probability(mf, counters, [k], 1.0,
                                          qmatrix=truth.qmatrix)
                    for k in skills}
-        early = next_skill(recalls.__getitem__, cfg)
+        early = next_skill(distance(recalls, cfg), cfg)
         assert early != k0  # freshly practiced skill is far above threshold
         late = recall_probability(mf, counters, [k0], 200.0,
                                   qmatrix=truth.qmatrix)
@@ -67,41 +72,41 @@ class TestNextSkill:
         item = threshold_policy(mf, cfg)({}, 0.0, None)
         recalls = {k: recall_probability(mf, {}, [k], 0.0, qmatrix=qm)
                    for k in qm.skills}
-        assert item == next_item(qm.skills[0], recalls.__getitem__, cfg)
+        assert item == next_item(qm.skills[0], distance(recalls, cfg), cfg)
 
 
 class TestNextItem:
     def test_single_eligible(self):
         qm = QMatrix([("i1", "a"), ("i2", "b")])
-        recall = {"a": 0.3, "b": 0.9}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a", "b"], qmatrix=qm)
-        assert next_item("a", recall, cfg) == "i1"
+        dist = distance({"a": 0.3, "b": 0.9}, cfg)
+        assert next_item("a", dist, cfg) == "i1"
 
     def test_prefers_focused_item(self):
         # i2 also covers skill b, whose recall is far from threshold
         qm = QMatrix([("i1", "a"), ("i2", "a"), ("i2", "b")])
-        recall = {"a": 0.5, "b": 0.99}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a", "b"], qmatrix=qm)
-        assert next_item("a", recall, cfg) == "i1"
+        dist = distance({"a": 0.5, "b": 0.99}, cfg)
+        assert next_item("a", dist, cfg) == "i1"
 
     def test_tie_break_lowest_item(self):
         qm = QMatrix([("i2", "a"), ("i1", "a")])
-        recall = {"a": 0.5}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a"], qmatrix=qm)
-        assert next_item("a", recall, cfg) == "i1"
+        dist = distance({"a": 0.5}, cfg)
+        assert next_item("a", dist, cfg) == "i1"
 
     def test_no_cover_error(self):
         qm = QMatrix([("i1", "a")])
-        recall = {"a": 0.5}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a"], qmatrix=qm)
+        dist = distance({"a": 0.5}, cfg)
         with pytest.raises(SchedulingError):
-            next_item("zz", recall, cfg)
+            next_item("zz", dist, cfg)
 
     def test_never_returns_uncovered_item(self):
         qm = QMatrix([("i1", "a"), ("i2", "b"), ("i3", "a")])
-        recall = {"a": 0.5, "b": 0.5}.__getitem__
         cfg = SchedulerConfig(threshold=0.5, skills=["a", "b"], qmatrix=qm)
-        item = next_item("a", recall, cfg)
+        dist = distance({"a": 0.5, "b": 0.5}, cfg)
+        item = next_item("a", dist, cfg)
         assert "a" in qm.skills_of(item)
 
 

@@ -32,3 +32,15 @@ def test_truth_scores_rows_as_the_encoder_does(generated):
     encoded = sigmoid(dm.X @ truth.to_model_file(ds).params.weights)
     assert len(streamed) == dm.n_rows
     assert np.max(np.abs(np.asarray(streamed) - encoded)) <= 1e-12
+
+
+def test_random_draws_what_uniform_draws():
+    # `respond` draws with random(): uniform() is 0.0 + 1.0 * random(), the
+    # same double from the same word, interleaved with integers() as the
+    # generator and the simulator interleave item picks and answers
+    def draws(answer):
+        rng = np.random.default_rng(2024)
+        out = [(int(rng.integers(60)), answer(rng)) for _ in range(10**5)]
+        return out, rng.bit_generator.state
+
+    assert draws(lambda rng: rng.random()) == draws(lambda rng: rng.uniform())
