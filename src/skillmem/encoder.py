@@ -340,10 +340,10 @@ def _bind(spec, layout, at):
     the item, None each of the row's skills) and its id -> bound dict; per
     history block, its key -> per-window bound lists (per key) or its one
     per-window list (shared), and its statistic."""
-    family = FAMILY_TABLE[spec.family]
+    family, at = FAMILY_TABLE[spec.family], np.asarray(at)
     ids = {"users": layout.students, "items": layout.items,
            "skills": layout.skills}
-    bound = {name: np.asarray(at)[family.columns(layout, name)].tolist()
+    bound = {name: at[family.columns(layout, name)].tolist()
              for name in layout.blocks}
     indicators = [({"users": 0, "items": 1}.get(name),
                    dict(zip(ids[name], bound[name])))
