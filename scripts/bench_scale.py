@@ -6,7 +6,9 @@ a student, 60 items, 10 skills) into a temporary directory. Each layer is
 then timed in a fresh child process of every source tree: the corpus layers
 `load_interactions`, `preprocess` (of the loaded file), `save_dataset` (of
 the preprocessed corpus) and `load_prepared`, and `encode_dataset` of each
-ablation family on the loaded corpus, and `glm.fit_logistic` of das3h on
+ablation family on the loaded corpus, then of all of them one after another
+on one loaded corpus (`encoder.encode_dataset.ablation`, as `cv` encodes
+them), and `glm.fit_logistic` of das3h on
 the training rows of fold 0 (5 student folds, seed 0) at l2=1e-5 with the
 default iteration cap, and `fm.fit_fm_gibbs` of das3h at d=5 on the same
 rows for 4 sweeps (seed 0), whose record adds `s_per_sweep`. The layer
@@ -73,6 +75,7 @@ FM_SWEEPS = 4
 # second corpus: ladder generator settings in place of n_items and n_skills
 MANY_SKILLS = {"n_items": 300, "n_skills": 100, "multi_skill_fraction": 0.0}
 FM_SKILLS_LAYER = f"{FM_LAYER}.skills{MANY_SKILLS['n_skills']}"
+ABLATION_LAYER = "encoder.encode_dataset.ablation"
 SYNTH_LAYER = "synth.make_synthetic"
 # recall layer -> whether every pick's queried states are new to the memo
 RECALL_LAYERS = {"analysis.recall_probability": True,
@@ -92,18 +95,23 @@ def ladder_config(rows, many_skills=False):
         interactions_per_student=ROWS_PER_STUDENT, **shape)
 
 
+def ablation_families():
+    """The families of `evaluation.ABLATION_PAIRS`, sorted."""
+    from skillmem.evaluation import ABLATION_PAIRS
+
+    return sorted({f for pair in ABLATION_PAIRS.values() for f in pair})
+
+
 def make_corpus(path, rows, many_skills=""):
     """Write the corpus of `rows` rows (the `MANY_SKILLS` one when
     `many_skills` is non-empty) to `path`; print the ablation families as
     JSON."""
     from skillmem.corpus import save_dataset
-    from skillmem.evaluation import ABLATION_PAIRS
     from skillmem.synth import make_synthetic
 
     ds, _ = make_synthetic(ladder_config(rows, bool(many_skills)))
     save_dataset(ds, path)
-    print(json.dumps(sorted({f for pair in ABLATION_PAIRS.values()
-                             for f in pair})))
+    print(json.dumps(ablation_families()))
 
 
 def fit_design(path):
@@ -176,7 +184,8 @@ def measure_cli_import():
 
 def measure(path, layer, rows):
     """Time `layer` ("corpus.<function>", "encoder.encode_dataset.<family>",
-    `FIT_LAYER`, `FM_LAYER`, `FM_SKILLS_LAYER`, `SYNTH_LAYER`, one of
+    `ABLATION_LAYER`, `FIT_LAYER`, `FM_LAYER`, `FM_SKILLS_LAYER`,
+    `SYNTH_LAYER`, one of
     `RECALL_LAYERS` or `CLI_LAYER`) on the corpus of `rows` rows at `path`;
     print the record as JSON."""
     if layer == CLI_LAYER:
@@ -218,6 +227,10 @@ def measure(path, layer, rows):
             *a[:2], glm.FitConfig(l2_strength=FIT_L2))),
         FM_LAYER: (fit_inputs, fm_fit),
         FM_SKILLS_LAYER: (fit_inputs, fm_fit),
+        ABLATION_LAYER: (
+            lambda: (corpus.load_prepared(path), ablation_families()),
+            lambda a: [encode_dataset(a[0], ModelSpec(f, 0)).X.nnz
+                       for f in a[1]]),
         SYNTH_LAYER: (lambda: ladder_config(rows), make_synthetic),
         **{name: (lambda new=new: pick_inputs(rows, new),
                   lambda inputs: [inputs[0]() for _ in range(PICKS)])
@@ -229,7 +242,9 @@ def measure(path, layer, rows):
     out = run(arg)
     wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
     record = {"layer": layer, "wall_s": round(wall, 4), "cpu_s": round(cpu, 4)}
-    if layer.startswith("encoder."):
+    if layer == ABLATION_LAYER:
+        record.update(nnz=int(sum(out)), families=len(out))
+    elif layer.startswith("encoder."):
         record.update(nnz=int(out.X.nnz), features=out.layout.n_features)
     if layer == FIT_LAYER:
         _, grad_w, grad_b = glm.loss_and_gradient(out, *arg[:2])
@@ -295,8 +310,8 @@ def main():
             layers = ([CLI_LAYER]
                       + [f"corpus.{fn}" for fn in CORPUS_LAYERS]
                       + [f"encoder.encode_dataset.{f}" for f in families]
-                      + [FIT_LAYER, FM_LAYER, FM_SKILLS_LAYER, SYNTH_LAYER,
-                         *RECALL_LAYERS])
+                      + [ABLATION_LAYER, FIT_LAYER, FM_LAYER, FM_SKILLS_LAYER,
+                         SYNTH_LAYER, *RECALL_LAYERS])
             for r in range(args.rounds):
                 for label, src in trees[::1 if r % 2 == 0 else -1]:
                     for layer in layers:

@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -131,7 +132,8 @@ def prepare(in_path, fmt, min_interactions, qmatrix_path, out_path):
     ds = load_interactions(in_path, fmt)
     if qmatrix_path:
         qm = load_qmatrix_triplets(qmatrix_path)
-        ds.qmatrix = QMatrix(ds.qmatrix.entries() | qm.entries())
+        ds = replace(ds, qmatrix=QMatrix(ds.qmatrix.entries()
+                                         | qm.entries()))
     ds = preprocess(ds, min_interactions)
     out_dir = _out_dir_of(out_path)
     save_dataset(ds, out_path)

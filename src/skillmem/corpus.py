@@ -12,17 +12,25 @@ student's rows by time (stable), and `preprocess` rebases them to days since
 the student's first interaction. A row holds no skills of its own: the
 skills column (and any separate q-matrix file) feeds one `QMatrix`, and a
 row's skills are always `qmatrix.skills_of(item)`.
+
+A `Dataset`'s arrays are never written in place, nor its fields
+reassigned: every step that changes rows or the q-matrix (`take`,
+`preprocess`, a load, `dataclasses.replace`) makes a new `Dataset`. So
+work derived from the arrays alone is done once per instance and kept with
+it (`Dataset.memo`): its (row, skill) pairs here, and the encoder's window
+counts.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import os
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 import numpy as np
@@ -89,6 +97,10 @@ class Dataset:
     at `timestamp[i]` days, `correct[i]` being 0 or 1. Rows are grouped by
     student code, each student's rows in time order once preprocessed (in
     input order before). A student may be listed without rows.
+
+    The arrays are never written in place nor the fields reassigned, so
+    what `memo` keeps stays true for the instance's life; a derived dataset
+    starts with nothing kept.
     """
 
     students: list[str]
@@ -98,6 +110,7 @@ class Dataset:
     timestamp: np.ndarray  # float64 days
     correct: np.ndarray  # int8
     qmatrix: QMatrix
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_rows(cls, rows, qmatrix, students=()):
@@ -129,10 +142,27 @@ class Dataset:
         t = self.timestamp
         return ~(np.diff(t) >= 0) & (self.student[1:] == self.student[:-1])
 
+    def memo(self, keys, make):
+        """The arrays kept under `keys` on this instance, in order; those of
+        the keys not kept yet are the arrays `make(missing keys)` gives, one
+        a key, kept from then on and read-only, as every caller shares
+        them. For work derived from this dataset alone."""
+        missing = [k for k in keys if k not in self._memo]
+        if missing:
+            for k, value in zip(missing, make(missing), strict=True):
+                value.setflags(write=False)
+                self._memo[k] = value
+        return [self._memo[k] for k in keys]
+
     def tag_pairs(self):
         """(row, skill, rank) of every (row, skill of its item) pair, row by
         row, each row's skills in sorted order: `skill` indexes
-        `qmatrix.skills` and `rank` is the pair's place in its row."""
+        `qmatrix.skills` and `rank` is the pair's place in its row. Found
+        once per instance (`memo`)."""
+        return tuple(self.memo(("tag_row", "tag_skill", "tag_rank"),
+                               lambda _: self._tag_pairs()))
+
+    def _tag_pairs(self):
         qm = self.qmatrix
         skill_pos = {k: p for p, k in enumerate(qm.skills)}
         tags = [qm.skills_of(j) for j in self.items]
@@ -273,9 +303,11 @@ def load_interactions(path, fmt="generic"):
         if skills.lower() != "nan":
             entries.update((name, k) for k in skills.split(f.skill_sep) if k)
     items, item_of_pair = _code(names)
+    days = np.frombuffer(stamps)
+    if f.seconds_per_unit != 86400.0:  # day stamps are kept as parsed
+        days = days * f.seconds_per_unit / 86400.0
     ds = Dataset(students, items, student_of[np.frombuffer(student, np.int64)],
-                 item_of_pair[np.frombuffer(pair, np.int64)],
-                 np.frombuffer(stamps) * f.seconds_per_unit / 86400.0,
+                 item_of_pair[np.frombuffer(pair, np.int64)], days,
                  np.frombuffer(correct, np.int8), QMatrix(entries))
     return ds.take(np.argsort(ds.student, kind="stable"))
 
@@ -362,20 +394,34 @@ def student_kfold(dataset, k, seed):
 
 def save_dataset(dataset, path):
     """Write a dataset in the canonical `generic` text format (days); each
-    row's skills field is its item's sorted q-matrix skills."""
+    row's skills field is its item's sorted q-matrix skills. The bytes are
+    those `csv.writer` writes; each distinct id and skills field is escaped
+    once."""
     ds, qm = dataset, dataset.qmatrix
     tags = ["~".join(qm.skills_of(j)) for j in ds.items]
 
     def per_row(names, codes):
-        return np.array(names, dtype=object)[codes].tolist()
+        return np.array(_escaped(names), dtype=object)[codes].tolist()
 
     with atomic_open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user", "item", "timestamp", "correct", "skills"])
-        w.writerows(zip(per_row(ds.students, ds.student),
-                        per_row(ds.items, ds.item),
-                        map(repr, ds.timestamp.tolist()), ds.correct.tolist(),
-                        per_row(tags, ds.item)))
+        fh.write("user,item,timestamp,correct,skills\r\n")
+        fh.writelines(map("{},{},{!r},{},{}\r\n".format,
+                          per_row(ds.students, ds.student),
+                          per_row(ds.items, ds.item), ds.timestamp.tolist(),
+                          ds.correct.tolist(), per_row(tags, ds.item)))
+
+
+def _escaped(fields):
+    """Each of `fields` as `csv.writer` writes it in a row of two or more
+    fields (alone, an empty field is written as `""`)."""
+    buf, out = io.StringIO(), []
+    writer = csv.writer(buf)
+    for text in fields:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((text, ""))
+        out.append(buf.getvalue()[:-len(",\r\n")])
+    return out
 
 
 def load_prepared(path):

@@ -17,6 +17,19 @@ alone reads a student's `_Counter`s, and a row is scored from its query and
 those window counts. Counters always reflect strictly prior interactions of
 the same student: a row is emitted before the counters are updated with its
 outcome.
+
+What a family's encode counts does not depend on the family, so it is kept
+with the `Dataset` (`Dataset.memo`, whose arrays are never written in
+place) and shared by every later `encode_dataset` of that instance: the
+(row, skill) pairs, and per (history key, window width) the prior
+(attempts, wins) counts of each pair. das3h, das3h_1p and dash_kc count the
+same windows, and das3h_plaincounts, pfa and afm das3h's infinite one. The
+pairs' sort by (student, key), with its group starts and win prefix sums,
+is redone by each encode that counts a width not counted yet, and is not
+kept: at 24 bytes a pair, three times the counts of one window, it would
+outlive every encode's sparse assembly and raise its peak memory, to spare
+only an encode that counts widths the earlier ones did not (dash_kc's
+finite windows after pfa's infinite one).
 """
 
 from __future__ import annotations
@@ -464,7 +477,7 @@ def encode_dataset(dataset, spec):
     family = FAMILY_TABLE[spec.family]
     students = layout.students
     item_pos = {j: p for p, j in enumerate(layout.items)}
-    user, t, y = dataset.student, dataset.timestamp, dataset.correct
+    user, y = dataset.student, dataset.correct
     n = len(y)
     item = np.array([item_pos.get(j, -1) for j in dataset.items],
                     dtype=np.int64)[dataset.item]
@@ -485,13 +498,16 @@ def encode_dataset(dataset, spec):
                 for name in family.indicators for at, pos in [blocks[name]]]
     if family.history:
         key_rank = rank if family.key == "skills" else np.zeros_like(item)
-        segments += _history_segments(family, spec, layout, user, t, y,
+        segments += _history_segments(dataset, family, spec, layout,
                                       *blocks[family.key], key_rank)
     # segments are sorted by row, then column, and come in column-block
     # order: each fills its rows' next free slots and is dropped once placed
     indptr = np.concatenate(([0], np.cumsum(sum(
         np.bincount(at, minlength=n) for at, _, _ in segments))))
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int64)
+    # column ids in int32 where they fit, the dtype `csr_matrix` keeps, so
+    # that it does not copy them
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=(
+        np.int32 if layout.n_features <= np.iinfo(np.int32).max else np.int64))
     fill = indptr[:-1].copy()
     while segments:
         at, cols, vals = segments.pop(0)
@@ -505,24 +521,34 @@ def encode_dataset(dataset, spec):
         students, dtype=object)[user].tolist())
 
 
-def _history_segments(family, spec, layout, user, t, y, key_row, key, rank):
+def _history_segments(dataset, family, spec, layout, key_row, key, rank):
     """The history blocks of `family` as (rows, columns, values) segments,
-    from (row, key) pairs in row-major order, each row's keys sorted and
-    `rank` a pair's place among them."""
+    from the dataset's (row, key) pairs in row-major order, each row's keys
+    sorted and `rank` a pair's place among them. Each window's counts are
+    found once per dataset, history key and width (`Dataset.memo`); those a
+    dataset lacks are found together, in one block of memory."""
     widths, transform = family.counting(spec.windows)
-    W = len(widths)
-    group = user[key_row] * (int(key.max(initial=0)) + 1) + key
-    counts = _prior_counts(widths, group, t[key_row], y[key_row])
-    table = np.array([transform(c) for c in range(counts.max(initial=0) + 1)])
+    W, n = len(widths), dataset.n_interactions
+    user, t, y = dataset.student, dataset.timestamp, dataset.correct
+    attempts, wins = zip(*dataset.memo(
+        [("counts", family.key, width) for width in widths],
+        lambda missing: _prior_counts(
+            [width for *_, width in missing],
+            user[key_row] * (int(key.max(initial=0)) + 1) + key, t[key_row],
+            y[key_row]).swapaxes(0, 1)))
+    table = np.array([transform(c) for c in range(
+        max(a.max(initial=0) for a in attempts) + 1)])
     segments = []
     for name in family.history:
-        vals = table[np.asarray(_STATISTICS[name](*counts)).T]  # pair x window
+        vals = np.empty((len(key_row), W))  # pair x window
+        for w, c in enumerate(_STATISTICS[name](attempts, wins)):
+            vals[:, w] = table[c]
         at, cols = key_row, family.columns(layout, name)
         if not family.per_key:  # add each row's keys rank by rank from 0.0
-            total = np.zeros((len(y), W))
+            total = np.zeros((n, W))
             for r in range(rank.max(initial=-1) + 1):
                 total[key_row[rank == r]] += vals[rank == r]
-            vals, at = total, np.arange(len(y))
+            vals, at = total, np.arange(n)
         i, w = np.nonzero(vals)  # a zero count has value 0.0, and only it
         segments.append((at[i], cols[key[i], w] if family.per_key else cols[w],
                          vals[i, w]))

@@ -34,7 +34,9 @@ def load_interactions(path, fmt="generic"):
                 else:
                     item = (row[f.problem].strip() + KDD_ITEM_SEP
                             + row[f.step].strip())
-                ts = float(row[f.timestamp]) * f.seconds_per_unit / 86400.0
+                ts = float(row[f.timestamp])
+                if f.seconds_per_unit != 86400.0:  # days are kept as parsed
+                    ts = ts * f.seconds_per_unit / 86400.0
                 correct = int(row[f.correct])
                 if correct not in (0, 1):
                     raise ValueError(f"correct must be 0/1, got {correct}")

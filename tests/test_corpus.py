@@ -1,3 +1,4 @@
+import csv
 import os
 import runpy
 import subprocess
@@ -11,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_corpus as reference
-from conftest import FIXTURE_PATH, rows_of
-from skillmem.corpus import (FORMATS, FoldAssignment, QMatrix, dataset_stats,
-                             load_interactions, load_prepared,
+from conftest import FIXTURE_PATH, Row, rows_of
+from skillmem.corpus import (FORMATS, Dataset, FoldAssignment, QMatrix,
+                             dataset_stats, load_interactions, load_prepared,
                              load_qmatrix_triplets, preprocess, save_dataset,
                              student_kfold)
 from skillmem.errors import ConfigError, EmptyDatasetError, ParseError
@@ -293,6 +294,49 @@ def test_columnar_chain_matches_row_reference(log):
             assert a.read() == b.read()
         assert rows_of(load_prepared(ours)) == reference.rows(
             reference.load_prepared(theirs))
+
+
+_TEXT = st.text(st.sampled_from(',"\r\n ~ab'), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_TEXT, _TEXT, st.floats(), st.integers(0, 1)),
+                max_size=12),
+       st.lists(st.tuples(_TEXT, _TEXT), max_size=6))
+def test_save_dataset_writes_what_csv_writer_writes(rows, tags):
+    """Ids and skills with commas, quotes, line breaks, blanks or nothing
+    at all, and any timestamp, are written byte for byte as `csv.writer`
+    writes the rows."""
+    ds = Dataset.from_rows([Row(*r) for r in rows], QMatrix(tags))
+    qm = ds.qmatrix
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = os.path.join(tmp, "a"), os.path.join(tmp, "b")
+        save_dataset(ds, ours)
+        with open(theirs, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["user", "item", "timestamp", "correct", "skills"])
+            w.writerows((r.student, r.item, repr(r.timestamp), r.correct,
+                         "~".join(qm.skills_of(r.item))) for r in rows_of(ds))
+        with open(ours, "rb") as a, open(theirs, "rb") as b:
+            assert a.read() == b.read()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["u1", "u2", "u10"]),
+                          st.sampled_from(["i1", "i2"]),
+                          st.floats(-1e9, 1e9), st.integers(0, 1)),
+                max_size=30))
+def test_saved_timestamps_load_back_bit_for_bit(rows):
+    """A saved dataset's day timestamps load back as they were saved."""
+    rows = sorted(rows, key=lambda r: (r[0], r[2]))
+    ds = Dataset.from_rows([Row(*r) for r in rows],
+                           QMatrix([("i1", "k1"), ("i2", "k2")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "prepared.csv")
+        save_dataset(ds, path)
+        loaded = load_prepared(path)
+    assert loaded.timestamp.tobytes() == ds.timestamp.tobytes()
+    assert rows_of(loaded) == rows_of(ds)
 
 
 @pytest.mark.parametrize("bad", ["u1,i1,x,1,k1", "u1,i1,0,2,k1", "u1,i1"])

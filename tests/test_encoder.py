@@ -368,6 +368,82 @@ def test_batch_encoder_matches_streaming_reference(dataset, windows):
         assert dm.students == students
 
 
+_WINDOW_SETS = (DEFAULT, WindowSet((0.1, 2.0, math.inf)),
+                WindowSet((math.inf,)))
+
+
+def _same_design(a, b):
+    for name in ("data", "indices", "indptr"):
+        x, z = getattr(a.X, name), getattr(b.X, name)
+        assert x.dtype == z.dtype and x.tobytes() == z.tobytes(), name
+    assert a.X.shape == b.X.shape
+    assert a.y.dtype == b.y.dtype and a.y.tobytes() == b.y.tobytes()
+    assert a.layout.to_dict() == b.layout.to_dict()
+    assert a.students == b.students and a.spec == b.spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(histories(), st.lists(st.tuples(st.sampled_from(FAMILIES),
+                                       st.sampled_from(_WINDOW_SETS)),
+                             min_size=1, max_size=12))
+def test_encodes_sharing_a_dataset_match_fresh_ones(dataset, order):
+    """Families and window sets encoded one after another on one dataset,
+    in any order and some twice, reading the counts the earlier encodes
+    kept, give each the CSR, labels and layout of an encode of a fresh
+    copy of the dataset."""
+    for family, windows in order:
+        spec = ModelSpec(family, 1 if family == "mirtb" else 0, windows)
+        fresh = dataset.take(np.arange(dataset.n_interactions))
+        _same_design(encode_dataset(dataset, spec),
+                     encode_dataset(fresh, spec))
+
+
+def test_each_window_is_counted_once_per_dataset(monkeypatch,
+                                                 fixture_dataset):
+    """Every family at two window sets, encoded twice over: each (history
+    key, width) window is counted once per dataset, and a second dataset
+    counts its own."""
+    from skillmem import encoder
+
+    counted, count = [], encoder._prior_counts
+    monkeypatch.setattr(encoder, "_prior_counts", lambda widths, *a: (
+        counted.append(widths) or count(widths, *a)))
+    specs = [ModelSpec(f, 1 if f == "mirtb" else 0, windows)
+             for windows in _WINDOW_SETS[:2] for f in FAMILIES]
+    for _ in range(2):
+        ds = fixture_dataset.take(np.arange(fixture_dataset.n_interactions))
+        for spec in specs + specs:
+            encode_dataset(ds, spec)
+    widths = sorted(set(DEFAULT.widths) | set(_WINDOW_SETS[1].widths))
+    # a skills and an items key per dataset
+    assert sorted(w for ws in counted for w in ws) == sorted(widths * 2 * 2)
+
+
+def test_derived_datasets_do_not_read_the_parents_counts(fixture_dataset):
+    """`take` of an encoded dataset, and `preprocess` of an encoded one that
+    drops students, encode as the same steps on copies never encoded."""
+    from skillmem.corpus import preprocess
+
+    def copy():
+        return fixture_dataset.take(np.arange(fixture_dataset.n_interactions))
+
+    specs = [ModelSpec(family, 0) for family in ("das3h", "dash_items")]
+    late = np.flatnonzero(fixture_dataset.timestamp
+                          >= np.median(fixture_dataset.timestamp))
+    steps = [lambda d: d.take(late), lambda d: preprocess(d, 6)]
+    for n in range(1, len(steps) + 1):
+        parent, pristine = copy(), copy()
+        for step in steps[:n - 1]:
+            parent, pristine = step(parent), step(pristine)
+        for spec in specs:
+            encode_dataset(parent, spec)
+        derived, want = steps[n - 1](parent), steps[n - 1](pristine)
+        assert derived.n_interactions < parent.n_interactions
+        for spec in specs:
+            _same_design(encode_dataset(derived, spec),
+                         encode_dataset(want, spec))
+
+
 @settings(max_examples=100, deadline=None)
 @given(histories(), st.integers(0, 2**32 - 1))
 def test_linear_probability_sums_the_built_row(dataset, seed):
