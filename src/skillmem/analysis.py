@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import atomic_open
-from .encoder import FAMILY_TABLE, ModelSpec, _Counter
+from .encoder import FAMILY_TABLE, ModelSpec, record
 from .errors import ConfigError
 from .glm import LinearParams
 from .modelio import ModelFile
@@ -112,7 +112,7 @@ def slope_report(models, layouts):
 
 def history_counters(model, history, query_time):
     """(counters, student) of a one-student `history` Dataset: its rows at or
-    before `query_time`, pushed in time order to `model`'s family keys (the
+    before `query_time`, recorded in time order to `model`'s family keys (the
     item's skills in `history.qmatrix`, or the item). The student is the
     history's own whenever it has rows, even if none is that early, and None
     for an empty history. A history of several students, or a query time
@@ -129,11 +129,7 @@ def history_counters(model, history, query_time):
     counters = {}
     for j, t, c in zip(h.item[prior].tolist(), h.timestamp[prior].tolist(),
                        h.correct[prior].tolist()):
-        for key in family.history_keys(h.items[j], tags[j]):
-            counter = counters.get(key)
-            if counter is None:
-                counter = counters[key] = _Counter()
-            counter.push(t, c)
+        record(counters, family.history_keys(h.items[j], tags[j]), t, c)
     return counters, (students[0] if students else None)
 
 

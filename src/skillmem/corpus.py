@@ -1,8 +1,9 @@
 """Interaction log ingestion, preprocessing, statistics and student-level folds.
 
-Input files are delimiter-separated text with a header row. Each format tag
-maps the logical columns (user, item, timestamp, correct, skills) onto actual
-column names, fixes the timestamp unit, and says how the item id is built.
+Input files are delimiter-separated text with a header row. Every format
+names its columns `user`, `timestamp`, `correct` and `skills`; a format tag
+fixes the item columns (an item id is their stripped values joined by
+`KDD_ITEM_SEP`), the skill separator and the timestamp unit.
 A `Dataset` holds the log as numpy columns, one entry a row: int64 student
 codes into its sorted student names, int64 item codes into its sorted item
 ids, float64 timestamps in days and int8 `correct`. Rows are grouped by
@@ -31,6 +32,7 @@ import os
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from math import isfinite
 from operator import itemgetter
 
 import numpy as np
@@ -225,32 +227,15 @@ class StatsReport:
 
 @dataclass(frozen=True)
 class _Format:
-    user: str
-    item: str | None
-    timestamp: str
-    correct: str
-    skills: str
+    item_columns: tuple
     skill_sep: str
     seconds_per_unit: float
-    # KDD-style formats build the item id from two columns.
-    problem: str | None = None
-    step: str | None = None
 
 
 FORMATS = {
-    "generic": _Format(
-        user="user", item="item", timestamp="timestamp", correct="correct",
-        skills="skills", skill_sep="~", seconds_per_unit=86400.0,
-    ),
-    "assist12": _Format(
-        user="user", item="item", timestamp="timestamp", correct="correct",
-        skills="skills", skill_sep="~", seconds_per_unit=1.0,
-    ),
-    "kddcup": _Format(
-        user="user", item=None, timestamp="timestamp", correct="correct",
-        skills="skills", skill_sep="~~", seconds_per_unit=1e-3,
-        problem="problem", step="step",
-    ),
+    "generic": _Format(("item",), "~", 86400.0),
+    "assist12": _Format(("item",), "~", 1.0),
+    "kddcup": _Format(("problem", "step"), "~~", 1e-3),
 }
 
 
@@ -260,13 +245,13 @@ def load_interactions(path, fmt="generic"):
     Every row's skills field adds its (item, skills) pairs to the q-matrix,
     so an item's skills are the union over its rows. Rows with an empty
     skills field are kept; `preprocess` removes those of untagged items.
-    Ids are stripped of surrounding blanks. A malformed row raises
-    ParseError naming its line.
+    Ids are stripped of surrounding blanks. A malformed row, or one whose
+    timestamp is not finite, raises ParseError naming its line.
     """
     if fmt not in FORMATS:
         raise ConfigError(f"unknown format tag {fmt!r}; known: {sorted(FORMATS)}")
     f = FORMATS[fmt]
-    ids = [f.item] if f.item else [f.problem, f.step]
+    ids = f.item_columns
     # distinct raw keys get codes in order of appearance; a row's item key is
     # its (raw item id, raw skills field) pair
     users, pairs, label_of = _Codes(), _Codes(), functools.cache(_label)
@@ -277,16 +262,19 @@ def load_interactions(path, fmt="generic"):
         delim = "\t" if "\t" in (sample.splitlines() or [""])[0] else ","
         reader = csv.reader(fh, delimiter=delim)
         col = {name: k for k, name in enumerate(next(reader, []))}
-        missing = [c for c in [f.user, f.timestamp, f.correct, f.skills] + ids
+        missing = [c for c in ("user", "timestamp", "correct", "skills", *ids)
                    if c not in col]
         if missing:
             raise ParseError(1, f"missing columns {missing} in header")
-        fields = itemgetter(col[f.user], col[f.timestamp], col[f.correct])
-        item_of, at = itemgetter(*(col[c] for c in ids)), col[f.skills]
+        fields = itemgetter(col["user"], col["timestamp"], col["correct"])
+        item_of, at = itemgetter(*(col[c] for c in ids)), col["skills"]
         for row in filter(None, reader):
             try:
                 user, ts, label = fields(row)
-                stamps.append(float(ts))
+                ts = float(ts)
+                if not isfinite(ts):
+                    raise ValueError(f"timestamp {ts} is not finite")
+                stamps.append(ts)
                 correct.append(label_of(label))
                 student.append(users[user])
                 pair.append(pairs[item_of(row),
@@ -296,8 +284,8 @@ def load_interactions(path, fmt="generic"):
     students, student_of = _code([key.strip() for key in users])
     names, entries = [], set()
     for item, skills in pairs:
-        name = item.strip() if f.item else KDD_ITEM_SEP.join(
-            part.strip() for part in item)
+        name = KDD_ITEM_SEP.join(  # a str from one item column, else a tuple
+            part.strip() for part in ((item,) if len(ids) == 1 else item))
         skills = skills.strip()
         names.append(name)
         if skills.lower() != "nan":
@@ -398,7 +386,8 @@ def save_dataset(dataset, path):
     those `csv.writer` writes; each distinct id and skills field is escaped
     once."""
     ds, qm = dataset, dataset.qmatrix
-    tags = ["~".join(qm.skills_of(j)) for j in ds.items]
+    sep = FORMATS["generic"].skill_sep
+    tags = [sep.join(qm.skills_of(j)) for j in ds.items]
 
     def per_row(names, codes):
         return np.array(_escaped(names), dtype=object)[codes].tolist()

@@ -296,6 +296,16 @@ class _Counter:
         self.wins_prefix.append(self.wins_prefix[-1] + int(correct))
 
 
+def record(counters, keys, t, correct):
+    """Push the answer `correct` at `t` to the `_Counter` of each of `keys`
+    in `counters`, creating the counter of a key that has none."""
+    for key in keys:
+        counter = counters.get(key)
+        if counter is None:
+            counter = counters[key] = _Counter()
+        counter.push(t, correct)
+
+
 @dataclass
 class DesignMatrix:
     """Encoded rows (CSR), labels, the student of each row, layout and spec."""

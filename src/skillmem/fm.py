@@ -305,13 +305,10 @@ def fit_fm_gibbs(X, y, d, config=None, groups=None, eval_X=None):
         e -= mu_new - mu0
         mu0 = mu_new
 
-        # hyperparameters per group
+        # hyperparameters per group, in phase order: w's, then V's factors
         for g, cols_g in enumerate(group_cols):
-            lam_w[g], mu_w[g] = _draw_prior(rng, w[cols_g], mu_w[g])
-            Vg = V[cols_g]
-            for f in range(d):
-                lam_v[g, f], mu_v[g, f] = _draw_prior(rng, Vg[:, f],
-                                                      mu_v[g, f])
+            for coef, lam_g, mu_g, _ in phases:
+                lam_g[g], mu_g[g] = _draw_prior(rng, coef[cols_g], mu_g[g])
 
         # linear weights, then each factor of the embeddings: each phase
         # draws its noise in column order and works on a level-ordered copy

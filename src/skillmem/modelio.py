@@ -134,8 +134,9 @@ def save_model(model, path):
 def load_model(path):
     """Read a model written by `save_model`. Raises ConfigError naming `path`
     when the file cannot be read, is not JSON, lacks a model key, names an
-    unknown `kind`, or its layout's blocks or its weights' shapes are not
-    those of its spec over the layout's students, items and skills."""
+    unknown `kind`, its layout's blocks or its weights' shapes are not
+    those of its spec over the layout's students, items and skills, or a
+    weight, bias or embedding is not finite."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -158,15 +159,20 @@ def load_model(path):
                 converged=bool(L["converged"]),
                 n_iter=int(L["n_iter"]),
             )
-            shapes = {"weights": (params.weights, (n,))}
+            shapes = {"weights": (params.weights, (n,)),
+                      "intercept": (params.intercept, ())}
         else:
             params = FMFit(_fm_params_from_dict(doc["fm"]["posterior_mean"]))
             point = params.posterior_mean
-            shapes = {"linear_weights": (point.linear_weights, (n,)),
+            shapes = {"global_bias": (point.global_bias, ()),
+                      "linear_weights": (point.linear_weights, (n,)),
                       "embeddings": (point.embeddings, (n, spec.dim))}
-        for name, (array, shape) in shapes.items():
-            if array.shape != shape:
-                raise ValueError(f"{name} of shape {array.shape}, not {shape}")
+        for name, (value, shape) in shapes.items():
+            if np.shape(value) != shape:
+                raise ValueError(f"{name} of shape {np.shape(value)}, "
+                                 f"not {shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"a value of {name} is not finite")
     except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{path} is not a model file: "
                           f"{type(exc).__name__}: {exc}") from None

@@ -4,8 +4,9 @@ The generator draws labels from a linear (dim=0) das3h scorer with genuine
 forgetting: win weights are largest for the shortest windows, so recent
 practice helps more than old practice. The truth's probabilities come from
 its own das3h model file (`ModelFile.probability`), over per-skill
-`_Counter`s pushed as answers are drawn, as any fitted model's do. It is used
-for the bundled fixture, recovery tests and scheduler simulations.
+`_Counter`s that `encoder.record` pushes as answers are drawn, as any fitted
+model's do. It is used for the bundled fixture, recovery tests and scheduler
+simulations.
 """
 
 from __future__ import annotations
@@ -15,10 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset, QMatrix
-from .encoder import (DEFAULT_WINDOWS, FAMILY_TABLE, ModelSpec, _Counter,
-                      build_layout)
+from .encoder import (DEFAULT_WINDOWS, FAMILY_TABLE, ModelSpec, build_layout,
+                      record)
 from .glm import LinearParams
 from .modelio import ModelFile
+
+
+# skill bias ~ N(SKILL_MEAN, SKILL_SD); win weights x exp(N(0, WIN_JITTER))
+SKILL_MEAN, SKILL_SD, WIN_JITTER = 0.2, 0.2, 0.3
 
 
 @dataclass
@@ -31,11 +36,8 @@ class SynthConfig:
     multi_skill_fraction: float = 0.25
     user_sd: float = 0.3
     item_sd: float = 0.3
-    skill_mean: float = 0.2
-    skill_sd: float = 0.2
     # per-window win weights, shortest window first; jittered per skill
     win_weights: tuple = (1.2, 0.9, 0.6, 0.3, 0.1)
-    win_jitter: float = 0.3
     attempt_weights: tuple = (-0.1, -0.1, -0.1, -0.1, -0.1)
     # optional non-uniform primary-skill assignment probabilities for items
     item_skill_probs: tuple | None = None
@@ -78,11 +80,7 @@ class SyntheticModel:
         skills = self.qmatrix.skills_of(item)
         correct = int(rng.random() < self._probability(
             self._counts(counters, t, item, skills), student, item, skills))
-        for k in skills:
-            counter = counters.get(k)
-            if counter is None:
-                counter = counters[k] = _Counter()
-            counter.push(t, correct)
+        record(counters, skills, t, correct)
         return correct
 
     def to_model_file(self, dataset):
@@ -141,9 +139,8 @@ def make_synthetic(config=None):
     truth = SyntheticModel(
         user_w={s: float(rng.normal(0, config.user_sd)) for s in students},
         item_w={j: float(rng.normal(0, config.item_sd)) for j in items},
-        skill_w={k: float(rng.normal(config.skill_mean, config.skill_sd))
-                 for k in skills},
-        win_w={k: (win_base * np.exp(rng.normal(0, config.win_jitter, W))).tolist()
+        skill_w={k: float(rng.normal(SKILL_MEAN, SKILL_SD)) for k in skills},
+        win_w={k: (win_base * np.exp(rng.normal(0, WIN_JITTER, W))).tolist()
                for k in skills},
         att_w={k: att_base.tolist() for k in skills},
         qmatrix=qm,

@@ -3,6 +3,7 @@ grouped in a dict by student. The columnar `skillmem.corpus` must load,
 clean, write and re-read a log exactly as these functions do."""
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 from skillmem.corpus import FORMATS, KDD_ITEM_SEP, QMatrix
@@ -28,19 +29,18 @@ def load_interactions(path, fmt="generic"):
         reader = csv.DictReader(fh, delimiter=delim)
         for line_no, row in enumerate(reader, start=2):
             try:
-                student = row[f.user].strip()
-                if f.item:
-                    item = row[f.item].strip()
-                else:
-                    item = (row[f.problem].strip() + KDD_ITEM_SEP
-                            + row[f.step].strip())
-                ts = float(row[f.timestamp])
+                student = row["user"].strip()
+                item = KDD_ITEM_SEP.join(row[c].strip()
+                                         for c in f.item_columns)
+                ts = float(row["timestamp"])
+                if not math.isfinite(ts):
+                    raise ValueError(f"timestamp {ts} is not finite")
                 if f.seconds_per_unit != 86400.0:  # days are kept as parsed
                     ts = ts * f.seconds_per_unit / 86400.0
-                correct = int(row[f.correct])
+                correct = int(row["correct"])
                 if correct not in (0, 1):
                     raise ValueError(f"correct must be 0/1, got {correct}")
-                raw_skills = (row[f.skills] or "").strip()
+                raw_skills = (row["skills"] or "").strip()
                 if raw_skills.lower() == "nan":
                     raw_skills = ""
             except (KeyError, ValueError, AttributeError) as exc:

@@ -231,6 +231,51 @@ def test_recall_at_a_day_that_is_not_a_number_fails_typed(recall_inputs,
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("field,value", [("weights", "NaN"),
+                                         ("intercept", "Infinity")])
+def test_recall_and_schedule_sim_on_a_non_finite_model_fail_typed(
+        recall_inputs, tmp_path, capsys, field, value):
+    # the das3h model with its first weight or its intercept not finite
+    source = recall_inputs[recall_inputs.index("--model") + 1]
+    doc = json.load(open(source))
+    if field == "weights":
+        doc["linear"]["weights"][0] = float(value)
+    else:
+        doc["linear"]["intercept"] = float(value)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    inputs = [str(model) if a == source else a for a in recall_inputs]
+    out = tmp_path / "sim.csv"
+    for argv in ([*inputs, "--skills", "k0", "--at-day", "14"],
+                 ["schedule-sim", "--model", str(model), "--sessions", "5",
+                  "--seeds", "2", "--out", str(out)]):
+        capsys.readouterr()
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "model.json" in captured.err
+        assert f"{field} is not finite" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_prepare_of_a_log_with_a_timestamp_that_is_not_finite_fails_typed(
+        tmp_path, capsys):
+    with open(FIXTURE_PATH) as fh:
+        lines = fh.readlines()
+    fields = lines[5].split(",")
+    fields[2] = "nan"
+    lines[5] = ",".join(fields)
+    raw = tmp_path / "raw.csv"
+    raw.write_text("".join(lines))
+    prepared = tmp_path / "out" / "prepared.csv"
+    assert run(["prepare", "--in", str(raw), "--out", str(prepared)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 6: ")
+    assert "not finite" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not prepared.exists()
+
+
 def test_family_names_from_table(runner, tmp_path):
     encoded = str(tmp_path / "design.npz")
     r = runner.invoke(main, ["encode", "--in", FIXTURE_PATH,
@@ -352,14 +397,25 @@ def test_encode_writes_the_default_spec(tmp_path):
 
 
 def _corrupt(doc, how):
-    """A model document of `doc` with one part no longer its layout's."""
+    """A model document of `doc` with one part no longer its layout's, or
+    one value not finite."""
+    point = doc.get("fm", {}).get("posterior_mean")
     if how == "truncated-weights":
         doc["linear"]["weights"] = doc["linear"]["weights"][:10]
     elif how == "one-item-too-few":
         doc["layout"]["items"] = doc["layout"]["items"][:-1]
-    else:
-        point = doc["fm"]["posterior_mean"]
+    elif how == "fm-embedding-width":
         point["embeddings"] = [row[:1] for row in point["embeddings"]]
+    elif how == "nan-weight":
+        doc["linear"]["weights"][0] = float("nan")
+    elif how == "inf-intercept":
+        doc["linear"]["intercept"] = float("inf")
+    elif how == "fm-nan-bias":
+        point["global_bias"] = float("nan")
+    elif how == "fm-inf-weight":
+        point["linear_weights"][-1] = float("-inf")
+    else:
+        point["embeddings"][3][1] = float("nan")
     return doc
 
 
@@ -367,6 +423,11 @@ def _corrupt(doc, how):
     ("truncated-weights", 0, "weights of shape (10,)"),
     ("one-item-too-few", 0, "layout blocks"),
     ("fm-embedding-width", 2, "embeddings of shape"),
+    ("nan-weight", 0, "weights is not finite"),
+    ("inf-intercept", 0, "intercept is not finite"),
+    ("fm-nan-bias", 2, "global_bias is not finite"),
+    ("fm-inf-weight", 2, "linear_weights is not finite"),
+    ("fm-nan-embedding", 2, "embeddings is not finite"),
 ])
 def test_load_model_rejects_weights_that_disagree_with_the_layout(
         tmp_path, fixture_dataset, how, dim, reason):

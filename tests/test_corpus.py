@@ -94,6 +94,43 @@ def test_kdd_item_concatenation_roundtrip(tmp_path):
     assert rows_of(ds, "u1")[1].timestamp == pytest.approx(60000 / 86400000)
 
 
+_HEADERS = {"generic": "user,item,timestamp,correct,skills",
+            "assist12": "user,item,timestamp,correct,skills",
+            "kddcup": "user,problem,step,timestamp,correct,skills"}
+
+
+@pytest.mark.parametrize("fmt,row,item", [
+    ("generic", " u1 , i 1 ,0,1,k1", "i 1"),
+    ("assist12", "u1,i1 ,0,1,k1", "i1"),
+    ("kddcup", "u1, P1 ,S 2 ,0,1,k1", "P1@@S 2"),
+])
+def test_item_id_joins_the_stripped_item_columns(tmp_path, fmt, row, item):
+    ds = load_interactions(write(tmp_path, f"{_HEADERS[fmt]}\n{row}\n"), fmt)
+    assert ds.items == [item] and ds.students == ["u1"]
+    assert ds.qmatrix.skills_of(item) == ("k1",)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_header_without_timestamp_names_the_column(tmp_path, fmt):
+    header = _HEADERS[fmt].replace("timestamp,", "")
+    path = write(tmp_path, f"{header}\nu1,i1,1,k1\n")
+    with pytest.raises(ParseError, match=r"^line 1: .*\['timestamp'\]"):
+        load_interactions(path, fmt)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-Infinity"])
+def test_timestamp_that_is_not_finite_fails_in_every_format(tmp_path, fmt,
+                                                           stamp):
+    # as the row-object reference does, before the unit is applied
+    ids = "P1,S1" if fmt == "kddcup" else "i1"
+    path = write(tmp_path, f"{_HEADERS[fmt]}\nu1,{ids},0,1,k1\n"
+                 f"u1,{ids},{stamp},1,k1\n")
+    for load in (load_interactions, reference.load_interactions):
+        with pytest.raises(ParseError, match="^line 3: .*not finite"):
+            load(path, fmt)
+
+
 def test_malformed_row_names_line(tmp_path):
     path = write(tmp_path, """
         user,item,timestamp,correct,skills
@@ -254,8 +291,8 @@ def raw_logs(draw):
     and ids that sort differently as strings and as numbers."""
     fmt = draw(st.sampled_from(["generic", "assist12", "kddcup"]))
     f = FORMATS[fmt]
-    ids = [f.user] + ([f.item] if f.item else [f.problem, f.step])
-    header = ids + [f.timestamp, f.correct, f.skills]
+    ids = ["user", *f.item_columns]
+    header = ids + ["timestamp", "correct", "skills"]
     stamp = st.sampled_from([0, 1, 1.5, 2, 3600.25, 86400, 1e5])
     row = st.tuples(*(st.sampled_from(_IDS[c]) for c in ids), stamp,
                     st.integers(0, 1), st.sampled_from(_SKILLS[f.skill_sep]))
@@ -339,11 +376,13 @@ def test_saved_timestamps_load_back_bit_for_bit(rows):
     assert rows_of(loaded) == rows_of(ds)
 
 
-@pytest.mark.parametrize("bad", ["u1,i1,x,1,k1", "u1,i1,0,2,k1", "u1,i1"])
+@pytest.mark.parametrize("bad", ["u1,i1,x,1,k1", "u1,i1,0,2,k1", "u1,i1",
+                                 "u1,i1,nan,1,k1", "u1,i1,-inf,1,k1"])
 @pytest.mark.parametrize("at", [0, 5, 9])
 def test_parse_error_names_the_line(tmp_path, bad, at):
-    # a bad timestamp, a label that is not 0/1 and a row too short for its
-    # timestamp, at the first, a middle and the last data line
+    # a bad timestamp, a label that is not 0/1, a row too short for its
+    # timestamp and timestamps that are not finite, at the first, a middle
+    # and the last data line
     rows = [f"u1,i{k},{k},1,k1" for k in range(10)]
     rows[at] = bad
     path = write(tmp_path, "user,item,timestamp,correct,skills\n"

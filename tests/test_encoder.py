@@ -267,6 +267,27 @@ class TestEncodeDataset:
         assert np.array_equal(a.y, b.y)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from("abc"), unique=True,
+                                   max_size=3),
+                          st.floats(0, 50), st.booleans()), max_size=20))
+def test_record_is_pushing_by_hand(answers):
+    # `record` keeps a key's counter and creates one for a key without any
+    from skillmem.encoder import _Counter, record
+
+    kept = _Counter()
+    counters, by_hand = {"a": kept}, {"a": _Counter()}
+    for keys, t, correct in answers:
+        record(counters, keys, t, correct)
+        for key in keys:
+            by_hand.setdefault(key, _Counter()).push(t, correct)
+    assert counters["a"] is kept
+    assert sorted(counters) == sorted(by_hand)
+    for key, counter in by_hand.items():
+        assert counters[key].times == counter.times
+        assert counters[key].wins_prefix == counter.wins_prefix
+
+
 def recompute_row_from_scratch(dataset, spec, student, row_pos):
     """No-leakage oracle: rebuild one row's features using only the rows
     strictly before it in the student's stream."""
