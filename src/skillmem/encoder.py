@@ -76,15 +76,6 @@ class Family:
     windowed: bool = False
     per_key: bool = False
 
-    def blocks(self, dims, n_windows):
-        """(name, size) of every block in layout order, for dims (S, J, K)."""
-        S, J, K = dims
-        sizes = {"users": S, "items": J, "skills": K}
-        per = sizes[self.key] if self.per_key else 1
-        width = per * (n_windows if self.windowed else 1)
-        return ([(name, sizes[name]) for name in self.indicators]
-                + [(name, width) for name in self.history])
-
     def columns(self, layout, name):
         """Column ids of block `name` of `layout`: one per id of an indicator
         block, (keys, windows) of a per-key history block (its key count is
@@ -166,27 +157,22 @@ class ModelSpec:
         return f"{self.family}(d={self.dim})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayoutDescriptor:
-    """Named contiguous feature blocks tiling [0, n_features)."""
+    """Named contiguous feature blocks tiling [0, n_features), over the
+    sorted ids they were built from; built only by `feature_layout`."""
 
     blocks: dict[str, tuple[int, int]]  # name -> (offset, size)
     n_features: int
-    students: list[str] = field(default_factory=list)
-    items: list[str] = field(default_factory=list)
-    skills: list[str] = field(default_factory=list)
+    students: list[str]
+    items: list[str]
+    skills: list[str]
 
     def offset(self, name):
         return self.blocks[name][0]
 
     def size(self, name):
         return self.blocks[name][1]
-
-    def block_of(self, index):
-        for name, (off, size) in self.blocks.items():
-            if off <= index < off + size:
-                return name
-        raise IndexError(index)
 
     def group_of_feature(self):
         """Group id per feature column, for hierarchical regularization."""
@@ -205,36 +191,42 @@ class LayoutDescriptor:
         }
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(
-            blocks={k: tuple(v) for k, v in d["blocks"].items()},
-            n_features=d["n_features"],
-            students=list(d["students"]),
-            items=list(d["items"]),
-            skills=list(d["skills"]),
-        )
+    def from_dict(cls, d, spec):
+        """`feature_layout` of `spec` over the ids `d` stores; ValueError
+        when the blocks or feature count `d` stores are not its."""
+        layout = feature_layout(spec, list(d["students"]), list(d["items"]),
+                                list(d["skills"]))
+        blocks = {k: tuple(v) for k, v in d["blocks"].items()}
+        if (blocks, d["n_features"]) != (layout.blocks, layout.n_features):
+            raise ValueError(f"layout blocks {blocks} are not those of "
+                             f"{spec.label} over its ids: {layout.blocks}")
+        return layout
 
 
-def feature_layout(spec, dims):
-    """Block layout for dataset dims (S, J, K); no id maps attached."""
-    blocks = {}
-    off = 0
-    for name, size in FAMILY_TABLE[spec.family].blocks(dims, len(spec.windows)):
+def feature_layout(spec, students, items, skills):
+    """The layout of `spec` over sorted student, item and skill ids: one
+    column per id of an indicator block (skills at least one), then the
+    history blocks; ConfigError for a zero-sized block."""
+    family = FAMILY_TABLE[spec.family]
+    sizes = {"users": len(students), "items": len(items),
+             "skills": max(len(skills), 1)}
+    width = ((sizes[family.key] if family.per_key else 1)
+             * (len(spec.windows) if family.windowed else 1))
+    blocks, off = {}, 0
+    for name in family.indicators + family.history:
+        size = sizes.get(name, width)
         if size <= 0:
-            raise ConfigError(f"zero-sized block {name} for dims {dims}")
+            raise ConfigError(f"zero-sized block {name} for {len(students)} "
+                              f"students and {len(items)} items")
         blocks[name] = (off, size)
         off += size
-    return LayoutDescriptor(blocks=blocks, n_features=off)
+    return LayoutDescriptor(blocks, off, students, items, skills)
 
 
 def build_layout(spec, dataset):
-    """Layout with sorted id maps taken from a preprocessed dataset."""
-    students = dataset.students
-    items = dataset.qmatrix.items
-    skills = dataset.qmatrix.skills
-    lay = feature_layout(spec, (len(students), len(items), max(len(skills), 1)))
-    lay.students, lay.items, lay.skills = students, items, skills
-    return lay
+    """The layout of `spec` over a preprocessed dataset's ids."""
+    return feature_layout(spec, dataset.students, dataset.qmatrix.items,
+                          dataset.qmatrix.skills)
 
 
 def window_counts(history, query_time, windows):
@@ -626,8 +618,9 @@ def load_design(path):
     """Read a design written by `save_design`, arrays bit for bit.
 
     Raises EncodingError naming `path` when the file is not such an archive,
-    its sidecar is missing or is not the one written with it, or the array
-    lengths disagree with `shape`, `y` or the layout.
+    its sidecar is missing or is not the one written with it, its layout is
+    not its spec's (`LayoutDescriptor.from_dict`), or the arrays are not a
+    CSR matrix of the layout's columns with a label of 0 or 1 per row.
     """
     try:
         npz = np.load(path, allow_pickle=False)
@@ -642,23 +635,29 @@ def load_design(path):
     try:
         with open(path + ".json", "rb") as fh:
             raw = fh.read()
-        torn = hashlib.sha256(raw).hexdigest() != str(a["sidecar_sha256"])
-        sidecar = None if torn else json.loads(raw)
-    except (OSError, ValueError) as exc:
-        raise EncodingError(f"{path}: cannot read its sidecar: {exc}") from None
-    if torn:
-        raise EncodingError(f"{path}: its sidecar {path}.json was not "
-                            "written with it")
-    layout = LayoutDescriptor.from_dict(sidecar["layout"])
-    shape, indptr = a["shape"], a["indptr"]
-    if not (shape.shape == (2,) and shape[1] == layout.n_features
-            and len(indptr) == shape[0] + 1
-            and len(a["y"]) == len(a["students"]) == shape[0]
-            and len(a["indices"]) == len(a["data"]) == indptr[-1]):
-        raise EncodingError(
-            f"{path}: array lengths disagree with shape {shape.tolist()}, "
-            f"{len(a['y'])} labels and {layout.n_features} layout features")
-    X = sparse.csr_matrix((a["data"], a["indices"], indptr),
+        if hashlib.sha256(raw).hexdigest() != str(a["sidecar_sha256"]):
+            raise ValueError(f"{path}.json was not written with it")
+        sidecar = json.loads(raw)
+        spec = spec_from_dict(sidecar["spec"])
+        layout = LayoutDescriptor.from_dict(sidecar["layout"], spec)
+        shape, indptr, cols, y = a["shape"], a["indptr"], a["indices"], a["y"]
+        n = layout.n_features
+        if not (shape.shape == (2,) and shape[1] == n
+                and len(indptr) == shape[0] + 1
+                and len(y) == len(a["students"]) == shape[0]
+                and len(cols) == len(a["data"]) == indptr[-1]):
+            raise ValueError(
+                f"array lengths disagree with shape {shape.tolist()}, "
+                f"{len(y)} labels and {n} layout features")
+        if not (indptr[0] == 0 and (np.diff(indptr) >= 0).all()
+                and cols.min(initial=0) >= 0 and cols.max(initial=-1) < n):
+            raise ValueError("row pointers or column indices are not a CSR "
+                             f"matrix of {n} columns")
+        if not ((y == 0) | (y == 1)).all():
+            raise ValueError("a label is not 0 or 1")
+    except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
+        raise EncodingError(f"{path}: {type(exc).__name__}: {exc}") from None
+    X = sparse.csr_matrix((a["data"], cols, indptr),
                           shape=(int(shape[0]), int(shape[1])))
-    return DesignMatrix(X=X, y=a["y"], students=a["students"].tolist(),
-                        layout=layout, spec=spec_from_dict(sidecar["spec"]))
+    return DesignMatrix(X=X, y=y, students=a["students"].tolist(),
+                        layout=layout, spec=spec)

@@ -12,8 +12,8 @@ from functools import cached_property
 import numpy as np
 
 from .corpus import atomic_open
-from .encoder import (LayoutDescriptor, feature_layout, row_builder,
-                      row_counter, row_logit, spec_from_dict, spec_to_dict)
+from .encoder import (LayoutDescriptor, row_builder, row_counter, row_logit,
+                      spec_from_dict, spec_to_dict)
 from .errors import ConfigError
 from .fm import FMFit, FMParams, fm_score, probit
 from .glm import LinearParams, sigmoid
@@ -143,13 +143,8 @@ def load_model(path):
         if doc["kind"] not in ("linear", "fm"):
             raise ValueError(f"unknown kind {doc['kind']!r}")
         spec = spec_from_dict(doc["spec"])
-        layout = LayoutDescriptor.from_dict(doc["layout"])
-        due = feature_layout(spec, (len(layout.students), len(layout.items),
-                                    max(len(layout.skills), 1)))
-        if (layout.blocks, layout.n_features) != (due.blocks, due.n_features):
-            raise ValueError(f"layout blocks {layout.blocks} are not those "
-                             f"of {spec.label} over its ids: {due.blocks}")
-        n = due.n_features
+        layout = LayoutDescriptor.from_dict(doc["layout"], spec)
+        n = layout.n_features
         if doc["kind"] == "linear":
             L = doc["linear"]
             params = LinearParams(

@@ -1,6 +1,9 @@
+import hashlib
+import json
 import os
 from collections import namedtuple
 
+import numpy as np
 import pytest
 
 from skillmem.corpus import load_prepared
@@ -18,6 +21,27 @@ def rows_of(dataset, student=None):
             in zip(dataset.student.tolist(), dataset.item.tolist(),
                    dataset.timestamp.tolist(), dataset.correct.tolist())]
     return [r for r in rows if student in (None, r.student)]
+
+
+def rewrite_design(path, family=None, **first):
+    """Re-save the design archive at `path` with the first entry of each
+    array named in `first` set to its value and, given a `family`, its
+    sidecar's spec naming that family, the archive's digest of the sidecar
+    recomputed."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = dict(npz)
+    for name, value in first.items():
+        arrays[name][0] = value
+    if family is not None:
+        with open(path + ".json") as fh:
+            sidecar = json.load(fh)
+        sidecar["spec"]["family"] = family
+        raw = json.dumps(sidecar).encode()
+        with open(path + ".json", "wb") as fh:
+            fh.write(raw)
+        arrays["sidecar_sha256"] = np.asarray(hashlib.sha256(raw).hexdigest())
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 @pytest.fixture(scope="session")

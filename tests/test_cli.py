@@ -20,7 +20,7 @@ from skillmem.encoder import (ModelSpec, build_layout, encode_dataset,
 from skillmem.errors import ConfigError, EncodingError
 from skillmem.modelio import ModelFile, atomic_open, load_model, save_model
 from skillmem.scheduler import SimulationResult
-from conftest import FIXTURE_PATH
+from conftest import FIXTURE_PATH, rewrite_design
 
 REPO = os.path.join(os.path.dirname(__file__), "..")
 
@@ -738,6 +738,24 @@ def test_train_on_a_non_design_fails_typed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "fixture_small.csv" in err
     assert "pickle" not in err
+
+
+@pytest.mark.parametrize("change,reason", [
+    ({"family": "das3h_1p"}, "layout blocks"),
+    ({"y": 2}, "not 0 or 1"),
+], ids=["das3h_1p-spec", "label-2"])
+def test_train_on_an_invalid_design_fails_typed(tmp_path, capsys, change,
+                                                  reason):
+    design = str(tmp_path / "design.npz")
+    assert run(["encode", "--in", FIXTURE_PATH, "--out", design]) == 0
+    rewrite_design(design, **change)
+    capsys.readouterr()
+    model = tmp_path / "train" / "model.json"
+    assert run(["train", "--encoded", design, "--out", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "design.npz" in err and reason in err
+    assert "Traceback" not in err
+    assert not model.exists()
 
 
 def test_prepare_writes_the_qmatrix_file_tags(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Row, rows_of
+from conftest import Row, rewrite_design, rows_of
 from skillmem.corpus import Dataset, QMatrix
 from skillmem.encoder import (DEFAULT_WINDOWS, FAMILIES, FAMILY_TABLE,
                               ModelSpec, WindowSet, encode_dataset,
@@ -149,26 +149,33 @@ class TestModelSpec:
             ModelSpec("das3h", -1)
 
 
+def _ids(*dims):
+    """Sorted student, item and skill ids, as many as `dims` gives."""
+    return [[f"{kind}{i:02d}" for i in range(n)]
+            for kind, n in zip("ujk", dims)]
+
+
 class TestLayout:
     def test_das3h_size(self):
-        lay = feature_layout(ModelSpec("das3h", 0), (2, 3, 2))
+        lay = feature_layout(ModelSpec("das3h", 0), *_ids(2, 3, 2))
         assert lay.n_features == 2 + 3 + 2 + 2 * (2 * 5)
         assert lay.blocks["wins"] == (7, 10)
 
     def test_irt_size(self):
-        lay = feature_layout(ModelSpec("irt", 0), (10, 7, 1))
+        lay = feature_layout(ModelSpec("irt", 0), *_ids(10, 7, 1))
         assert lay.n_features == 17
 
     def test_shared_vs_per_skill_gap(self):
         S, J, K, W = 4, 6, 3, 5
-        full = feature_layout(ModelSpec("das3h", 0), (S, J, K)).n_features
-        shared = feature_layout(ModelSpec("das3h_1p", 0), (S, J, K)).n_features
+        full = feature_layout(ModelSpec("das3h", 0), *_ids(S, J, K)).n_features
+        shared = feature_layout(ModelSpec("das3h_1p", 0),
+                                *_ids(S, J, K)).n_features
         assert full - shared == 2 * W * (K - 1)
 
     def test_blocks_tile(self):
         for fam in ("irt", "afm", "pfa", "dash_items", "das3h", "das3h_1p",
                     "das3h_plaincounts"):
-            lay = feature_layout(ModelSpec(fam, 0), (4, 6, 3))
+            lay = feature_layout(ModelSpec(fam, 0), *_ids(4, 6, 3))
             offsets = sorted(lay.blocks.values())
             pos = 0
             for off, size in offsets:
@@ -182,7 +189,7 @@ class TestLayout:
         # keys and windows swapped has the wrong shape
         spec = ModelSpec(family, int(family == "mirtb"),
                          WindowSet((1.0, math.inf)))
-        lay = feature_layout(spec, (4, 6, 3))
+        lay = feature_layout(spec, *_ids(4, 6, 3))
         fam = FAMILY_TABLE[family]
         cols = [fam.columns(lay, name) for name in lay.blocks]
         assert np.array_equal(np.sort(np.concatenate([c.ravel() for c in cols])),
@@ -196,7 +203,7 @@ class TestLayout:
 
     def test_zero_dim_error(self):
         with pytest.raises(ConfigError):
-            feature_layout(ModelSpec("das3h", 0), (0, 3, 2))
+            feature_layout(ModelSpec("das3h", 0), *_ids(0, 3, 2))
 
 
 def _toy_dataset():
@@ -217,8 +224,7 @@ class TestEncodeDataset:
                 continue
             seen.add(s)
             row = dm.row(i)
-            for j in row.indices:
-                assert lay.block_of(j) in ("users", "items", "skills")
+            assert (row.indices < lay.offset("wins")).all()
 
     def test_second_row_win_features(self):
         dm = encode_dataset(_toy_dataset(), ModelSpec("das3h", 0))
@@ -646,6 +652,24 @@ class TestBadDesign:
             np.savez(fh, **arrays)
         with pytest.raises(EncodingError, match="design.npz"):
             load_design(saved)
+
+    @pytest.mark.parametrize("change,reason", [
+        ({"family": "das3h_1p"}, "layout blocks"),
+        ({"indices": 10**6}, "column indices"),
+        ({"indices": -5}, "column indices"),
+        ({"y": 2}, "not 0 or 1"),
+    ], ids=["das3h_1p-spec", "index-past-the-layout", "negative-index",
+            "label-2"])
+    def test_invalid_contents(self, tmp_path, fixture_dataset, change,
+                              reason):
+        # a das3h design whose sidecar digest still matches its archive
+        path = str(tmp_path / "design.npz")
+        save_design(encode_dataset(fixture_dataset, ModelSpec("das3h", 0)),
+                    path)
+        rewrite_design(path, **change)
+        with pytest.raises(EncodingError, match="design.npz") as info:
+            load_design(path)
+        assert reason in str(info.value)
 
 
 # sha256 of the CSR indptr, indices and data bytes of every family encoded
