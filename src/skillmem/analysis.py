@@ -170,7 +170,7 @@ def recall_probability(model, counters, skills, query_time, item=None,
 
     key = tuple(skills)
     if item is not None:
-        if item not in model.item_ids:
+        if item not in model.item_positions:
             raise ConfigError(f"item {item!r} not in model")
         tagged = qmatrix.skills_of(item)
         if tagged and tagged != key:
@@ -197,13 +197,13 @@ def _item_proxy(model, skills, qmatrix):
     """Mean fitted bias of the layout items `qmatrix` tags with `skills`;
     0.0 when the family has no item biases (afm, pfa). ConfigError when
     the family counts practice by item, as the query would read none."""
-    family = FAMILY_TABLE[model.spec.family]
+    family, at = FAMILY_TABLE[model.spec.family], model.item_positions
     if family.key == "items" and family.history:
         raise ConfigError(f"{model.spec.family} counts practice by item: "
                           "a recall query needs an item")
     if "items" not in family.indicators:
         return 0.0
     tagged = set().union(*map(qmatrix.items_of, skills))
-    pool = [i for i, it in enumerate(model.layout.items) if it in tagged]
+    pool = sorted(at[it] for it in tagged if it in at)
     cols = family.columns(model.layout, "items")
     return float(np.mean(model.linear_weights[cols[pool]])) if pool else 0.0

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import sys
 import time
@@ -111,12 +110,9 @@ def _out_dir_of(path):
 
 
 @click.group()
-@click.option("--log-level", default="warning",
-              type=click.Choice(["debug", "info", "warning", "error"]))
 @click.version_option(__version__)
-def main(log_level):
-    logging.basicConfig(level=log_level.upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
+def main():
+    """skillmem: DAS3H student models, from raw logs to schedules."""
 
 
 @main.command()

@@ -7,16 +7,15 @@ history counters are keyed by (the row's skills or its item), the statistic
 (log(1+count) per nested time window, or raw all-time totals), whether
 history weights are per key or shared across keys, and its history blocks
 in order. Layout sizes, family names, the vectorized batch `encode_dataset`
-and the streaming `row_builder` all come from that table; an oracle test
-holds the two encoders to one CSR. Online scoring (`ModelFile.probability`)
-reads the table through the same binding of its blocks (`_bind`): an FM
-builds the row with `row_builder`, and a linear model walks it without
-building it (`row_logit`), its blocks bound to weights rather than column
-ids, adding each term to the logit in index order. Online, `row_counter`
-alone reads a student's `_Counter`s, and a row is scored from its query and
-those window counts. Counters always reflect strictly prior interactions of
-the same student: a row is emitted before the counters are updated with its
-outcome.
+and the one online row walk (`_walk`) all come from that table; an oracle
+test holds the batch encoder to the walk's rows. Online scoring
+(`ModelFile.probability`) runs that walk with its columns bound one of two
+ways: to their ids, collecting the row an FM scores (`row_builder`), or to
+a linear model's weights, summing the logit in index order without
+building the row (`row_logit`). Online, `row_counter` alone reads a
+student's `_Counter`s, and a row is scored from its query and those window
+counts. Counters always reflect strictly prior interactions of the same
+student: a row is emitted before the counters are updated with its outcome.
 
 What a family's encode counts does not depend on the family, so it is kept
 with the `Dataset` (`Dataset.memo`, whose arrays are never written in
@@ -37,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import zipfile
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -193,13 +193,14 @@ class LayoutDescriptor:
     @classmethod
     def from_dict(cls, d, spec):
         """`feature_layout` of `spec` over the ids `d` stores; ValueError
-        when the blocks or feature count `d` stores are not its."""
-        layout = feature_layout(spec, list(d["students"]), list(d["items"]),
-                                list(d["skills"]))
-        blocks = {k: tuple(v) for k, v in d["blocks"].items()}
-        if (blocks, d["n_features"]) != (layout.blocks, layout.n_features):
-            raise ValueError(f"layout blocks {blocks} are not those of "
-                             f"{spec.label} over its ids: {layout.blocks}")
+        when an id is not a string or `d` is not that layout's `to_dict()`."""
+        ids = [list(d[name]) for name in ("students", "items", "skills")]
+        if not all(isinstance(i, str) for group in ids for i in group):
+            raise ValueError("a layout id is not a string")
+        layout = feature_layout(spec, *ids)
+        if d != layout.to_dict():
+            raise ValueError(f"layout blocks {d.get('blocks')} are not those "
+                             f"of {spec.label} over its ids: {layout.blocks}")
         return layout
 
 
@@ -331,7 +332,7 @@ def row_counter(spec):
     """`count(counters, query_time, item, skills)` -> `_counts_from`'s
     (attempts, wins) of each history key a row of `spec`'s family reads, an
     absent key counting an empty history, or () for a family with no
-    history blocks: all that `row_builder`'s `build` reads of counters."""
+    history blocks: all that the row walk (`_walk`) reads of counters."""
     family = FAMILY_TABLE[spec.family]
     if not family.history:
         return lambda counters, query_time, item, skills: ()
@@ -348,96 +349,62 @@ def row_counter(spec):
     return count
 
 
-def _bind(spec, layout, at):
-    """`spec`'s family blocks over `layout`, each column bound to `at[col]`
-    (`at` is a column id or a linear model's weight per column), in layout
-    order: per indicator block, the row's one id it reads (0 the student, 1
-    the item, None each of the row's skills) and its id -> bound dict; per
-    history block, its key -> per-window bound lists (per key) or its one
-    per-window list (shared), and its statistic."""
-    family, at = FAMILY_TABLE[spec.family], np.asarray(at)
+class _Column(int):
+    """A column id bound into `row_builder`'s walk: times a value, it is
+    the row term (id, value)."""
+
+    __slots__ = ()
+
+    def __mul__(self, value):
+        return int(self), value
+
+
+class _Row(tuple):
+    """`row_builder`'s walk total, the row's (indices, values) lists: `+=` a
+    term appends its id and value, and `+=` a bare `_Column` its id and 1.0."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return super().__new__(cls, ([], []))
+
+    def __iadd__(self, term):
+        i, v = term if type(term) is tuple else (int(term), 1.0)
+        self[0].append(i)
+        self[1].append(v)
+        return self
+
+
+def _walk(spec, layout, at, start):
+    """`walk(counts, student, item, skills)` -> `start()` plus each term of
+    the row of `spec`'s family over `layout`, in index order. The row reads
+    what `row_counter(spec)` counts for the same query before the row's own
+    outcome and nothing else; `skills` is its sorted skill list. Each column
+    is bound to `at[col]` once, here, per indicator block by id and per
+    history block by key (per key) or by window (shared), so a row costs its
+    id lookups and its values. An indicator adds its bound column, and a
+    history value the column times that value; a zero value (a count of 0,
+    or a shared sum of 0.0) adds nothing. A student or item outside the
+    layout, or None (a virtual query), adds no indicator."""
+    family = FAMILY_TABLE[spec.family]
+    widths, transform = family.counting(spec.windows)
+    windows = range(len(widths))
+    per_key, history_keys = family.per_key, family.history_keys
     ids = {"users": layout.students, "items": layout.items,
            "skills": layout.skills}
     bound = {name: at[family.columns(layout, name)].tolist()
              for name in layout.blocks}
+    # the row's one id an indicator block reads: 0 the student, 1 the
+    # item, None each of the row's skills
     indicators = [({"users": 0, "items": 1}.get(name),
                    dict(zip(ids[name], bound[name])))
                   for name in family.indicators]
-    history = [(dict(zip(ids[family.key], bound[name])) if family.per_key
+    history = [(dict(zip(ids[family.key], bound[name])) if per_key
                 else bound[name], _STATISTICS[name])
                for name in family.history]
-    return indicators, history
 
-
-def row_builder(spec, layout):
-    """The row function of `spec`'s family over `layout`.
-
-    It returns `build(counts, student, item, skills)` -> (indices, values)
-    in index order, from what `row_counter(spec)` counts for the same query
-    before the row's own outcome, and from nothing else; `skills` is the
-    row's sorted skill list. The student's and the item's columns are looked
-    up by id; a student or item outside the layout, or None (a virtual
-    query), gets no indicator. Zero values are dropped. Each block's
-    `Family.columns`, by id, by key or by window, are bound here (`_bind`),
-    once per call, so a row costs its id lookups and its values.
-    """
-    family = FAMILY_TABLE[spec.family]
-    widths, transform = family.counting(spec.windows)
-    windows = range(len(widths))
-    per_key, history_keys = family.per_key, family.history_keys
-    indicators, history = _bind(spec, layout, np.arange(layout.n_features))
-
-    def build(counts, student, item, skills):
-        idx, val = [], []
-        for one, cols in indicators:
-            if one is None:
-                for k in skills:
-                    idx.append(cols[k])
-                    val.append(1.0)
-            else:
-                col = cols.get(item if one else student)
-                if col is not None:
-                    idx.append(col)
-                    val.append(1.0)
-        if per_key:
-            keys = history_keys(item, skills)
-            for key_cols, stat in history:
-                for key, (a, c) in zip(keys, counts):
-                    for col, n in zip(key_cols[key], stat(a, c)):
-                        if n:
-                            idx.append(col)
-                            val.append(transform(n))
-        else:
-            for window_cols, stat in history:
-                per_key_values = [stat(a, c) for a, c in counts]
-                for w in windows:
-                    v = 0.0
-                    for n in per_key_values:
-                        v += transform(n[w])
-                    if v != 0.0:
-                        idx.append(window_cols[w])
-                        val.append(v)
-        return idx, val
-
-    return build
-
-
-def row_logit(spec, layout, weights):
-    """`logit(counts, student, item, skills)`: the sum of `weights[i] * v`
-    over the row `row_builder(spec, layout)` builds from the same arguments,
-    without building it. The blocks are bound to weights (`_bind`) rather
-    than to column ids, and each term is added to a sum from 0.0 as the walk
-    reaches it, in `build`'s (index) order, zero counts skipped as `build`
-    drops them: an indicator adds its weight (`w * 1.0` is `w`), a history
-    value `w * v`, so the sum is bit for bit the one over the row."""
-    family = FAMILY_TABLE[spec.family]
-    widths, transform = family.counting(spec.windows)
-    windows = range(len(widths))
-    per_key, history_keys = family.per_key, family.history_keys
-    indicators, history = _bind(spec, layout, weights)
-
-    def logit(counts, student, item, skills):
-        z = 0.0
+    def walk(counts, student, item, skills):
+        z = start()
         for one, by_id in indicators:
             if one is None:
                 for k in skills:
@@ -448,23 +415,41 @@ def row_logit(spec, layout, weights):
                     z += w
         if per_key:
             keys = history_keys(item, skills)
-            for key_weights, stat in history:
+            for key_bound, stat in history:
                 for key, (a, c) in zip(keys, counts):
-                    for w, n in zip(key_weights[key], stat(a, c)):
+                    for w, n in zip(key_bound[key], stat(a, c)):
                         if n:
                             z += w * transform(n)
         else:
-            for window_weights, stat in history:
+            for window_bound, stat in history:
                 per_key_values = [stat(a, c) for a, c in counts]
                 for w in windows:
                     v = 0.0
                     for n in per_key_values:
                         v += transform(n[w])
                     if v != 0.0:
-                        z += window_weights[w] * v
+                        z += window_bound[w] * v
         return z
 
-    return logit
+    return walk
+
+
+def row_builder(spec, layout):
+    """`build(counts, student, item, skills)` -> the (indices, values) of
+    the row `_walk` walks, in index order, zero values dropped: its columns
+    bound to their ids, and each term collected into a `_Row`."""
+    return _walk(spec, layout, np.array(
+        [_Column(i) for i in range(layout.n_features)], dtype=object), _Row)
+
+
+def row_logit(spec, layout, weights):
+    """`logit(counts, student, item, skills)`: the sum of `weights[i] * v`
+    over the row `row_builder(spec, layout)` builds from the same arguments,
+    without building it: `_walk` with each column bound to its weight, from
+    0.0. An indicator adds its weight (`w * 1.0` is `w`), a history value
+    `w * v`, in index order, so the sum is bit for bit the one over the
+    row."""
+    return _walk(spec, layout, np.asarray(weights), float)
 
 
 def encode_dataset(dataset, spec):
@@ -587,7 +572,7 @@ def spec_to_dict(spec):
 
 def spec_from_dict(d):
     widths = tuple(math.inf if w == "inf" else float(w) for w in d["windows"])
-    return ModelSpec(d["family"], int(d["dim"]), WindowSet(widths))
+    return ModelSpec(d["family"], operator.index(d["dim"]), WindowSet(widths))
 
 
 def save_design(dm, path):

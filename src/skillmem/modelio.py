@@ -6,6 +6,7 @@ a `final_sample` block that files from older versions carry is ignored."""
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,9 +68,10 @@ class ModelFile:
         return frozenset(self.layout.skills)
 
     @cached_property
-    def item_ids(self):
-        """The layout's items as a set, for recall queries' check."""
-        return frozenset(self.layout.items)
+    def item_positions(self):
+        """Each layout item's position, for recall queries' item check and
+        item-bias pool."""
+        return {item: i for i, item in enumerate(self.layout.items)}
 
     @cached_property
     def counts(self):
@@ -134,9 +136,10 @@ def save_model(model, path):
 def load_model(path):
     """Read a model written by `save_model`. Raises ConfigError naming `path`
     when the file cannot be read, is not JSON, lacks a model key, names an
-    unknown `kind`, its layout's blocks or its weights' shapes are not
-    those of its spec over the layout's students, items and skills, or a
-    weight, bias or embedding is not finite."""
+    unknown `kind`, its layout or its weights' shapes are not those of its
+    spec over the layout's students, items and skills (string ids), its
+    `spec.dim` or `linear.n_iter` is not an integer, or a weight, bias or
+    embedding is not finite."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -152,7 +155,7 @@ def load_model(path):
                 intercept=float(L["intercept"]),
                 l2_strength=float(L["l2_strength"]),
                 converged=bool(L["converged"]),
-                n_iter=int(L["n_iter"]),
+                n_iter=operator.index(L["n_iter"]),
             )
             shapes = {"weights": (params.weights, (n,)),
                       "intercept": (params.intercept, ())}
