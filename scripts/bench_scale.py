@@ -41,8 +41,8 @@ counts the first one kept with it), and the record keeps the fastest wall
 and CPU seconds and the number of runs. A
 record holds wall and CPU seconds, rows/s, nnz and the child's peak RSS from
 `resource.getrusage`, so a layer's peak includes the inputs it was handed; a
-GLM fit's record adds its iterations, `converged` and the norm of the full
-gradient at its result. Linux carries a process's RSS high-water mark over
+GLM fit's record adds its iterations, `s_per_iter` (its wall over its
+iterations), `converged` and the norm of the full gradient at its result. Linux carries a process's RSS high-water mark over
 `exec`, so the parent process imports neither numpy nor the package: a
 child starts from that small footprint, not from the generator's.
 
@@ -264,6 +264,7 @@ def measure(path, layer, rows):
         _, grad_w, grad_b = glm.loss_and_gradient(out, *arg[:2])
         record.update(nnz=int(arg[0].nnz), features=arg[0].shape[1],
                       n_iter=out.n_iter, converged=out.converged,
+                      s_per_iter=round(wall / out.n_iter, 6),
                       grad_norm=float(np.linalg.norm(np.append(grad_w,
                                                                grad_b))))
     if layer in (FM_LAYER, FM_SKILLS_LAYER):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import sys
 import time
@@ -110,9 +111,15 @@ def _out_dir_of(path):
 
 
 @click.group()
+@click.option("--log-level", default="warning", show_default=True,
+              type=click.Choice(["debug", "info", "warning", "error"]),
+              help="level of the package's log lines on stderr; at info, "
+                   "`cv` logs one line per fold")
 @click.version_option(__version__)
-def main():
+def main(log_level):
     """skillmem: DAS3H student models, from raw logs to schedules."""
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("skillmem").setLevel(log_level.upper())
 
 
 @main.command()

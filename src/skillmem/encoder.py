@@ -570,9 +570,20 @@ def spec_to_dict(spec):
             "windows": ["inf" if math.isinf(w) else w for w in spec.windows.widths]}
 
 
+def json_number(value, name):
+    """`value`, read from JSON where a number is stored; ConfigError for a
+    JSON boolean, which Python would take as the integer 0 or 1."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} is {str(value).lower()}, not a number")
+    return value
+
+
 def spec_from_dict(d):
-    widths = tuple(math.inf if w == "inf" else float(w) for w in d["windows"])
-    return ModelSpec(d["family"], operator.index(d["dim"]), WindowSet(widths))
+    widths = tuple(math.inf if w == "inf"
+                   else float(json_number(w, "a window width"))
+                   for w in d["windows"])
+    return ModelSpec(d["family"], operator.index(json_number(d["dim"], "dim")),
+                     WindowSet(widths))
 
 
 def save_design(dm, path):

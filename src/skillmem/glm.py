@@ -19,11 +19,20 @@ Two things keep a fit from wasting work without changing one bit of it:
   `_one_blas_thread`, since importing it loads that library. The lookup
   keeps a library once found and never a miss, so a lookup made before the
   load does not stop later fits from pinning.
-- The gradient's product `X.T @ resid` runs on `X.T` converted to CSR once
-  per fit, not on the CSC view of the CSR design. Each output is then a
-  sum held in a register rather than a scatter-add into memory, over the
-  same rows in the same ascending order, so it is bit-equal. It costs a
-  second copy of the design's nonzeros for the length of the fit.
+- The objective keeps one CSC copy of the design per fit. `X @ w` runs on
+  it as a scatter over the columns, which adds each row's terms in
+  ascending column order, as the CSR product does on sorted rows, so it is
+  bit-equal. The gradient's `X.T @ resid` runs on the CSR view of the same
+  arrays: each output is a sum over its column's rows in ascending order,
+  held in a register. Every elementwise step over the rows writes into two
+  float buffers and one mask, allocated once per fit; each element is the
+  operation on the same operands that `sigmoid` and log(1 + exp(z)) (taken
+  as z above 30) apply, so the loss and the gradient are bit-equal. Each
+  call returns a new gradient array, since scipy keeps the previous one.
+  `fit_logistic` hands scipy the loss and the gradient as two functions
+  that share a one-entry memo (the last theta and its gradient), in place
+  of `jac=True`, whose `MemoizeJac` copies and compares theta again on
+  every call.
 """
 
 from __future__ import annotations
@@ -84,12 +93,6 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
-def _log1pexp(x):
-    """log(1 + exp(x)), taken as x above 30; exp overflows only there."""
-    with np.errstate(over="ignore"):
-        return np.where(x > 30, x, np.log1p(np.exp(x)))
-
-
 def loss_and_gradient(params, X, y):
     """Penalized mean log-loss and its gradient w.r.t. (weights, intercept).
 
@@ -102,21 +105,43 @@ def loss_and_gradient(params, X, y):
 
 def _objective(X, y, l2):
     """theta = (weights, intercept) -> (loss, gradient) of
-    `loss_and_gradient` over a sparse `X`; `X.T` is built once, as CSR."""
-    (n, d), XT = X.shape, X.T.tocsr()
+    `loss_and_gradient` over a sparse `X`, copied once as CSC. Every call
+    writes its row-length steps into the same three buffers and returns a
+    new gradient array."""
+    Xc = sparse.csc_matrix(X)
+    (n, d), XT = Xc.shape, Xc.T  # XT: the CSR view of Xc's arrays
     if len(y) != n:
         raise FitError(f"row count {n} != label count {len(y)}")
+    a, b, mask = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
 
     def objective(theta):
         w = theta[:d]
-        z = X @ w + theta[d]
-        # mean NLL = mean(log(1+exp(z)) - y*z)
-        loss = (float((_log1pexp(z) - y * z).sum() / n)
-                + 0.5 * l2 * float(w @ w))
-        resid = (sigmoid(z) - y) / n
+        z = Xc @ w
+        z += theta[d]
+        # mean NLL = mean(log(1+exp(z)) - y*z); log(1+exp(z)) is taken as
+        # z above 30, where exp may overflow
+        np.greater(z, 30, out=mask)
+        with np.errstate(over="ignore"):
+            np.exp(z, out=a)
+        np.log1p(a, out=a)
+        np.copyto(a, z, where=mask)
+        np.multiply(y, z, out=b)
+        np.subtract(a, b, out=a)
+        loss = float(a.sum() / n) + 0.5 * l2 * float(w @ w)
+        # resid = (sigmoid(z) - y) / n; sigmoid(z) = where(z >= 0, 1, e)
+        # / (1 + e) with e = exp(-|z|), as `sigmoid` takes it
+        np.abs(z, out=a)
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        np.add(a, 1.0, out=b)
+        np.divide(a, b, out=a)
+        np.greater_equal(z, 0, out=mask)
+        np.divide(1.0, b, out=a, where=mask)
+        np.subtract(a, y, out=a)
+        np.divide(a, n, out=a)
         grad = np.empty(d + 1)
-        np.add(np.asarray(XT @ resid).ravel(), l2 * w, out=grad[:d])
-        grad[d] = resid.sum()
+        np.add(XT @ a, l2 * w, out=grad[:d])
+        grad[d] = a.sum()
         return loss, grad
 
     return objective
@@ -168,19 +193,31 @@ def _one_blas_thread():
 
 
 def fit_logistic(X, y, config=None):
-    """Deterministic batch fit of `X` as CSR; FitError on non-finite values."""
+    """Deterministic batch fit of `X` as CSC; FitError on non-finite values."""
     config = config or FitConfig()
-    X = sparse.csr_matrix(X)
+    X = sparse.csc_matrix(X)
     if not np.all(np.isfinite(X.data)):
         raise FitError("non-finite values in feature matrix")
     y = np.asarray(y, dtype=float)
     d = X.shape[1]
     theta0 = np.zeros(d + 1)
     objective = _objective(X, y, config.l2_strength)
+    last = [None, None]  # the last theta evaluated and its gradient
+
+    def loss(theta):
+        value, last[1] = objective(theta)
+        last[0] = theta  # scipy passes a copy of its iterate
+        return value
+
+    def gradient(theta):
+        if not (theta == last[0]).all():
+            loss(theta)
+        return last[1]
+
     from scipy import optimize  # loads scipy's OpenBLAS: see module doc
     with _one_blas_thread():
         res = optimize.minimize(
-            objective, theta0, jac=True, method="L-BFGS-B",
+            loss, theta0, jac=gradient, method="L-BFGS-B",
             options={
                 "maxiter": config.max_iterations,
                 "gtol": GTOL,

@@ -13,8 +13,8 @@ from functools import cached_property
 import numpy as np
 
 from .corpus import atomic_open
-from .encoder import (LayoutDescriptor, row_builder, row_counter, row_logit,
-                      spec_from_dict, spec_to_dict)
+from .encoder import (LayoutDescriptor, json_number, row_builder,
+                      row_counter, row_logit, spec_from_dict, spec_to_dict)
 from .errors import ConfigError
 from .fm import FMFit, FMParams, fm_score, probit
 from .glm import LinearParams, sigmoid
@@ -103,7 +103,7 @@ def _fm_params_to_dict(p):
 
 def _fm_params_from_dict(d):
     return FMParams(
-        global_bias=float(d["global_bias"]),
+        global_bias=float(json_number(d["global_bias"], "global_bias")),
         linear_weights=np.asarray(d["linear_weights"], dtype=float),
         embeddings=np.asarray(d["embeddings"], dtype=float),
         hyperparams=d.get("hyperparams", {}),
@@ -138,8 +138,10 @@ def load_model(path):
     when the file cannot be read, is not JSON, lacks a model key, names an
     unknown `kind`, its layout or its weights' shapes are not those of its
     spec over the layout's students, items and skills (string ids), its
-    `spec.dim` or `linear.n_iter` is not an integer, or a weight, bias or
-    embedding is not finite."""
+    `spec.dim` or `linear.n_iter` is not an integer, a stored number (these
+    two, a window width, `linear.intercept`, `linear.l2_strength` or the FM
+    `global_bias`) is a JSON boolean, `linear.converged` is not one, or a
+    weight, bias or embedding is not finite."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -150,12 +152,15 @@ def load_model(path):
         n = layout.n_features
         if doc["kind"] == "linear":
             L = doc["linear"]
+            if not isinstance(L["converged"], bool):
+                raise ValueError("converged is not true or false")
             params = LinearParams(
                 weights=np.asarray(L["weights"], dtype=float),
-                intercept=float(L["intercept"]),
-                l2_strength=float(L["l2_strength"]),
-                converged=bool(L["converged"]),
-                n_iter=operator.index(L["n_iter"]),
+                intercept=float(json_number(L["intercept"], "intercept")),
+                l2_strength=float(json_number(L["l2_strength"],
+                                              "l2_strength")),
+                converged=L["converged"],
+                n_iter=operator.index(json_number(L["n_iter"], "n_iter")),
             )
             shapes = {"weights": (params.weights, (n,)),
                       "intercept": (params.intercept, ())}

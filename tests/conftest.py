@@ -23,19 +23,21 @@ def rows_of(dataset, student=None):
     return [r for r in rows if student in (None, r.student)]
 
 
-def rewrite_design(path, family=None, **first):
+def rewrite_design(path, family=None, dim=None, **first):
     """Re-save the design archive at `path` with the first entry of each
-    array named in `first` set to its value and, given a `family`, its
-    sidecar's spec naming that family, the archive's digest of the sidecar
-    recomputed."""
+    array named in `first` set to its value and, given a `family` or a
+    `dim`, its sidecar's spec holding them, the archive's digest of the
+    sidecar recomputed."""
     with np.load(path, allow_pickle=False) as npz:
         arrays = dict(npz)
     for name, value in first.items():
         arrays[name][0] = value
-    if family is not None:
+    spec = {k: v for k, v in (("family", family), ("dim", dim))
+            if v is not None}
+    if spec:
         with open(path + ".json") as fh:
             sidecar = json.load(fh)
-        sidecar["spec"]["family"] = family
+        sidecar["spec"].update(spec)
         raw = json.dumps(sidecar).encode()
         with open(path + ".json", "wb") as fh:
             fh.write(raw)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import stat
@@ -15,8 +16,9 @@ from skillmem import corpus, evaluation, fm, glm
 from skillmem.analysis import recall_probability, slope_report
 from skillmem.cli import main, run
 from skillmem.corpus import save_dataset
-from skillmem.encoder import (ModelSpec, build_layout, encode_dataset,
-                              load_design, save_design, spec_to_dict)
+from skillmem.encoder import (ModelSpec, WindowSet, build_layout,
+                              encode_dataset, load_design, save_design,
+                              spec_to_dict)
 from skillmem.errors import ConfigError, EncodingError
 from skillmem.modelio import ModelFile, atomic_open, load_model, save_model
 from skillmem.scheduler import SimulationResult
@@ -461,6 +463,53 @@ def test_load_model_rejects_a_zero_window(tmp_path, fixture_dataset):
         load_model(str(path))
 
 
+@pytest.mark.parametrize("field", [
+    "spec.dim", "spec.windows", "linear.intercept", "linear.l2_strength",
+    "linear.n_iter", "fm.global_bias"])
+def test_load_model_rejects_a_boolean_where_a_number_is_stored(
+        tmp_path, fixture_dataset, field):
+    # each stored number is 1, so `true` in its place read as 1 would load
+    kind, name = field.split(".")
+    dim = 1 if field in ("spec.dim", "fm.global_bias") else 0
+    spec = ModelSpec("das3h", dim, WindowSet((1.0, math.inf)))
+    layout = build_layout(spec, fixture_dataset)
+    n = layout.n_features
+    params = (glm.LinearParams(weights=np.zeros(n), intercept=1.0,
+                               l2_strength=1.0, n_iter=1) if dim == 0 else
+              fm.FMFit(fm.FMParams(global_bias=1.0, linear_weights=np.zeros(n),
+                                   embeddings=np.zeros((n, dim)))))
+    path = tmp_path / "m.json"
+    save_model(ModelFile(spec=spec, layout=layout, params=params,
+                         training_config={}), str(path))
+    load_model(str(path))
+    doc = json.loads(path.read_text())
+    part = doc["fm"]["posterior_mean"] if kind == "fm" else doc[kind]
+    if name == "windows":
+        part[name][0] = True
+    else:
+        part[name] = True
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="m.json") as info:
+        load_model(str(path))
+    assert "is true, not a number" in str(info.value)
+
+
+@pytest.mark.parametrize("value", [1, 0, "true", None])
+def test_load_model_rejects_converged_that_is_not_a_boolean(
+        tmp_path, fixture_dataset, value):
+    spec = ModelSpec("das3h", 0)
+    layout = build_layout(spec, fixture_dataset)
+    params = glm.LinearParams(np.zeros(layout.n_features), 0.0, 0.0)
+    path = tmp_path / "m.json"
+    save_model(ModelFile(spec=spec, layout=layout, params=params,
+                         training_config={}), str(path))
+    doc = json.loads(path.read_text())
+    doc["linear"]["converged"] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="m.json.*converged"):
+        load_model(str(path))
+
+
 def test_atomic_open_creates_files_as_open_does(tmp_path):
     with open(tmp_path / "plain", "w") as fh:
         fh.write("x")
@@ -657,6 +706,30 @@ def test_console_script_reports_typed_errors(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("level", ["info", None])
+def test_cv_logs_one_line_per_fold_at_info_only(tmp_path, level):
+    argv = ["-m", "skillmem.cli", *(["--log-level", level] if level else []),
+            "cv", "--in", FIXTURE_PATH, "--models", "irt,das3h", "--folds",
+            "3", "--l2", "0.01", "--out", str(tmp_path / "cv")]
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines()
+             if line.startswith("INFO skillmem.evaluation: ")]
+    if level is None:
+        assert lines == []
+        return
+    folds = json.load(open(tmp_path / "cv" / "metrics.json"))["folds"]
+    want = [(label, f["fold"], f"{f['auc']:.4f}", f["n_iter"], f["converged"])
+            for label in ("irt(d=0)", "das3h(d=0)") for f in folds[label]]
+    got = [re.fullmatch(r"INFO skillmem.evaluation: (\S+) fold (\d+): AUC "
+                        r"(\S+), n_iter (\d+), converged (\w+), fit "
+                        r"[\d.]+ s", line).groups() for line in lines]
+    assert [(g[0], int(g[1]), g[2], int(g[3]), g[4] == "True")
+            for g in got] == want
 
 
 def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():

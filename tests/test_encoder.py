@@ -658,8 +658,9 @@ class TestBadDesign:
         ({"indices": 10**6}, "column indices"),
         ({"indices": -5}, "column indices"),
         ({"y": 2}, "not 0 or 1"),
+        ({"dim": True}, "dim is true, not a number"),
     ], ids=["das3h_1p-spec", "index-past-the-layout", "negative-index",
-            "label-2"])
+            "label-2", "boolean-dim"])
     def test_invalid_contents(self, tmp_path, fixture_dataset, change,
                               reason):
         # a das3h design whose sidecar digest still matches its archive

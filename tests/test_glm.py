@@ -251,6 +251,48 @@ class TestObjectiveMatchesReference:
         assert params.grad_norm == np.linalg.norm(res.jac)
 
 
+class TestObjectiveBuffers:
+    """The objective reuses its row buffers from call to call; what it
+    returns must not depend on that."""
+
+    @pytest.fixture()
+    def case(self):
+        # rows scaled so that logits fall on both sides of 0 and above 30
+        rng = np.random.default_rng(7)
+        _, X, y = random_instance(rng, n=60)
+        X = sparse.diags(rng.choice([0.1, 1.0, 40.0], size=60)) @ X
+        thetas = [rng.normal(size=X.shape[1] + 1) for _ in range(2)]
+        return sparse.csr_matrix(X), y.astype(float), thetas
+
+    def test_a_later_call_leaves_an_earlier_gradient_unchanged(self, case):
+        X, y, (t1, t2) = case
+        objective = glm._objective(X, y, 0.3)
+        _, first = objective(t1)
+        kept = first.tobytes()
+        _, second = objective(t2)
+        assert second.tobytes() != kept
+        assert first.tobytes() == kept
+
+    def test_a_repeated_theta_gives_the_same_bits(self, case):
+        X, y, (t1, t2) = case
+        objective = glm._objective(X, y, 0.3)
+        loss, grad = objective(t1)
+        objective(t2)  # leaves other values in the buffers
+        again, grad_again = objective(t1.copy())
+        assert np.float64(again).tobytes() == np.float64(loss).tobytes()
+        assert grad_again.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("fmt", ["csc", "coo"])
+    def test_other_sparse_formats_give_the_csr_bits(self, case, fmt):
+        X, y, (t1, _) = case
+        params = LinearParams(t1[:-1], float(t1[-1]), 0.3)
+        loss, gw, gb = loss_and_gradient(params, X, y)
+        other, ow, ob = loss_and_gradient(params, X.asformat(fmt), y)
+        assert np.float64(other).tobytes() == np.float64(loss).tobytes()
+        assert ow.tobytes() == gw.tobytes()
+        assert np.float64(ob).tobytes() == np.float64(gb).tobytes()
+
+
 def scipy_bundled_openblas():
     """The OpenBLAS files of scipy's wheel, where Linux, Windows and macOS
     wheels put them; none for a scipy built against a system BLAS."""
