@@ -42,9 +42,10 @@ and CPU seconds and the number of runs. A
 record holds wall and CPU seconds, rows/s, nnz and the child's peak RSS from
 `resource.getrusage`, so a layer's peak includes the inputs it was handed; a
 GLM fit's record adds its iterations, `s_per_iter` (its wall over its
-iterations), `converged` and the norm of the full gradient at its result. Linux carries a process's RSS high-water mark over
-`exec`, so the parent process imports neither numpy nor the package: a
-child starts from that small footprint, not from the generator's.
+iterations), `converged` and the norm of the full gradient at its result.
+Linux carries a process's RSS high-water mark over `exec`, so the parent
+process imports neither numpy nor the package: a child starts from that
+small footprint, not from the generator's.
 
     python scripts/bench_scale.py --rows 50400 504000 --rounds 3 \
         --src parent=../parent/src --src change=src --out BENCH_scale.json

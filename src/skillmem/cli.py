@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import sys
 import time
@@ -111,15 +110,9 @@ def _out_dir_of(path):
 
 
 @click.group()
-@click.option("--log-level", default="warning", show_default=True,
-              type=click.Choice(["debug", "info", "warning", "error"]),
-              help="level of the package's log lines on stderr; at info, "
-                   "`cv` logs one line per fold")
 @click.version_option(__version__)
-def main(log_level):
+def main():
     """skillmem: DAS3H student models, from raw logs to schedules."""
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("skillmem").setLevel(log_level.upper())
 
 
 @main.command()

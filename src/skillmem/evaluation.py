@@ -13,8 +13,6 @@ per-fold AUCs of each pair that ran at the same dim on the same folds.
 from __future__ import annotations
 
 import json
-import logging
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -27,7 +25,6 @@ from .encoder import encode_dataset
 from .errors import MetricError
 
 EPS = 1e-12
-log = logging.getLogger(__name__)
 
 # name -> (a, b): a's per-fold AUC minus b's isolates one feature block
 ABLATION_PAIRS = {
@@ -186,9 +183,7 @@ def cross_validate(dataset, specs, k=5, seed=0, glm_config=None,
     """Student-level k-fold CV over a list of ModelSpec; returns MetricsTable.
 
     `model_sink(label, fold, fitted, dm)` receives every fitted model when
-    given, along with the design matrix it was trained on. Each fold logs
-    one INFO line: its label, fold, AUC, `n_iter`, `converged` (both None
-    for a Gibbs fold) and the fit's seconds.
+    given, along with the design matrix it was trained on.
     """
     folds = student_kfold(dataset, k, seed)
     fold_of_row = np.array([folds.fold_of_student[s]
@@ -198,10 +193,8 @@ def cross_validate(dataset, specs, k=5, seed=0, glm_config=None,
         dm = encode_dataset(dataset, spec)
         for fold in range(k):
             test_mask = fold_of_row == fold
-            started = time.perf_counter()
             fitted, probs = fit_model(dm, ~test_mask, glm_config,
                                       gibbs_config, eval_rows=test_mask)
-            fit_s = time.perf_counter() - started
             if fitted.converged is False:
                 warnings.warn(
                     f"{spec.label} fold {fold}: L-BFGS stopped after "
@@ -214,10 +207,6 @@ def cross_validate(dataset, specs, k=5, seed=0, glm_config=None,
                     f"{spec.label} fold {fold}: single-class test labels, "
                     "AUC undefined; excluded from the mean")
                 fold_auc = None
-            log.info("%s fold %d: AUC %s, n_iter %s, converged %s, fit %.3f s",
-                     spec.label, fold,
-                     "undefined" if fold_auc is None else f"{fold_auc:.4f}",
-                     fitted.n_iter, fitted.converged, fit_s)
             table.add(spec.label, FoldResult(
                 fold=fold, auc=fold_auc, nll=nll(probs, y_test),
                 acc=accuracy(probs, y_test), n_test=int(test_mask.sum()),

@@ -708,30 +708,6 @@ def test_console_script_reports_typed_errors(tmp_path):
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("level", ["info", None])
-def test_cv_logs_one_line_per_fold_at_info_only(tmp_path, level):
-    argv = ["-m", "skillmem.cli", *(["--log-level", level] if level else []),
-            "cv", "--in", FIXTURE_PATH, "--models", "irt,das3h", "--folds",
-            "3", "--l2", "0.01", "--out", str(tmp_path / "cv")]
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-    proc = subprocess.run([sys.executable, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = [line for line in proc.stderr.splitlines()
-             if line.startswith("INFO skillmem.evaluation: ")]
-    if level is None:
-        assert lines == []
-        return
-    folds = json.load(open(tmp_path / "cv" / "metrics.json"))["folds"]
-    want = [(label, f["fold"], f"{f['auc']:.4f}", f["n_iter"], f["converged"])
-            for label in ("irt(d=0)", "das3h(d=0)") for f in folds[label]]
-    got = [re.fullmatch(r"INFO skillmem.evaluation: (\S+) fold (\d+): AUC "
-                        r"(\S+), n_iter (\d+), converged (\w+), fit "
-                        r"[\d.]+ s", line).groups() for line in lines]
-    assert [(g[0], int(g[1]), g[2], int(g[3]), g[4] == "True")
-            for g in got] == want
-
-
 def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
     # only a fit imports scipy.optimize, and nothing imports scipy.stats
     code = ("import sys, skillmem.cli; print(sorted(m for m in sys.modules "
