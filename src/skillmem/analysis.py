@@ -11,14 +11,13 @@ builds them from a one-student history `Dataset`.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import atomic_open
+from .corpus import write_csv
 from .encoder import FAMILY_TABLE, ModelSpec, record
 from .errors import ConfigError
 from .glm import LinearParams
@@ -40,13 +39,10 @@ class SlopeReport:
     entries: list[SlopeEntry] = field(default_factory=list)
 
     def write_csv(self, path):
-        with atomic_open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["skill_id", "mean_drop_pct", "std", "n_folds",
-                        "n_pairs", "unseen"])
-            for e in self.entries:
-                w.writerow([e.skill, e.mean_drop_pct, e.std_pct, e.n_folds,
-                            e.n_pairs, int(e.unseen)])
+        write_csv(path, ["skill_id", "mean_drop_pct", "std", "n_folds",
+                         "n_pairs", "unseen"],
+                  ([e.skill, e.mean_drop_pct, e.std_pct, e.n_folds,
+                    e.n_pairs, int(e.unseen)] for e in self.entries))
 
 
 def _slope_folds(models, layouts):

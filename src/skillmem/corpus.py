@@ -245,8 +245,9 @@ def load_interactions(path, fmt="generic"):
     Every row's skills field adds its (item, skills) pairs to the q-matrix,
     so an item's skills are the union over its rows. Rows with an empty
     skills field are kept; `preprocess` removes those of untagged items.
-    Ids are stripped of surrounding blanks. A malformed row, or one whose
-    timestamp is not finite, raises ParseError naming its line.
+    Ids are stripped of surrounding blanks. A malformed row, one whose
+    timestamp is not finite, a byte that is not UTF-8 or a field longer
+    than csv's limit (a stray quote) raises ParseError naming its line.
     """
     if fmt not in FORMATS:
         raise ConfigError(f"unknown format tag {fmt!r}; known: {sorted(FORMATS)}")
@@ -256,20 +257,19 @@ def load_interactions(path, fmt="generic"):
     # its (raw item id, raw skills field) pair
     users, pairs, label_of = _Codes(), _Codes(), functools.cache(_label)
     student, pair, stamps, correct = array("q"), array("q"), array("d"), array("b")
-    with open(path, newline="") as fh:
-        sample = fh.read(4096)
-        fh.seek(0)
-        delim = "\t" if "\t" in (sample.splitlines() or [""])[0] else ","
-        reader = csv.reader(fh, delimiter=delim)
-        col = {name: k for k, name in enumerate(next(reader, []))}
-        missing = [c for c in ("user", "timestamp", "correct", "skills", *ids)
-                   if c not in col]
-        if missing:
-            raise ParseError(1, f"missing columns {missing} in header")
-        fields = itemgetter(col["user"], col["timestamp"], col["correct"])
-        item_of, at = itemgetter(*(col[c] for c in ids)), col["skills"]
-        for row in filter(None, reader):
-            try:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            delim = "\t" if "\t" in fh.readline() else ","
+            fh.seek(0)
+            reader = csv.reader(fh, delimiter=delim)
+            col = {name: k for k, name in enumerate(next(reader, []))}
+            missing = [c for c in ("user", "timestamp", "correct", "skills",
+                                   *ids) if c not in col]
+            if missing:
+                raise ParseError(1, f"missing columns {missing} in header")
+            fields = itemgetter(col["user"], col["timestamp"], col["correct"])
+            item_of, at = itemgetter(*(col[c] for c in ids)), col["skills"]
+            for row in filter(None, reader):
                 user, ts, label = fields(row)
                 ts = float(ts)
                 if not isfinite(ts):
@@ -279,8 +279,10 @@ def load_interactions(path, fmt="generic"):
                 student.append(users[user])
                 pair.append(pairs[item_of(row),
                                   row[at] if at < len(row) else ""])
-            except (IndexError, ValueError) as exc:
-                raise ParseError(reader.line_num, str(exc)) from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    except (IndexError, ValueError, csv.Error) as exc:
+        raise ParseError(reader.line_num, str(exc)) from None
     students, student_of = _code([key.strip() for key in users])
     names, entries = [], set()
     for item, skills in pairs:
@@ -392,12 +394,18 @@ def save_dataset(dataset, path):
     def per_row(names, codes):
         return np.array(_escaped(names), dtype=object)[codes].tolist()
 
-    with atomic_open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("user,item,timestamp,correct,skills\r\n")
         fh.writelines(map("{},{},{!r},{},{}\r\n".format,
                           per_row(ds.students, ds.student),
                           per_row(ds.items, ds.item), ds.timestamp.tolist(),
                           ds.correct.tolist(), per_row(tags, ds.item)))
+
+
+def write_csv(path, header, rows):
+    """Write `header` and `rows` as a CSV file at `path`."""
+    with atomic_open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _escaped(fields):
@@ -422,16 +430,30 @@ def load_prepared(path):
 
 
 def load_qmatrix_triplets(path):
-    """A separate q-matrix file: one (item, skill) pair per row, neither blank."""
-    entries = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header and header[0].strip().lower() not in ("item", "item_id"):
-            fh.seek(0)
+    """A separate q-matrix file: one (item, skill) pair per row, neither
+    blank, after an optional header naming `item`; ParseError for a byte
+    that is not UTF-8 or a field longer than csv's limit."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-        for row in reader:
-            item, skill = (cell.strip() for cell in (row + ["", ""])[:2])
-            if item and skill:
-                entries.add((item, skill))
-    return QMatrix(entries)
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc)) from None
+    if rows and rows[0] and rows[0][0].strip().lower() in ("item", "item_id"):
+        del rows[0]
+    pairs = ((cell.strip() for cell in (row + ["", ""])[:2]) for row in rows)
+    return QMatrix((item, skill) for item, skill in pairs if item and skill)
+
+
+def _not_utf8(path):
+    """ParseError at the line of the first byte of `path` that is not UTF-8
+    (text mode's error places it in the chunk it decoded, not in the file)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError(len((raw[:exc.start] + b".").splitlines()),
+                          f"byte {raw[exc.start]:#04x} is not UTF-8")

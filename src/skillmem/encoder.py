@@ -36,10 +36,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import zipfile
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -182,21 +183,16 @@ class LayoutDescriptor:
         return g
 
     def to_dict(self):
-        return {
-            "blocks": {k: list(v) for k, v in self.blocks.items()},
-            "n_features": self.n_features,
-            "students": self.students,
-            "items": self.items,
-            "skills": self.skills,
-        }
+        return {**vars(self),
+                "blocks": {k: list(v) for k, v in self.blocks.items()}}
 
     @classmethod
     def from_dict(cls, d, spec):
         """`feature_layout` of `spec` over the ids `d` stores; ValueError
-        when an id is not a string or `d` is not that layout's `to_dict()`."""
-        ids = [list(d[name]) for name in ("students", "items", "skills")]
-        if not all(isinstance(i, str) for group in ids for i in group):
-            raise ValueError("a layout id is not a string")
+        when an id is not a string (`json_value`) or `d` is not that
+        layout's `to_dict()`."""
+        ids = [json_value(d[name], "strs", name)
+               for name in ("students", "items", "skills")]
         layout = feature_layout(spec, *ids)
         if d != layout.to_dict():
             raise ValueError(f"layout blocks {d.get('blocks')} are not those "
@@ -319,10 +315,7 @@ class DesignMatrix:
                             values=self.X.data[start:end].copy())
 
 
-@dataclass
-class SparseVector:
-    indices: np.ndarray
-    values: np.ndarray
+SparseVector = namedtuple("SparseVector", "indices values")
 
 
 _EMPTY = _Counter()
@@ -570,19 +563,49 @@ def spec_to_dict(spec):
             "windows": ["inf" if math.isinf(w) else w for w in spec.windows.widths]}
 
 
-def json_number(value, name):
-    """`value`, read from JSON where a number is stored; ConfigError for a
-    JSON boolean, which Python would take as the integer 0 or 1."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{name} is {str(value).lower()}, not a number")
+# each `json_value` kind, or a list kind's leaf: the Python types that JSON
+# reads it as, and what an error calls it
+_JSON_KINDS = {"int": ({int}, "a number written as an integer"),
+               "float": ({int, float}, "a number"), "str": ({str}, "a string"),
+               "bool": ({bool}, "a boolean"), "dict": ({dict}, "an object")}
+
+
+def json_value(value, kind, name):
+    """`value`, read from JSON where a value of `kind` is stored: an "int",
+    a "float" (finite, returned as a float), a "bool", a "dict", a "str",
+    "strs" (a list of strings) or "floats" (a list of finite numbers nested
+    as an array's rows, returned as a float array). Else ValueError naming
+    `name`: a JSON boolean is no number, though Python's `bool` is an int."""
+    one = kind.removesuffix("s")
+    types, what = _JSON_KINDS[one]
+    leaves = value if one != kind else [value]
+    if type(leaves) is not list:
+        raise ValueError(f"{name} is {json.dumps(value)}, not a list")
+    try:
+        if kind == "floats":  # an array's leaves lie at its depth
+            value = np.asarray(value, float)
+            for _ in range(value.ndim - 1):
+                leaves = chain.from_iterable(leaves)
+        elif kind == "float" and type(value) in types:
+            value = float(value)
+    except OverflowError:  # an integer past the largest float
+        raise ValueError(f"{name} is not finite") from None
+    except TypeError:  # an object among the numbers
+        raise ValueError(f"a value of {name} is not {what}") from None
+    if not set(map(type, leaves)) <= types:
+        raise ValueError(f"a value of {name} is not {what}" if one != kind
+                         else f"{name} is {json.dumps(value)}, not {what}")
+    if one == "float" and not (math.isfinite(value) if one == kind
+                               else np.isfinite(value).all()):
+        raise ValueError(f"{name} is not finite")
     return value
 
 
 def spec_from_dict(d):
     widths = tuple(math.inf if w == "inf"
-                   else float(json_number(w, "a window width"))
+                   else json_value(w, "float", "a window width")
                    for w in d["windows"])
-    return ModelSpec(d["family"], operator.index(json_number(d["dim"], "dim")),
+    return ModelSpec(d["family"], json_value(d["dim"], "int", "dim"),
                      WindowSet(widths))
 
 

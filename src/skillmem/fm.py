@@ -94,9 +94,7 @@ def _scores_matrix(params, X, XX=None):
     return np.asarray(lin).ravel() + 0.5 * np.sum(np.asarray(Q) ** 2 - np.asarray(SQ), axis=1)
 
 
-def probit(s):
-    """Standard normal CDF, stable in the tails."""
-    return ndtr(s)
+probit = ndtr  # the standard normal CDF, stable in the tails
 
 
 def _draw_truncnorm(rng, mean, positive):

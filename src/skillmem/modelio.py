@@ -6,15 +6,12 @@ a `final_sample` block that files from older versions carry is ignored."""
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .corpus import atomic_open
-from .encoder import (LayoutDescriptor, json_number, row_builder,
-                      row_counter, row_logit, spec_from_dict, spec_to_dict)
+from .encoder import (LayoutDescriptor, json_value, row_builder, row_counter,
+                      row_logit, spec_from_dict, spec_to_dict)
 from .errors import ConfigError
 from .fm import FMFit, FMParams, fm_score, probit
 from .glm import LinearParams, sigmoid
@@ -92,90 +89,56 @@ class ModelFile:
         return {}
 
 
-def _fm_params_to_dict(p):
-    return {
-        "global_bias": p.global_bias,
-        "linear_weights": p.linear_weights.tolist(),
-        "embeddings": p.embeddings.tolist(),
-        "hyperparams": p.hyperparams,
-    }
-
-
-def _fm_params_from_dict(d):
-    return FMParams(
-        global_bias=float(json_number(d["global_bias"], "global_bias")),
-        linear_weights=np.asarray(d["linear_weights"], dtype=float),
-        embeddings=np.asarray(d["embeddings"], dtype=float),
-        hyperparams=d.get("hyperparams", {}),
-    )
+# Each model kind's stored fields in file order, as (attribute, `json_value`
+# kind, shape over the layout's "n" features and the spec's "dim"): the
+# block `linear` holds `LinearParams`, `fm.posterior_mean` an FM's `FMParams`.
+_FIELDS = {
+    "linear": (("weights", "floats", ("n",)), ("intercept", "float", ()),
+               ("l2_strength", "float", ()), ("converged", "bool", ()),
+               ("n_iter", "int", ())),
+    "fm": (("global_bias", "float", ()), ("linear_weights", "floats", ("n",)),
+           ("embeddings", "floats", ("n", "dim")),
+           ("hyperparams", "dict", ())),
+}
 
 
 def save_model(model, path):
-    doc = {
-        "kind": model.kind,
-        "spec": spec_to_dict(model.spec),
-        "layout": model.layout.to_dict(),
-        "training_config": model.training_config,
-    }
-    if model.kind == "linear":
-        p = model.params
-        doc["linear"] = {
-            "weights": p.weights.tolist(),
-            "intercept": p.intercept,
-            "l2_strength": p.l2_strength,
-            "converged": p.converged,
-            "n_iter": p.n_iter,
-        }
-    else:
-        doc["fm"] = {
-            "posterior_mean": _fm_params_to_dict(model.params.posterior_mean)}
+    linear = model.kind == "linear"
+    point = model.params if linear else model.params.posterior_mean
+    block = {name: getattr(point, name).tolist() if kind == "floats"
+             else getattr(point, name)
+             for name, kind, _ in _FIELDS[model.kind]}
+    doc = {"kind": model.kind, "spec": spec_to_dict(model.spec),
+           "layout": model.layout.to_dict(),
+           "training_config": model.training_config,
+           model.kind: block if linear else {"posterior_mean": block}}
     with atomic_open(path) as fh:
         fh.write(json.dumps(doc))
 
 
 def load_model(path):
     """Read a model written by `save_model`. Raises ConfigError naming `path`
-    when the file cannot be read, is not JSON, lacks a model key, names an
-    unknown `kind`, its layout or its weights' shapes are not those of its
-    spec over the layout's students, items and skills (string ids), its
-    `spec.dim` or `linear.n_iter` is not an integer, a stored number (these
-    two, a window width, `linear.intercept`, `linear.l2_strength` or the FM
-    `global_bias`) is a JSON boolean, `linear.converged` is not one, or a
-    weight, bias or embedding is not finite."""
+    when the file cannot be read, is not JSON or lacks a key, names an
+    unknown `kind`, or holds a spec or layout the encoder does not build
+    (`spec_from_dict`, `LayoutDescriptor.from_dict`) or a `_FIELDS` value
+    not of its JSON kind (`json_value`) or of its shape over the layout."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        if doc["kind"] not in ("linear", "fm"):
-            raise ValueError(f"unknown kind {doc['kind']!r}")
+        kind = doc["kind"]
+        if kind not in _FIELDS:
+            raise ValueError(f"unknown kind {kind!r}")
         spec = spec_from_dict(doc["spec"])
         layout = LayoutDescriptor.from_dict(doc["layout"], spec)
-        n = layout.n_features
-        if doc["kind"] == "linear":
-            L = doc["linear"]
-            if not isinstance(L["converged"], bool):
-                raise ValueError("converged is not true or false")
-            params = LinearParams(
-                weights=np.asarray(L["weights"], dtype=float),
-                intercept=float(json_number(L["intercept"], "intercept")),
-                l2_strength=float(json_number(L["l2_strength"],
-                                              "l2_strength")),
-                converged=L["converged"],
-                n_iter=operator.index(json_number(L["n_iter"], "n_iter")),
-            )
-            shapes = {"weights": (params.weights, (n,)),
-                      "intercept": (params.intercept, ())}
-        else:
-            params = FMFit(_fm_params_from_dict(doc["fm"]["posterior_mean"]))
-            point = params.posterior_mean
-            shapes = {"global_bias": (point.global_bias, ()),
-                      "linear_weights": (point.linear_weights, (n,)),
-                      "embeddings": (point.embeddings, (n, spec.dim))}
-        for name, (value, shape) in shapes.items():
-            if np.shape(value) != shape:
-                raise ValueError(f"{name} of shape {np.shape(value)}, "
-                                 f"not {shape}")
-            if not np.isfinite(value).all():
-                raise ValueError(f"a value of {name} is not finite")
+        block = doc[kind] if kind == "linear" else doc[kind]["posterior_mean"]
+        sizes, values = {"n": layout.n_features, "dim": spec.dim}, {}
+        for name, form, dims in _FIELDS[kind]:
+            value = values[name] = json_value(block[name], form, name)
+            shape = tuple(sizes[d] for d in dims)
+            if dims and value.shape != shape:
+                raise ValueError(f"{name} of shape {value.shape}, not {shape}")
+        params = (LinearParams(**values) if kind == "linear"
+                  else FMFit(FMParams(**values)))
     except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{path} is not a model file: "
                           f"{type(exc).__name__}: {exc}") from None

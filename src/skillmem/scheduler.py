@@ -13,14 +13,13 @@ from the q-matrix once per config (`SchedulerConfig.covering`).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .analysis import recall_probability
-from .corpus import atomic_open
+from .corpus import write_csv
 from .errors import ConfigError, SchedulingError
 
 
@@ -97,12 +96,9 @@ class SimulationResult:
         return float(np.mean(self.per_seed[policy]))
 
     def write_csv(self, path):
-        with atomic_open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["policy", "seed_index", "mean_end_recall"])
-            for policy, vals in self.per_seed.items():
-                for i, v in enumerate(vals):
-                    w.writerow([policy, i, v])
+        write_csv(path, ["policy", "seed_index", "mean_end_recall"],
+                  ([policy, i, v] for policy, vals in self.per_seed.items()
+                   for i, v in enumerate(vals)))
 
 
 def simulate_policy(generator, policies, session_times, horizon, seeds):

@@ -925,3 +925,55 @@ def test_overwritten_manifest_warns_naming_the_replaced_command(tmp_path,
     assert run(["schedule-sim", "--horizon", "30", "--sessions", "3",
                 "--seeds", "1", "--out", str(out / "sim.csv")]) == 0
     assert "warning" not in capsys.readouterr().err
+
+
+def _with_byte(path, out, line, byte):
+    """`path` with `byte` put first on its `line` (1-based), written to
+    `out`."""
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    lines[line - 1] = byte + lines[line - 1]
+    with open(out, "wb") as fh:
+        fh.write(b"\n".join(lines))
+    return str(out)
+
+
+@pytest.mark.parametrize("where", ["log", "qmatrix", "history"])
+def test_a_byte_that_is_not_utf8_fails_typed_naming_its_line(
+        recall_inputs, tmp_path, capsys, where):
+    qmatrix = tmp_path / "q.csv"
+    qmatrix.write_text("item,skill\ni001,k0\ni002,k2\n")
+    if where == "history":
+        hist = recall_inputs[recall_inputs.index("--history") + 1]
+        argv = [*recall_inputs[:-1], _with_byte(hist, tmp_path / "h.csv", 2,
+                                                b"\xff"),
+                "--skills", "k0", "--at-day", "14"]
+    else:
+        log = (_with_byte(FIXTURE_PATH, tmp_path / "raw.csv", 7, b"\xff")
+               if where == "log" else FIXTURE_PATH)
+        argv = ["prepare", "--in", log, "--out", str(tmp_path / "p.csv")]
+        if where == "qmatrix":
+            argv += ["--qmatrix", _with_byte(qmatrix, tmp_path / "bad.csv",
+                                             3, b"\xff")]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    line = {"log": 7, "qmatrix": 3, "history": 2}[where]
+    assert captured.err.startswith(f"error: line {line}: byte 0xff is not "
+                                   "UTF-8")
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_a_stray_quote_in_a_long_log_fails_typed(tmp_path, capsys):
+    # the quote opens a field that runs past csv's field limit (128 KiB)
+    with open(FIXTURE_PATH, "rb") as fh:
+        header, *rows = fh.read().splitlines(keepends=True)
+    rows = rows * 20
+    rows[9] = b'"' + rows[9]
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(header + b"".join(rows))
+    assert raw.stat().st_size > 131072
+    assert run(["prepare", "--in", str(raw),
+                "--out", str(tmp_path / "p.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line ")
+    assert "field limit" in captured.err and "Traceback" not in captured.err

@@ -6,8 +6,13 @@ file mutant goes through `load_model` and, when it loads, one recall query
 as `analyze recall` runs it; a sidecar mutant, its digest in the archive
 recomputed so that the sidecar itself is read, goes through `load_design`.
 Each must either load or raise a `SkillmemError`, never another exception.
+
+The CSV readers get byte mutants of the fixture log, written in each
+format, and of its q-matrix file: cut short, or given a stray quote, a lone
+CR or a byte that is not UTF-8; each loads or fails typed as well.
 """
 
+import csv
 import hashlib
 import json
 import math
@@ -17,7 +22,7 @@ import pytest
 
 from skillmem.analysis import history_counters, recall_probability
 from skillmem.cli import run
-from skillmem.corpus import load_interactions
+from skillmem.corpus import load_interactions, load_qmatrix_triplets
 from skillmem.encoder import load_design
 from skillmem.errors import SkillmemError
 from skillmem.modelio import load_model
@@ -40,6 +45,13 @@ def places(doc, path=()):
     for key in keys:
         yield path + (key,)
         yield from places(doc[key], path + (key,))
+
+
+def at(doc, path):
+    """The value at `path` in `doc`."""
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 def mutants(doc):
@@ -106,7 +118,7 @@ def outcome(call, *args):
 def test_model_file_mutants_load_or_fail_typed(artifacts):
     tmp, _, models, hist = artifacts
     history = load_interactions(hist, fmt="generic")
-    path, outcomes = str(tmp / "mutant.json"), []
+    path, outcomes, numbers = str(tmp / "mutant.json"), [], []
     for source in models:
         assert 0 < recall(source, history) < 1
         with open(source) as fh:
@@ -116,9 +128,17 @@ def test_model_file_mutants_load_or_fail_typed(artifacts):
                 json.dump(mutant, fh)
             outcomes.append((source, place, value,
                              outcome(recall, path, history)))
+            if type(at(doc, place)) in (int, float) and value is True:
+                numbers.append(outcomes[-1])
     assert len(outcomes) == 1378
     assert [o for o in outcomes if o[-1] not in ("loaded", "typed")] == []
     assert {o[-1] for o in outcomes} == {"loaded", "typed"}
+    # `true` in place of a stored number never loads as 1, but in the
+    # free-form records that no reader checks
+    free = [o for o in numbers
+            if {"training_config", "hyperparams"} & set(o[1])]
+    assert len(numbers) - len(free) == 36
+    assert [o for o in numbers if o[-1] != "typed" and o not in free] == []
 
 
 def test_model_file_mutants_through_the_command(artifacts, capsys):
@@ -158,3 +178,47 @@ def test_design_sidecar_mutants_load_or_fail_typed(artifacts):
     assert len(outcomes) == 429
     assert [o for o in outcomes if o[-1] not in ("loaded", "typed")] == []
     assert {o[-1] for o in outcomes} == {"loaded", "typed"}
+
+
+def text_files(tmp):
+    """The fixture log in each format and its q-matrix file, as
+    (loader, path): assist12 tab-separated, kddcup with each item split
+    into a problem and a step and its skills joined by "~~"."""
+    with open(FIXTURE_PATH, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    kdd = [["user", "problem", "step", "timestamp", "correct", "skills"]] + [
+        [u, item, "step1", t, c, k.replace("~", "~~")]
+        for u, item, t, c, k in rows]
+    pairs = sorted({(r[1], k) for r in rows for k in r[4].split("~") if k})
+    files = {"generic": ([header] + rows, ","), "assist12": (
+        [header] + rows, "\t"), "kddcup": (kdd, ","),
+        "qmatrix": ([["item", "skill"]] + pairs, ",")}
+    loaders = []
+    for name, (table, delimiter) in files.items():
+        path = str(tmp / f"{name}.csv")
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, delimiter=delimiter).writerows(table)
+        loaders.append(((load_qmatrix_triplets,) if name == "qmatrix" else
+                        (load_interactions, name), path))
+    return loaders
+
+
+def test_csv_byte_mutants_load_or_fail_typed(tmp_path):
+    # 4 files x 4 mutations x 6 seeded offsets: 96 mutants
+    rng, path, outcomes = np.random.default_rng(0), str(tmp_path / "m"), []
+    for (load, *fmt), source in text_files(tmp_path):
+        with open(source, "rb") as fh:
+            raw = fh.read()
+        assert outcome(load, source, *fmt) == "loaded"
+        for kind, piece in (("cut", None), ("quote", b'"'), ("cr", b"\r"),
+                            ("byte", b"\xff")):
+            for at in rng.integers(1, len(raw), 6).tolist():
+                with open(path, "wb") as fh:
+                    fh.write(raw[:at] if piece is None
+                             else raw[:at] + piece + raw[at:])
+                outcomes.append((source, kind, at,
+                                 outcome(load, path, *fmt)))
+    assert len(outcomes) == 96
+    assert [o for o in outcomes if o[-1] not in ("loaded", "typed")] == []
+    assert {o[-1] for o in outcomes} == {"loaded", "typed"}
+    assert {o[-1] for o in outcomes if o[1] == "byte"} == {"typed"}
